@@ -45,7 +45,7 @@ from .errors import (
 )
 from .laurent import CanonicalFactorization, LaurentSeries, factorize, reconstruct
 from .parsing import parse_element, parse_path, parse_ratfunc, parse_scalar, parse_series
-from .paths import Path, circle, commutator, concat, lasso, reverse, segment
+from .paths import Path, circle, commutator, concat, lasso, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support
 from .reports import CheckReport
 from .symbol import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotAUnit, NotNilpotent, SignatureMismatch
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, gaussian
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, gaussian, geometric, power
 
 Monomial = tuple
 
@@ -160,9 +160,6 @@ class AlgebraElement:
     def is_unit(self) -> bool:
         return _nonzero(self.reduce())
 
-    def in_maximal_ideal(self) -> bool:
-        return not self.is_unit()
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -258,30 +255,12 @@ class AlgebraElement:
         if not _nonzero(c):
             raise NotAUnit("cannot invert an element of the maximal ideal")
         c_inv = (GR_ONE / c) if isinstance(c, GaussianRational) else (1.0 / c)
-        u = self._scale(c_inv) - self.signature.one()  # nilpotent
-        out = self.signature.one()
-        term = self.signature.one()
-        for _ in range(1, self.signature.truncation_degree):
-            term = -(term * u)
-            if term.is_zero():
-                break
-            out = out + term
-        return out._scale(c_inv)
+        one = self.signature.one()
+        u = self._scale(c_inv) - one  # nilpotent; 1/(1+u) = sum of (-u)^k
+        return geometric(-u, one, self.signature.truncation_degree)._scale(c_inv)
 
     def __pow__(self, n: int) -> "AlgebraElement":
-        if not isinstance(n, int):
-            raise TypeError("powers of algebra elements must be integers")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.signature.one()
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, n, self.signature.one())
 
     # -- comparison / display ----------------------------------------------
 

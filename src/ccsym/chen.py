@@ -15,6 +15,7 @@ componentwise on the monomial basis.
 from __future__ import annotations
 
 import cmath
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,8 +36,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.steps_per_segment < 1:
             raise InputError("steps_per_segment must be >= 1")
-        if self.tolerance <= 0:
-            raise InputError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise InputError("tolerance must be a positive finite number")
 
 
 # -- differential form handles ------------------------------------------------

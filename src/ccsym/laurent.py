@@ -17,11 +17,13 @@ nilpotent coefficients, and peeling factors strictly deepens it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
+from .scalars import geometric, power
 
 INF = math.inf
 
@@ -58,13 +60,6 @@ class LaurentSeries:
     def monomial(cls, signature, exponent: int, coeff=1, trunc=INF):
         c = coeff if isinstance(coeff, AlgebraElement) else signature.scalar(coeff)
         return cls(signature, {exponent: c}, trunc)
-
-    @classmethod
-    def from_dict(cls, signature, entries: dict, trunc=INF):
-        out = {}
-        for e, c in entries.items():
-            out[int(e)] = c if isinstance(c, AlgebraElement) else signature.scalar(c)
-        return cls(signature, out, trunc)
 
     # -- structure -----------------------------------------------------------
 
@@ -194,48 +189,27 @@ class LaurentSeries:
                 "inversion of a non-monomial series with infinite truncation "
                 "is an infinite series; truncate the series first"
             )
-        geom = LaurentSeries.one(self.signature, t.trunc)
-        term = LaurentSeries.one(self.signature, t.trunc)
-        k = 0
-        while True:
-            k += 1
-            if k > _GEOM_CAP:
+        below_trunc = itertools.count(1)
+
+        def cut(p):
+            # p is nonzero; the _GEOM_CAP-th power still below t.trunc is too many
+            if p.lower_bound < t.trunc and next(below_trunc) == _GEOM_CAP:
                 raise InsufficientTruncation(
                     "inversion of a series with infinite truncation does not "
                     "terminate; truncate the series first"
                 )
-            term = -(term * t)
-            if term.is_zero() or term.lower_bound >= geom.trunc:
-                break
-            geom = geom + term
+            return p.lower_bound >= t.trunc
+
+        geom = geometric(-t, LaurentSeries.one(self.signature, t.trunc), _GEOM_CAP + 1, cut=cut)
         g0 = geom.scale(c_red.inverse()).shift(-nu)
         # stage 2: m-adic correction; e has nilpotent coefficients so the
         # geometric series is a finite sum
         e = LaurentSeries.one(self.signature) - self * g0
-        out = LaurentSeries.one(self.signature, e.trunc)
-        power = LaurentSeries.one(self.signature, e.trunc)
-        for _ in range(1, self.signature.truncation_degree):
-            power = power * e
-            if power.is_zero():
-                break
-            out = out + power
-        return g0 * out
+        one = LaurentSeries.one(self.signature, e.trunc)
+        return g0 * geometric(e, one, self.signature.truncation_degree)
 
     def __pow__(self, n: int) -> "LaurentSeries":
-        if not isinstance(n, int):
-            raise TypeError("series powers must be integers")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = LaurentSeries.one(self.signature)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, n, LaurentSeries.one(self.signature))
 
     # -- comparison / display --------------------------------------------------
 
@@ -340,16 +314,12 @@ class CanonicalFactorization:
         return f"{head}*{tail}" if tail else head
 
 
-def _binomial_inverse(signature, j: int, a: AlgebraElement) -> LaurentSeries:
-    """(1 - a x^j)^{-1} = sum_k a^k x^{jk}, finite because a is nilpotent."""
-    out = {0: signature.one()}
-    power = signature.one()
-    for k in range(1, signature.truncation_degree):
-        power = power * a
-        if power.is_zero():
-            break
-        out[j * k] = power
-    return LaurentSeries(signature, out)
+def _neg_product(sig: AlgebraSignature, factors: dict) -> LaurentSeries:
+    """The Laurent polynomial prod_j (1 - a_j x^j) over the j < 0 factors."""
+    out = LaurentSeries.one(sig)
+    for j in sorted(factors):
+        out = out * LaurentSeries(sig, {0: sig.one(), j: -factors[j]})
+    return out
 
 
 def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
@@ -394,9 +364,11 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
             neg.pop(j, None)
         else:
             neg[j] = updated
+        # (1 - a x^jj)^{-1} = sum_k a^k x^{jj k}, finite because a is nilpotent
         combined = LaurentSeries.one(sig)
         for jj, a in neg.items():
-            combined = combined * _binomial_inverse(sig, jj, a)
+            u = LaurentSeries(sig, {jj: a})
+            combined = combined * geometric(u, LaurentSeries.one(sig), n_deg)
         residual = work * combined
     else:
         raise InsufficientTruncation("factorization did not stabilize; raise the truncation")
@@ -404,12 +376,7 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
     # the expanded negative product shifts information downward on both the
     # peel and the rebuild, so the reconstruction-valid window shrinks by
     # its lower bound once more
-    lam = 0
-    if neg:
-        neg_poly = LaurentSeries.one(sig)
-        for j, a in neg.items():
-            neg_poly = neg_poly * LaurentSeries(sig, {0: sig.one(), j: -a})
-        lam = min(neg_poly.lower_bound, 0)
+    lam = min(_neg_product(sig, neg).lower_bound, 0)
 
     t_eff = residual.trunc
     if min(t_eff, t_eff + lam) <= nu:
@@ -428,34 +395,21 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
         c = unit.coeffs.get(j)
         if c is not None:
             pos[j] = -c
-            inv = _geom_binomial_inverse(sig, j, -c, rel_trunc)
+            # (1 - a_j x^j)^{-1} = sum of a_j^k x^{jk}; below x^rel_trunc that is
+            # ceil(rel_trunc / j) terms
+            u = LaurentSeries(sig, {j: pos[j]}, rel_trunc)
+            inv = geometric(u, LaurentSeries.one(sig, rel_trunc), -(-rel_trunc // j))
             unit = (unit * inv).truncate(rel_trunc)
         j += 1
     return CanonicalFactorization(sig, nu, a0, neg, pos, t_eff + lam)
-
-
-def _geom_binomial_inverse(signature, j: int, a: AlgebraElement, trunc) -> LaurentSeries:
-    """(1 - a x^j)^{-1} truncated at x^trunc, for j > 0 and any a."""
-    out = {0: signature.one()}
-    power = signature.one()
-    k = 1
-    while j * k < trunc:
-        power = power * a
-        if power.is_zero():
-            break
-        out[j * k] = power
-        k += 1
-    return LaurentSeries(signature, out, trunc)
 
 
 def reconstruct(fac: CanonicalFactorization, trunc=None) -> LaurentSeries:
     """Expand the product decomposition back into a series."""
     sig = fac.signature
     T = fac.trunc_order if trunc is None else trunc
-    neg_poly = LaurentSeries.one(sig)
-    for j in sorted(fac.neg_factors):
-        neg_poly = neg_poly * LaurentSeries(sig, {0: sig.one(), j: -fac.neg_factors[j]})
-    lam = min(neg_poly.lower_bound, 0) if fac.neg_factors else 0
+    neg_poly = _neg_product(sig, fac.neg_factors)
+    lam = min(neg_poly.lower_bound, 0)
     rel_cap = T - fac.nu - lam
     out = LaurentSeries.one(sig)
     for j in sorted(fac.pos_factors):

@@ -10,14 +10,21 @@ radii and path parameters).  Precedence is ^ above unary minus above
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .algebra import AlgebraElement, AlgebraSignature
 from .errors import InputError
 from .laurent import INF, LaurentSeries
 from .paths import Path, circle, commutator, concat, segment
 from .ratfunc import RationalFunctionA, poly_mul, poly_reduction, poly_trim
-from .scalars import GR_I, GaussianRational, gaussian
+from .scalars import GR_I, GaussianRational, gaussian, power
+
+# Bounds both the nesting the parser recurses through (parentheses, unary
+# minus, path constructors) and the depth of the tree the evaluators
+# recurse through, where a flat sum of n terms is n levels deep.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -63,11 +70,21 @@ def tokenize(text: str):
 #      ("pow", a, int)
 
 
+def _ast_depth(node) -> int:
+    """Depth of an expression tree, measured level by level without recursion."""
+    level, depth = [node], 0
+    while level:
+        depth += 1
+        level = [child for n in level for child in n[1:] if isinstance(child, tuple)]
+    return depth
+
+
 class ExpressionParser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.idx = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.idx]
@@ -89,7 +106,22 @@ class ExpressionParser:
         tok = self.peek()
         raise InputError(f"{message} at position {tok.pos} in {self.text!r}")
 
+    def nested(self, parse):
+        """parse() one nesting level deeper, within MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"input nested deeper than {MAX_DEPTH} levels")
+        node = parse()
+        self.depth -= 1
+        return node
+
     def parse_expression(self):
+        node = self.parse_sum()
+        if _ast_depth(node) > MAX_DEPTH:
+            self.fail(f"expression deeper than {MAX_DEPTH} levels")
+        return node
+
+    def parse_sum(self):
         node = self.parse_term()
         while self.peek().text in ("+", "-"):
             op = self.advance().text
@@ -108,7 +140,7 @@ class ExpressionParser:
     def parse_unary(self):
         if self.peek().text == "-":
             self.advance()
-            return ("neg", self.parse_unary())
+            return ("neg", self.nested(self.parse_unary))
         return self.parse_power()
 
     def parse_power(self):
@@ -137,7 +169,7 @@ class ExpressionParser:
         if tok.kind == "NAME":
             return ("name", tok.text)
         if tok.text == "(":
-            node = self.parse_expression()
+            node = self.nested(self.parse_sum)
             self.expect(")")
             return node
         raise InputError(
@@ -146,11 +178,8 @@ class ExpressionParser:
 
     def parse_full(self):
         node = self.parse_expression()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise InputError(
-                f"trailing input {tok.text!r} at position {tok.pos} in {self.text!r}"
-            )
+        if self.peek().kind != "END":
+            self.fail(f"trailing input {self.peek().text!r}")
         return node
 
 
@@ -158,104 +187,77 @@ def parse_expression(text: str):
     return ExpressionParser(text).parse_full()
 
 
-# -- scalar evaluation ---------------------------------------------------------
+# -- scalar, element and series evaluation ---------------------------------------
+
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _fold(node, leaf, div, pow_):
+    """Evaluate an AST with the ring operators of the values `leaf` gives
+    for its num/name nodes; `div` and `pow_` supply / and ^."""
+    kind = node[0]
+    if kind in ("num", "name"):
+        return leaf(node)
+    if kind == "neg":
+        return -_fold(node[1], leaf, div, pow_)
+    if kind == "pow":
+        return pow_(_fold(node[1], leaf, div, pow_), node[2])
+    a = _fold(node[1], leaf, div, pow_)
+    b = _fold(node[2], leaf, div, pow_)
+    return div(a, b) if kind == "div" else _BINARY[kind](a, b)
 
 
 def eval_scalar(node, text: str = "") -> GaussianRational:
-    kind = node[0]
-    if kind == "num":
-        return gaussian(node[1])
-    if kind == "name":
+    def leaf(node):
+        if node[0] == "num":
+            return gaussian(node[1])
         if node[1] == "i":
             return GR_I
         raise InputError(f"cannot use {node[1]!r} in a scalar context")
-    if kind == "neg":
-        return -eval_scalar(node[1], text)
-    if kind in ("add", "sub", "mul", "div"):
-        a = eval_scalar(node[1], text)
-        b = eval_scalar(node[2], text)
-        if kind == "add":
-            return a + b
-        if kind == "sub":
-            return a - b
-        if kind == "mul":
-            return a * b
+
+    def div(a, b):
         if not b:
             raise InputError(f"division by zero in {text!r}")
         return a / b
-    if kind == "pow":
-        return eval_scalar(node[1], text) ** node[2]
-    raise InputError(f"bad scalar expression in {text!r}")
+
+    return _fold(node, leaf, div, operator.pow)
 
 
 def parse_scalar(text: str) -> GaussianRational:
     return eval_scalar(parse_expression(text), text)
 
 
-# -- algebra-element evaluation (no x) -----------------------------------------
-
-
 def eval_element(node, sig: AlgebraSignature, text: str = "") -> AlgebraElement:
-    kind = node[0]
-    if kind == "num":
-        return sig.scalar(node[1])
-    if kind == "name":
+    """Evaluate an expression without x as an algebra element."""
+
+    def leaf(node):
+        if node[0] == "num":
+            return sig.scalar(node[1])
         if node[1] in sig.generators:
             return sig.gen(node[1])
         if node[1] == "i":
             return sig.scalar(GR_I if sig.backend.value == "exact" else 1j)
         raise InputError(f"unknown name {node[1]!r} in {text!r}")
-    if kind == "neg":
-        return -eval_element(node[1], sig, text)
-    if kind in ("add", "sub", "mul", "div"):
-        a = eval_element(node[1], sig, text)
-        b = eval_element(node[2], sig, text)
-        if kind == "add":
-            return a + b
-        if kind == "sub":
-            return a - b
-        if kind == "mul":
-            return a * b
-        return a * b.inverse()
-    if kind == "pow":
-        return eval_element(node[1], sig, text) ** node[2]
-    raise InputError(f"bad element expression in {text!r}")
+
+    return _fold(node, leaf, lambda a, b: a * b.inverse(), operator.pow)
 
 
 def parse_element(text: str, sig: AlgebraSignature) -> AlgebraElement:
     return eval_element(parse_expression(text), sig, text)
 
 
-# -- Laurent series evaluation ---------------------------------------------------
-
-
 def eval_series(node, sig: AlgebraSignature, trunc, text: str = "") -> LaurentSeries:
-    kind = node[0]
-    if kind == "num":
-        return LaurentSeries(sig, {0: sig.scalar(node[1])})
-    if kind == "name":
-        if node[1] == "x":
+    """Evaluate as a Laurent series in x; inverses are taken at `trunc`."""
+
+    def leaf(node):
+        if node == ("name", "x"):
             return LaurentSeries.monomial(sig, 1)
         return LaurentSeries(sig, {0: eval_element(node, sig, text)})
-    if kind == "neg":
-        return -eval_series(node[1], sig, trunc, text)
-    if kind in ("add", "sub", "mul", "div"):
-        a = eval_series(node[1], sig, trunc, text)
-        b = eval_series(node[2], sig, trunc, text)
-        if kind == "add":
-            return a + b
-        if kind == "sub":
-            return a - b
-        if kind == "mul":
-            return a * b
-        return a * b.truncate(trunc).inverse()
-    if kind == "pow":
-        base = eval_series(node[1], sig, trunc, text)
-        n = node[2]
-        if n < 0:
-            return base.truncate(trunc) ** n
-        return base ** n
-    raise InputError(f"bad series expression in {text!r}")
+
+    def pow_(base, n):
+        return base.truncate(trunc) ** n if n < 0 else base ** n
+
+    return _fold(node, leaf, lambda a, b: a * b.truncate(trunc).inverse(), pow_)
 
 
 def parse_series(text: str, sig: AlgebraSignature, trunc=INF) -> LaurentSeries:
@@ -266,51 +268,46 @@ def parse_series(text: str, sig: AlgebraSignature, trunc=INF) -> LaurentSeries:
 # -- factored rational function evaluation -----------------------------------------
 
 
-def _polyfrac(node, sig: AlgebraSignature, text: str):
-    """Evaluate a subtree as a fraction (num, den) of A-polynomials in x."""
-    kind = node[0]
-    one = [sig.one()]
-    if kind == "num":
-        return [sig.scalar(node[1])], one
-    if kind == "name":
-        if node[1] == "x":
-            return [sig.zero(), sig.one()], one
-        return [eval_element(node, sig, text)], one
-    if kind == "neg":
-        n, d = _polyfrac(node[1], sig, text)
-        return [-c for c in n], d
-    if kind in ("add", "sub"):
-        n1, d1 = _polyfrac(node[1], sig, text)
-        n2, d2 = _polyfrac(node[2], sig, text)
-        left = poly_mul(n1, d2, sig)
-        right = poly_mul(n2, d1, sig)
-        size = max(len(left), len(right))
-        left = left + [sig.zero()] * (size - len(left))
-        right = right + [sig.zero()] * (size - len(right))
-        combined = [
-            a + b if kind == "add" else a - b for a, b in zip(left, right)
-        ]
-        return poly_trim(combined), poly_mul(d1, d2, sig)
-    if kind == "mul":
-        n1, d1 = _polyfrac(node[1], sig, text)
-        n2, d2 = _polyfrac(node[2], sig, text)
-        return poly_mul(n1, n2, sig), poly_mul(d1, d2, sig)
-    if kind == "div":
-        n1, d1 = _polyfrac(node[1], sig, text)
-        n2, d2 = _polyfrac(node[2], sig, text)
-        return poly_mul(n1, d2, sig), poly_mul(d1, n2, sig)
-    if kind == "pow":
-        n, d = _polyfrac(node[1], sig, text)
-        e = node[2]
-        if e < 0:
-            n, d = d, n
-            e = -e
-        out_n, out_d = one, one
-        for _ in range(e):
-            out_n = poly_mul(out_n, n, sig)
-            out_d = poly_mul(out_d, d, sig)
-        return out_n, out_d
-    raise InputError(f"bad function expression in {text!r}")
+@dataclass(frozen=True)
+class _PolyFraction:
+    """A fraction num/den of A-polynomials in x (lists, lowest degree first)."""
+
+    sig: AlgebraSignature
+    num: list
+    den: list
+
+    def __neg__(self):
+        return _PolyFraction(self.sig, [-c for c in self.num], self.den)
+
+    def __add__(self, other):
+        left = poly_mul(self.num, other.den, self.sig)
+        right = poly_mul(other.num, self.den, self.sig)
+        total = [a + b for a, b in zip_longest(left, right, fillvalue=self.sig.zero())]
+        return _PolyFraction(self.sig, poly_trim(total), poly_mul(self.den, other.den, self.sig))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        num = poly_mul(self.num, other.num, self.sig)
+        return _PolyFraction(self.sig, num, poly_mul(self.den, other.den, self.sig))
+
+    def inverse(self):
+        return _PolyFraction(self.sig, self.den, self.num)
+
+
+def _polyfrac(node, sig: AlgebraSignature, text: str) -> _PolyFraction:
+    """Evaluate a subtree as a fraction of A-polynomials in x."""
+
+    def leaf(node):
+        if node == ("name", "x"):
+            return _PolyFraction(sig, [sig.zero(), sig.one()], [sig.one()])
+        return _PolyFraction(sig, [eval_element(node, sig, text)], [sig.one()])
+
+    def pow_(base, n):
+        return power(base, n, _PolyFraction(sig, [sig.one()], [sig.one()]))
+
+    return _fold(node, leaf, lambda a, b: a * b.inverse(), pow_)
 
 
 def _classify_poly(p: list, sig: AlgebraSignature, text: str) -> RationalFunctionA:
@@ -355,8 +352,8 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctio
     if kind in ("num", "name"):
         return RationalFunctionA.constant(sig, eval_element(node, sig, text))
     if kind in ("add", "sub"):
-        num, den = _polyfrac(node, sig, text)
-        return _classify_poly(num, sig, text) * _classify_poly(den, sig, text).inverse()
+        frac = _polyfrac(node, sig, text)
+        return _classify_poly(frac.num, sig, text) * _classify_poly(frac.den, sig, text).inverse()
     raise InputError(f"bad function expression in {text!r}")
 
 
@@ -393,20 +390,20 @@ class PathParser(ExpressionParser):
             args = self.scalar_args(2, 2)
             return segment(complex(args[0]), complex(args[1]))
         if name == "concat":
-            paths = [self.parse_path()]
+            paths = [self.nested(self.parse_path)]
             while self.peek().text == ",":
                 self.advance()
-                paths.append(self.parse_path())
+                paths.append(self.nested(self.parse_path))
             self.expect(")")
             return concat(*paths)
         if name == "rev":
-            inner = self.parse_path()
+            inner = self.nested(self.parse_path)
             self.expect(")")
             return inner.reversed()
         if name == "comm":
-            first = self.parse_path()
+            first = self.nested(self.parse_path)
             self.expect(",")
-            second = self.parse_path()
+            second = self.nested(self.parse_path)
             self.expect(")")
             return commutator(first, second)
         raise InputError(f"unknown path constructor {name!r} in {self.text!r}")

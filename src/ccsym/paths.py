@@ -146,10 +146,6 @@ def concat(*paths: Path) -> Path:
     return Path(segs)
 
 
-def reverse(path: Path) -> Path:
-    return path.reversed()
-
-
 def commutator(alpha: Path, beta: Path) -> Path:
     """alpha beta alpha^-1 beta^-1 for two loops at the same base point."""
     if not (alpha.is_loop() and beta.is_loop()):

@@ -22,7 +22,7 @@ from functools import total_ordering
 from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from .laurent import LaurentSeries
-from .scalars import GR_ZERO, GaussianRational, as_exact
+from .scalars import GR_ZERO, GaussianRational, as_exact, poly_eval, power
 
 
 @total_ordering
@@ -79,20 +79,6 @@ def poly_mul(p: list, q: list, sig: AlgebraSignature) -> list:
 
 def poly_derivative(p: list) -> list:
     return poly_trim([c * i for i, c in enumerate(p)][1:])
-
-
-def poly_eval(p: list, z: AlgebraElement, sig: AlgebraSignature) -> AlgebraElement:
-    out = sig.zero()
-    for c in reversed(p):
-        out = out * z + c
-    return out
-
-
-def poly_eval_series(p: list, x: LaurentSeries, sig: AlgebraSignature) -> LaurentSeries:
-    out = LaurentSeries.zero(sig)
-    for c in reversed(p):
-        out = out * x + LaurentSeries(sig, {0: c})
-    return out
 
 
 def poly_reduction(p: list) -> list:
@@ -190,12 +176,7 @@ class RationalFunctionA:
         )
 
     def __pow__(self, n: int) -> "RationalFunctionA":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RationalFunctionA.constant(self.signature, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, RationalFunctionA.constant(self.signature, 1))
 
     # -- divisor data ----------------------------------------------------------
 
@@ -279,8 +260,8 @@ class RationalFunctionA:
                 raise NotInvertible(f"evaluation at the zero/pole {root}")
             out = out * diff ** mult
         z_elt = sig.scalar(zc)
-        num_v = poly_eval(list(f.pert_num), z_elt, sig)
-        den_v = poly_eval(list(f.pert_den), z_elt, sig)
+        num_v = poly_eval(f.pert_num, z_elt, sig.zero())
+        den_v = poly_eval(f.pert_den, z_elt, sig.zero())
         if not den_v.is_unit():
             raise NotInvertible("evaluation at a pole of the perturbation")
         return out * num_v * den_v.inverse()
@@ -301,10 +282,10 @@ class RationalFunctionA:
         for p, sign in ((list(f.pert_num), 1), (list(f.pert_den), -1)):
             if len(p) <= 1:
                 continue
-            v = poly_eval(p, z_elt, sig)
+            v = poly_eval(p, z_elt, sig.zero())
             if not v.is_unit():
                 raise NotInvertible("logarithmic derivative at a perturbation pole")
-            out = out + poly_eval(poly_derivative(p), z_elt, sig) * v.inverse() * sign
+            out = out + poly_eval(poly_derivative(p), z_elt, sig.zero()) * v.inverse() * sign
         return out
 
     # -- local expansion ----------------------------------------------------------
@@ -339,8 +320,8 @@ class RationalFunctionA:
                 continue
             factor = (x_local - LaurentSeries(sig, {0: sig.scalar(root)})).truncate(w)
             out = out * factor ** mult
-        num_s = poly_eval_series(list(self.pert_num), x_local, sig).truncate(w)
-        den_s = poly_eval_series(list(self.pert_den), x_local, sig).truncate(w)
+        num_s = poly_eval(self.pert_num, x_local, LaurentSeries.zero(sig)).truncate(w)
+        den_s = poly_eval(self.pert_den, x_local, LaurentSeries.zero(sig)).truncate(w)
         return out * num_s * den_s.inverse()
 
     def __str__(self):

@@ -4,14 +4,14 @@ Every algebra element carries its coefficients in one of two scalar
 domains.  The exact domain is Q(i), represented as a pair of
 `fractions.Fraction`; the floating domain is plain `complex`.  Both
 support +, -, *, /, integer powers and exact equality against zero,
-which is all the algebra layer needs.
+which is all the algebra layer needs.  The ring-generic `power`,
+`geometric` and `poly_eval` below serve every ring type in ccsym.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,11 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / n,
         )
 
+    def inverse(self) -> "GaussianRational":
+        return GR_ONE / self
+
     def __pow__(self, n: int) -> "GaussianRational":
-        if n < 0:
-            return GR_ONE / self.__pow__(-n)
-        out = GR_ONE
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, n, GR_ONE)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -77,10 +70,8 @@ GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
 GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
-Scalar = Union[GaussianRational, complex]
 
-
-def gaussian(re: Union[int, Fraction], im: Union[int, Fraction] = 0) -> GaussianRational:
+def gaussian(re: int | Fraction, im: int | Fraction = 0) -> GaussianRational:
     return GaussianRational(Fraction(re), Fraction(im))
 
 
@@ -100,3 +91,41 @@ def as_float(value) -> complex:
     if isinstance(value, (int, float, complex, Fraction)):
         return complex(value)
     raise TypeError(f"cannot use {value!r} as a float scalar")
+
+
+def power(x, n: int, one):
+    """x^n by square-and-multiply, skipping the final squaring whose result
+    would go unused; a negative n raises x.inverse() to the power -n."""
+    if not isinstance(n, int):
+        raise TypeError("powers must be integers")
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+def geometric(u, one, terms: int, cut=None):
+    """1 + u + u^2 + ... + u^(terms-1), ending early before the first
+    power that is zero or for which `cut(power)` holds."""
+    out = one
+    p = one
+    for _ in range(1, terms):
+        p = p * u
+        if p.is_zero() or (cut is not None and cut(p)):
+            break
+        out = out + p
+    return out
+
+
+def poly_eval(p: list, z, zero):
+    """Horner evaluation of the coefficient list p (lowest degree first) at z."""
+    out = zero
+    for c in reversed(p):
+        out = out * z + c
+    return out

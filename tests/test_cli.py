@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import ccsym
 from ccsym.cli import main
+from ccsym.parsing import MAX_DEPTH
 
 
 def run_cli(capsys, *argv):
@@ -137,3 +144,52 @@ def test_integrate_command(capsys):
     )
     assert code == 0
     assert "6.28318" in out  # 2 pi i
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_non_finite_or_non_positive_tolerance_is_an_input_error(capsys, tol):
+    code, out, err = run_cli(
+        capsys,
+        "verify", "lemma", "--id", "3.4", "--n", "1", "--a", "1/5",
+        "--steps", "8", f"--tol={tol}",
+    )
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert "tolerance" in err
+
+
+def run_cli_process(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ccsym.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "ccsym.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbol", "--f", "(" * 1200 + "x" + ")" * 1200, "--g", "x"],
+        ["symbol", "--f", "1" + "+x" * 1499, "--g", "x"],
+        ["verify", "weil", "--f", "x" + "*x" * 1499, "--g", "x"],
+        ["integrate", "--f", "x", "--path", "rev(" * 1200 + "circle(0,1)" + ")" * 1200],
+    ],
+    ids=["nested-parentheses", "flat-sum", "flat-product", "nested-path"],
+)
+def test_deep_expressions_exit_2_without_traceback(argv):
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_expression_depth_limit_is_exact(capsys):
+    flat = "1" + "+x" * (MAX_DEPTH - 1)  # MAX_DEPTH levels deep
+    nested = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    for text in (flat, nested):
+        code, out, _ = run_cli(capsys, "symbol", "--f", text, "--g", "x", "--trunc", "4")
+        assert code == 0 and out.strip()
+    for text in ("x+" + flat, "(" + nested + ")"):
+        code, _, err = run_cli(capsys, "symbol", "--f", text, "--g", "x", "--trunc", "4")
+        assert code == 2 and "deeper than" in err
