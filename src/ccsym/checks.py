@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, deviation, exp as alg_exp, log1m
 from .chen import (
@@ -29,16 +30,60 @@ from .paths import ArcSegment, Path, circle, commutator, concat, lasso, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support
 from .reports import CheckReport, make_report
 from .symbol import cc_symbol
-from .scalars import as_exact
+from .scalars import as_exact, as_float
 
 TWO_PI_I = 2j * math.pi
 
 
-def _scalar_or_nilpotent(sig, a):
-    """Lemma parameters may be plain numbers or nilpotent elements."""
-    if isinstance(a, AlgebraElement):
-        return a
-    return sig.scalar(a)
+class Param(NamedTuple):
+    flag: str
+    kind: str  # the `ccsym.cli.KINDS` parser of the flag's text
+    default: str | None = None  # the CLI default; None makes the flag required
+    keyword: str | None = None  # the check's keyword, when it is not the flag
+
+
+class Check(NamedTuple):
+    target: str  # the `verify` subcommand; lemma ids share "lemma"
+    function: str  # a function of this module, looked up by name at call time
+    params: tuple = ()
+    reads: tuple = ("algebra", "steps", "tol")  # common flags; steps and tol make `cfg`
+
+
+_RADIUS, _A = Param("radius", "radius", "1/2"), Param("a", "element")
+_F, _G = Param("f", "ratfunc"), Param("g", "ratfunc")
+CHECKS = {
+    "3.2": Check("lemma", "lemma_3_2", (Param("r", "int"), _RADIUS), ("steps", "tol")),
+    "3.3": Check("lemma", "lemma_3_3", (_F, Param("center", "scalar", "0"), _RADIUS)),
+    "3.4": Check("lemma", "lemma_3_4", (Param("n", "int"), _A, _RADIUS)),
+    "3.5": Check("lemma", "lemma_3_5", (Param("j", "int"), Param("k", "int"), _A, Param("b", "element"), _RADIUS)),
+    "3.6": Check("lemma", "lemma_3_6", (_F, Param("base", "complex"), Param("point", "complex", None, "endpoint"))),
+    "main-theorem": Check("main-theorem", "main_theorem_check", (
+        _F, _G, Param("point", "point", None, "s"), Param("base", "scalar"), Param("radius", "radius", "1/4"),
+    ), ("algebra", "trunc", "steps", "tol")),
+    "weil": Check("weil", "weil_reciprocity_check", (_F, _G), ("algebra", "trunc")),
+    "bilinear": Check("bilinear", "bilinear_reciprocity_check", (_F, _G, Param("base", "scalar"))),
+    "commutator": Check("commutator", "commutator_quadratic_check", (
+        Param("alpha", "path"), Param("beta", "path"), Param("f", "form", None, "form1"), Param("g", "form", None, "form2"),
+    )),
+    "identities": Check("identities", "identity_suite", (), ("steps", "tol")),
+}
+
+
+def _float_coefficients(signature, *coeffs):
+    """The float signature of a binomial lemma (by default, that of the first
+    element) and its coefficients, numbers or elements, widened into it."""
+    if signature is None:
+        signature = next((c.signature for c in coeffs if isinstance(c, AlgebraElement)), AlgebraSignature((), 1))
+    sig = signature.to_float()
+    return sig, [(c if isinstance(c, AlgebraElement) else sig.scalar(c)).widen() for c in coeffs]
+
+
+def _require_convergent(radius, *binomials):
+    """The closed forms need |c| * radius^e < 1 for each binomial 1 - c z^e."""
+    for c, e in binomials:
+        red = abs(complex(c.reduce()))
+        if red and red * radius ** e >= 1:
+            raise InputError(f"need |{c}| * radius^{e} < 1 for the closed form")
 
 
 def _log_closed_form(sig, arg):
@@ -57,120 +102,101 @@ def _log_closed_form(sig, arg):
     return log1m(arg)
 
 
+def _lemma_report(check_id, cfg, started, fields, lhs, rhs, dev=None) -> CheckReport:
+    inputs = {"id": check_id, "steps_per_segment": cfg.steps_per_segment, **fields}
+    dev = deviation(lhs, rhs) if dev is None else dev
+    return make_report(f"lemma-{check_id}", inputs, lhs, rhs, dev, cfg.tolerance, started)
+
+
+def lemma_3_2(cfg: QuadratureConfig, r: int, radius=0.5) -> CheckReport:
+    """Iterated winding: (dz/z)^r around 0 gives (2 pi i)^r / r! (relative deviation)."""
+    started = time.perf_counter()
+    sig = AlgebraSignature((), 1, Backend.FLOAT)
+    F = transport([SimplePole(sig, 0)], circle(0, radius), r, cfg)
+    lhs = complex(F.coeff((1,) * r).reduce())
+    rhs = TWO_PI_I ** r / math.factorial(r)
+    fields = dict(r=r, radius=radius, deviation_kind="relative")
+    return _lemma_report("3.2", cfg, started, fields, sig.scalar(lhs), sig.scalar(rhs), abs(lhs - rhs) / abs(rhs))
+
+
+def lemma_3_3(cfg: QuadratureConfig, f: RationalFunctionA, center=0, radius=0.5) -> CheckReport:
+    """df/f around a loop about `center` gives 2 pi i times the valuation there."""
+    started = time.perf_counter()
+    center = as_exact(center)
+    for root in f.roots():
+        if root != center and abs(complex(root) - complex(center)) <= radius:
+            raise InputError(f"loop around {center} also encloses {root}")
+    nu = f.net_multiplicities().get(center, 0)
+    form = DlogForm(f)
+    lhs = line_integral(form, circle(complex(center), radius), cfg)
+    rhs = form.signature.scalar(TWO_PI_I * nu)
+    return _lemma_report("3.3", cfg, started, dict(f=str(f), center=str(center), radius=radius), lhs, rhs)
+
+
+def lemma_3_4(cfg: QuadratureConfig, n: int, a, radius=0.5, signature=None) -> CheckReport:
+    """dz/z o dlog(1 - a z^n) around 0 gives 2 pi i log(1 - a radius^n)."""
+    started = time.perf_counter()
+    sig, (a,) = _float_coefficients(signature, a)
+    _require_convergent(radius, (a, n))
+    lhs = iterated_integral([SimplePole(sig, 0), BinomialLogForm(sig, a, n)], circle(0, radius), cfg)
+    rhs = _log_closed_form(sig, a * (radius ** n)) * TWO_PI_I
+    return _lemma_report("3.4", cfg, started, dict(n=n, a=str(a), radius=radius), lhs, rhs)
+
+
+def lemma_3_5(cfg: QuadratureConfig, j: int, k: int, a, b, radius=1.0, signature=None) -> CheckReport:
+    """dlog(1 - a z^j) o dlog(1 - b z^k) around 0: zero for jk > 0, else
+    sgn(j) d 2 pi i log(1 - a^(|k|/d) b^(|j|/d)) with d = gcd(j, k)."""
+    started = time.perf_counter()
+    if j == 0 or k == 0:
+        raise InputError("binomial exponents must be nonzero")
+    sig, (a, b) = _float_coefficients(signature, a, b)
+    _require_convergent(radius, (a, j), (b, k))
+    lhs = iterated_integral([BinomialLogForm(sig, a, j), BinomialLogForm(sig, b, k)], circle(0, radius), cfg)
+    if j * k > 0:
+        rhs = sig.zero()
+    else:
+        # exponents |k|/d and |j|/d with prefactor sgn(j)*d, read off the
+        # summation indices n1 = n|k|/d, n2 = n|j|/d of the derivation
+        d = math.gcd(j, k)
+        sgn_j = 1 if j > 0 else -1
+        arg = (a ** (abs(k) // d)) * (b ** (abs(j) // d))
+        rhs = _log_closed_form(sig, arg) * (TWO_PI_I * sgn_j * d)
+    return _lemma_report("3.5", cfg, started, dict(j=j, k=k, a=str(a), b=str(b), radius=radius), lhs, rhs)
+
+
+def lemma_3_6(cfg: QuadratureConfig, f: RationalFunctionA, base, endpoint) -> CheckReport:
+    """exp(int df/f) along the segment from `base` to `endpoint` is
+    f(endpoint)/f(base), free of the 2 pi i ambiguity of the logarithm."""
+    started = time.perf_counter()
+    p, q = complex(base), complex(endpoint)
+    lhs = alg_exp(line_integral(DlogForm(f), segment(p, q), cfg))
+    rhs = f.eval(q).widen() * f.eval(p).widen().inverse()
+    return _lemma_report("3.6", cfg, started, dict(f=str(f), base=str(p), endpoint=str(q)), lhs, rhs)
+
+
 def lemma_check(check_id: str, cfg: QuadratureConfig, **params) -> CheckReport:
     """Run one of the named local-integral checks (ids 3.2 to 3.6)."""
-    started = time.perf_counter()
-    inputs = {"id": check_id, "steps_per_segment": cfg.steps_per_segment}
+    check = CHECKS.get(check_id)
+    if check is None or check.target != "lemma":
+        raise InputError(f"unknown lemma id {check_id!r}; expected 3.2 .. 3.6")
+    return globals()[check.function](cfg, **params)
 
-    if check_id == "3.2":
-        r = int(params["r"])
-        radius = float(params.get("radius", 0.5))
-        inputs.update(r=r, radius=radius, deviation_kind="relative")
-        sig = AlgebraSignature((), 1, Backend.FLOAT)
-        F = transport([SimplePole(sig, 0)], circle(0, radius), r, cfg)
-        lhs = complex(F.coeff((1,) * r).reduce())
-        rhs = TWO_PI_I ** r / math.factorial(r)
-        dev = abs(lhs - rhs) / abs(rhs)
-        return make_report(
-            "lemma-3.2", inputs, f"{lhs:.12g}", f"{rhs:.12g}", dev, cfg.tolerance, started
-        )
 
-    if check_id == "3.3":
-        f: RationalFunctionA = params["f"]
-        center = as_exact(params.get("center", 0))
-        radius = float(params.get("radius", 0.5))
-        inputs.update(f=str(f), center=str(center), radius=radius)
-        for root in f.roots():
-            if root != center and abs(complex(root) - complex(center)) <= radius:
-                raise InputError(f"loop around {center} also encloses {root}")
-        nu = f.net_multiplicities().get(center, 0)
-        form = DlogForm(f)
-        lhs = line_integral(form, circle(complex(center), radius), cfg)
-        rhs = form.signature.scalar(TWO_PI_I * nu)
-        return make_report(
-            "lemma-3.3", inputs, lhs, rhs, deviation(lhs, rhs), cfg.tolerance, started
-        )
-
-    if check_id == "3.4":
-        n = int(params["n"])
-        radius = float(params.get("radius", 0.5))
-        sig = params["signature"].to_float() if "signature" in params else None
-        if sig is None:
-            sig = AlgebraSignature((), 1, Backend.FLOAT)
-        a = _scalar_or_nilpotent(sig, params["a"]).widen()
-        inputs.update(n=n, a=str(a), radius=radius)
-        a_red = abs(complex(a.reduce()))
-        if a_red and a_red * radius ** n >= 1:
-            raise InputError("need |a| * radius^n < 1 for the closed form")
-        form = BinomialLogForm(sig, a, n)
-        lhs = iterated_integral([SimplePole(sig, 0), form], circle(0, radius), cfg)
-        arg = a * (radius ** n)
-        rhs = _log_closed_form(sig, arg) * TWO_PI_I
-        return make_report(
-            "lemma-3.4", inputs, lhs, rhs, deviation(lhs, rhs), cfg.tolerance, started
-        )
-
-    if check_id == "3.5":
-        j, k = int(params["j"]), int(params["k"])
-        radius = float(params.get("radius", 1.0))
-        if j == 0 or k == 0:
-            raise InputError("binomial exponents must be nonzero")
-        sig = params["signature"].to_float() if "signature" in params else None
-        if sig is None:
-            sig = AlgebraSignature((), 1, Backend.FLOAT)
-        a = _scalar_or_nilpotent(sig, params["a"]).widen()
-        b = _scalar_or_nilpotent(sig, params["b"]).widen()
-        inputs.update(j=j, k=k, a=str(a), b=str(b), radius=radius)
-        for coeff, expo in ((a, j), (b, k)):
-            red = abs(complex(coeff.reduce()))
-            if red and red * radius ** expo >= 1:
-                raise InputError("need |a| * radius^j < 1 and |b| * radius^k < 1")
-        form1 = BinomialLogForm(sig, a, j)
-        form2 = BinomialLogForm(sig, b, k)
-        lhs = iterated_integral([form1, form2], circle(0, radius), cfg)
-        if j * k > 0:
-            rhs = sig.zero()
-        else:
-            # exponents |k|/d and |j|/d with prefactor sgn(j)*d, read off the
-            # summation indices n1 = n|k|/d, n2 = n|j|/d of the derivation
-            d = math.gcd(j, k)
-            sgn_j = 1 if j > 0 else -1
-            arg = (a ** (abs(k) // d)) * (b ** (abs(j) // d))
-            rhs = _log_closed_form(sig, arg) * (TWO_PI_I * sgn_j * d)
-        return make_report(
-            "lemma-3.5", inputs, lhs, rhs, deviation(lhs, rhs), cfg.tolerance, started
-        )
-
-    if check_id == "3.6":
-        f: RationalFunctionA = params["f"]
-        p = complex(params["base"])
-        q = complex(params["endpoint"])
-        inputs.update(f=str(f), base=str(p), endpoint=str(q))
-        # exp-composed form: exp(int_gamma df/f) = f(Q)/f(P), quotienting
-        # out the additive 2*pi*i ambiguity of the path logarithm
-        integral = line_integral(DlogForm(f), segment(p, q), cfg)
-        lhs = alg_exp(integral)
-        rhs = f.eval(q).widen() * f.eval(p).widen().inverse()
-        return make_report(
-            "lemma-3.6", inputs, lhs, rhs, deviation(lhs, rhs), cfg.tolerance, started
-        )
-
-    raise InputError(f"unknown lemma id {check_id!r}; expected 3.2 .. 3.6")
+def _ray_loop(base: complex, center, radius: float, theta: float, clockwise=False) -> Path:
+    """From `base` out to the circle about `center` at angle theta, once
+    around it, and back."""
+    go = segment(base, center + radius * cmath.exp(1j * theta))
+    return concat(go, circle(center, radius, theta, clockwise), go.reversed())
 
 
 def _isolating_loop(s: SpherePoint, base: complex, radius: float, others) -> Path:
     """Loop from `base` going once around s (counterclockwise on the
     sphere) and around no other support point."""
     if s.is_infinite:
-        farthest = max((abs(complex(t.value)) for t in others), default=0.0)
-        if radius <= max(farthest, abs(base)):
-            raise InputError(
-                f"loop around infinity needs radius > {max(farthest, abs(base)):g}"
-            )
-        theta = cmath.phase(base) if base != 0 else 0.0
-        foot = radius * cmath.exp(1j * theta)
-        go = segment(base, foot)
-        return concat(go, circle(0, radius, theta, clockwise=True), go.reversed())
+        bound = max(max((abs(complex(t.value)) for t in others), default=0.0), abs(base))
+        if radius <= bound:
+            raise InputError(f"loop around infinity needs radius > {bound:g}")
+        return _ray_loop(base, 0, radius, cmath.phase(base) if base != 0 else 0.0, clockwise=True)
     center = complex(s.value)
     for t in others:
         if not t.is_infinite and abs(complex(t.value) - center) <= radius:
@@ -196,8 +222,7 @@ def main_theorem_check(
     if s not in support:
         raise InputError(f"{s} is not a zero or pole of f or g")
     others = [t for t in support if t != s]
-    base_c = complex(as_exact(base)) if not isinstance(base, complex) else base
-    sigma = _isolating_loop(s, base_c, float(radius), others)
+    sigma = _isolating_loop(s, as_float(base), float(radius), others)
 
     form_f, form_g = DlogForm(f), DlogForm(g)
     ii = iterated_integral([form_f, form_g], sigma, cfg)
@@ -298,15 +323,10 @@ def _shell_loops(points, base: complex, pad_scale: float = 0.5):
     if theta is None:
         raise InputError("no clear ray from the base point; support too crowded")
 
-    def ring(rad):
-        foot = base + rad * cmath.exp(1j * theta)
-        go = segment(base, foot)
-        return concat(go, circle(base, rad, theta), go.reversed())
-
     loops = [None] * len(points)
     prev = None
     for idx, i in enumerate(order):
-        outer = ring(radii[idx])
+        outer = _ray_loop(base, base, radii[idx], theta)
         loops[i] = outer if prev is None else concat(prev.reversed(), outer)
         prev = outer
     return loops, order, (radii[-1] if radii else 1.0), theta
@@ -325,7 +345,7 @@ def bilinear_reciprocity_check(
     f.validate_poles()
     g.validate_poles()
     support = rf_support(f, g)
-    base_c = complex(as_exact(base)) if not isinstance(base, complex) else base
+    base_c = as_float(base)
     finite = [s for s in support if not s.is_infinite]
     has_inf = any(s.is_infinite for s in support)
 
@@ -341,9 +361,7 @@ def bilinear_reciprocity_check(
             2 * abs(base_c),
             1.0,
         )
-        foot = base_c + big * cmath.exp(1j * theta)
-        go = segment(base_c, foot)
-        ordered.append(concat(go, circle(base_c, big, theta, clockwise=True), go.reversed()))
+        ordered.append(_ray_loop(base_c, base_c, big, theta, clockwise=True))
 
     form_f, form_g = DlogForm(f), DlogForm(g)
     transports = [transport([form_f, form_g], loop, 2, cfg) for loop in ordered]

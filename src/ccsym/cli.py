@@ -12,16 +12,9 @@ import argparse
 import json
 import sys
 
+from . import checks
 from .algebra import element_to_json, parse_signature
 from .chen import DlogForm, QuadratureConfig, iterated_integral, line_integral
-from .checks import (
-    bilinear_reciprocity_check,
-    commutator_quadratic_check,
-    identity_suite,
-    lemma_check,
-    main_theorem_check,
-    weil_reciprocity_check,
-)
 from .errors import CcsymError, InputError
 from .laurent import factorize
 from .parsing import parse_element, parse_path, parse_ratfunc, parse_scalar, parse_series
@@ -29,6 +22,68 @@ from .ratfunc import SpherePoint
 from .symbol import cc_symbol_series, tame_symbol
 
 DEFAULT_ALGEBRA = "gens=;degree=1;scalars=exact"
+
+COMMON = {
+    "algebra": dict(default=DEFAULT_ALGEBRA, help="e.g. gens=eps;degree=2;scalars=exact"),
+    "json": dict(action="store_true", help="emit JSON output"),
+    "trunc": dict(type=int, default=16, help="series truncation order"),
+    "steps": dict(type=int, default=1024, help="quadrature steps per path segment"),
+    "tol": dict(type=float, default=1e-8, help="check tolerance"),
+}
+
+# inclusive resource caps, checked before any work
+CAPS = {"--steps": (1, 65536), "--trunc": (1, 256), "--r": (1, 64), "--algebra degree": (1, 64),
+        **dict.fromkeys(("--n", "--j", "--k"), (-64, 64))}
+
+TARGETS = {
+    "lemma": "local integral identities (ids 3.2-3.6)",
+    "main-theorem": "exp of the iterated integral vs the product formula",
+    "weil": "exact reciprocity product over the joint support",
+    "bilinear": "second-order loop-sum identity",
+    "commutator": "quadratic term over a commutator of loops",
+    "identities": "shuffle/reversal/composition/homotopy suite",
+}
+
+
+def _radius(text: str) -> float:
+    value = complex(parse_scalar(text))
+    if value.imag or value.real <= 0:
+        raise InputError(f"--radius must be a positive real number, got {text!r}")
+    return value.real
+
+
+def _point_of(text: str) -> SpherePoint:
+    if text.strip().lower() in ("inf", "infinity", "oo"):
+        return SpherePoint.infinity()
+    return SpherePoint.finite(parse_scalar(text))
+
+
+# one parser per parameter kind of the check table: (flag value, signature)
+KINDS = {
+    "int": lambda value, sig: value,  # argparse has converted it
+    "radius": lambda text, sig: _radius(text),
+    "scalar": lambda text, sig: parse_scalar(text),
+    "complex": lambda text, sig: complex(parse_scalar(text)),
+    "point": lambda text, sig: _point_of(text),
+    "element": lambda text, sig: parse_element(text, sig),
+    "ratfunc": lambda text, sig: parse_ratfunc(text, sig),
+    "form": lambda text, sig: DlogForm(parse_ratfunc(text, sig)),
+    "path": lambda text, sig: parse_path(text),
+}
+
+
+def _common(p, *flags):
+    for flag in dict.fromkeys(flags):
+        p.add_argument(f"--{flag}", **COMMON[flag])
+
+
+def _target_params(target: str) -> dict:
+    """{flag: (Param, ids that take it)} over the checks of a target."""
+    params = {}
+    for key, check in checks.CHECKS.items():
+        for param in check.params if check.target == target else ():
+            params.setdefault(param.flag, (param, []))[1].append(key)
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,89 +93,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trunc=True, quad=False):
-        p.add_argument("--algebra", default=DEFAULT_ALGEBRA, help="e.g. gens=eps;degree=2;scalars=exact")
-        p.add_argument("--json", action="store_true", help="emit JSON output")
-        if trunc:
-            p.add_argument("--trunc", type=int, default=16, help="series truncation order")
-        if quad:
-            p.add_argument("--steps", type=int, default=1024, help="quadrature steps per path segment")
-            p.add_argument("--tol", type=float, default=1e-8, help="check tolerance")
-
     p = sub.add_parser("symbol", help="Contou-Carrere symbol of two series")
-    common(p)
+    _common(p, "algebra", "json", "trunc")
     p.add_argument("--f", required=True, help="Laurent series literal")
     p.add_argument("--g", required=True, help="Laurent series literal")
 
     p = sub.add_parser("tame", help="tame symbol of two series over C")
-    common(p)
+    _common(p, "algebra", "trunc")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
 
     p = sub.add_parser("factorize", help="canonical product decomposition of a series")
-    common(p)
+    _common(p, "algebra", "json", "trunc")
     p.add_argument("--f", required=True)
 
     p = sub.add_parser("integrate", help="integrate dlog forms along a path")
-    common(p, quad=True)
+    _common(p, "algebra", "json", "steps", "tol")
     p.add_argument("--f", required=True, help="rational function literal")
     p.add_argument("--g", help="second function: compute the iterated df/f o dg/g")
     p.add_argument("--path", required=True, help="path literal, e.g. circle(0,1/2)")
 
     verify = sub.add_parser("verify", help="run a verification check")
     vsub = verify.add_subparsers(dest="check", required=True)
-
-    p = vsub.add_parser("lemma", help="local integral identities (ids 3.2-3.6)")
-    common(p, quad=True)
-    p.add_argument("--id", required=True, choices=["3.2", "3.3", "3.4", "3.5", "3.6"])
-    p.add_argument("--r", type=int, help="word length for id 3.2")
-    p.add_argument("--n", type=int, help="binomial exponent for id 3.4")
-    p.add_argument("--j", type=int, help="first binomial exponent for id 3.5")
-    p.add_argument("--k", type=int, help="second binomial exponent for id 3.5")
-    p.add_argument("--a", help="first coefficient (scalar or nilpotent element)")
-    p.add_argument("--b", help="second coefficient")
-    p.add_argument("--f", help="rational function for ids 3.3 and 3.6")
-    p.add_argument("--center", default="0", help="loop center for id 3.3")
-    p.add_argument("--base", help="start point P for id 3.6")
-    p.add_argument("--point", help="end point for id 3.6")
-    p.add_argument("--radius", default="1/2", help="loop radius")
-
-    p = vsub.add_parser("main-theorem", help="exp of the iterated integral vs the product formula")
-    common(p, quad=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--point", required=True, help="support point s (scalar or 'inf')")
-    p.add_argument("--base", required=True, help="base point P")
-    p.add_argument("--radius", default="1/4")
-
-    p = vsub.add_parser("weil", help="exact reciprocity product over the joint support")
-    common(p)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-
-    p = vsub.add_parser("bilinear", help="second-order loop-sum identity")
-    common(p, quad=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--base", required=True, help="common base point P")
-
-    p = vsub.add_parser("commutator", help="quadratic term over a commutator of loops")
-    common(p, quad=True)
-    p.add_argument("--alpha", required=True, help="first loop literal")
-    p.add_argument("--beta", required=True, help="second loop literal")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-
-    p = vsub.add_parser("identities", help="shuffle/reversal/composition/homotopy suite")
-    common(p, quad=True)
-
+    for target, help_ in TARGETS.items():
+        p = vsub.add_parser(target, help=help_)
+        ids = [key for key, check in checks.CHECKS.items() if check.target == target]
+        p.set_defaults(id=target)  # a target with several ids takes --id
+        if ids != [target]:
+            p.add_argument("--id", required=True, choices=ids)
+        _common(p, "json", *(flag for key in ids for flag in checks.CHECKS[key].reads))
+        for flag, (param, takers) in _target_params(target).items():
+            help_ = f"{param.kind} for id {', '.join(takers)}" if len(ids) > 1 else param.kind
+            help_ += f", default {param.default}" if param.default else ""
+            p.add_argument(f"--{flag}", type=int if param.kind == "int" else None, help=help_)
     return parser
 
 
-def _point_of(text: str) -> SpherePoint:
-    if text.strip().lower() in ("inf", "infinity", "oo"):
-        return SpherePoint.infinity()
-    return SpherePoint.finite(parse_scalar(text))
+def check_caps(args, sig):
+    """Reject an integer flag, or an algebra degree, outside its cap."""
+    values = {f"--{name}": value for name, value in vars(args).items()}
+    values["--algebra degree"] = sig.truncation_degree
+    for name, (lo, hi) in CAPS.items():
+        if values.get(name) is not None and not lo <= values[name] <= hi:
+            raise InputError(f"{name} must lie in {lo}..{hi}, got {values[name]}")
+
+
+def verify_flags(args):
+    """The chosen check and its {Param: flag value or CLI default}; rejects a
+    missing flag and a flag of the target that the chosen id does not take."""
+    check = checks.CHECKS[args.id]
+    name = args.check if args.id == args.check else f"id {args.id}"
+    values = {param: getattr(args, param.flag) for param in check.params}
+    taken = {param.flag for param in values}
+    for flag in _target_params(args.check):
+        if flag not in taken and getattr(args, flag) is not None:
+            raise InputError(f"{name} does not take --{flag}")
+    for param, value in values.items():
+        values[param] = param.default if value is None else value
+        if values[param] is None:
+            raise InputError(f"{name} needs --{param.flag}")
+    return check, values
 
 
 def _emit_reports(reports, as_json: bool) -> int:
@@ -137,20 +169,17 @@ def _emit_reports(reports, as_json: bool) -> int:
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    sig = parse_signature(args.algebra)
+    sig = parse_signature(getattr(args, "algebra", DEFAULT_ALGEBRA))
+    check_caps(args, sig)
 
-    if args.command == "symbol":
+    if args.command in ("symbol", "tame"):
         f = parse_series(args.f, sig, args.trunc)
         g = parse_series(args.g, sig, args.trunc)
-        value = cc_symbol_series(f, g).value
-        print(json.dumps(element_to_json(value)) if args.json else value)
-        return 0
-
-    if args.command == "tame":
-        f = parse_series(args.f, sig, args.trunc)
-        g = parse_series(args.g, sig, args.trunc)
-        value = tame_symbol(f, g)
-        print(value)
+        if args.command == "tame":
+            print(tame_symbol(f, g))
+        else:
+            value = cc_symbol_series(f, g).value
+            print(json.dumps(element_to_json(value)) if args.json else value)
         return 0
 
     if args.command == "factorize":
@@ -181,92 +210,14 @@ def run(argv) -> int:
         print(json.dumps(element_to_json(value)) if args.json else value)
         return 0
 
-    # verify subcommands
-    cfg = QuadratureConfig(getattr(args, "steps", 1024), getattr(args, "tol", 1e-8))
-
-    if args.check == "lemma":
-        params = {}
-        if args.id == "3.2":
-            if args.r is None:
-                raise InputError("id 3.2 needs --r")
-            params = {"r": args.r, "radius": float(complex(parse_scalar(args.radius)).real)}
-        elif args.id == "3.3":
-            if not args.f:
-                raise InputError("id 3.3 needs --f")
-            params = {
-                "f": parse_ratfunc(args.f, sig),
-                "center": parse_scalar(args.center),
-                "radius": float(complex(parse_scalar(args.radius)).real),
-            }
-        elif args.id == "3.4":
-            if args.n is None or args.a is None:
-                raise InputError("id 3.4 needs --n and --a")
-            params = {
-                "n": args.n,
-                "a": parse_element(args.a, sig),
-                "radius": float(complex(parse_scalar(args.radius)).real),
-                "signature": sig,
-            }
-        elif args.id == "3.5":
-            if None in (args.j, args.k) or args.a is None or args.b is None:
-                raise InputError("id 3.5 needs --j, --k, --a and --b")
-            params = {
-                "j": args.j,
-                "k": args.k,
-                "a": parse_element(args.a, sig),
-                "b": parse_element(args.b, sig),
-                "radius": float(complex(parse_scalar(args.radius)).real),
-                "signature": sig,
-            }
-        elif args.id == "3.6":
-            if not (args.f and args.base and args.point):
-                raise InputError("id 3.6 needs --f, --base and --point")
-            params = {
-                "f": parse_ratfunc(args.f, sig),
-                "base": complex(parse_scalar(args.base)),
-                "endpoint": complex(parse_scalar(args.point)),
-            }
-        report = lemma_check(args.id, cfg, **params)
-        return _emit_reports([report], args.json)
-
-    if args.check == "main-theorem":
-        report = main_theorem_check(
-            parse_ratfunc(args.f, sig),
-            parse_ratfunc(args.g, sig),
-            _point_of(args.point),
-            parse_scalar(args.base),
-            float(complex(parse_scalar(args.radius)).real),
-            cfg,
-            trunc=args.trunc,
-        )
-        return _emit_reports([report], args.json)
-
-    if args.check == "weil":
-        report = weil_reciprocity_check(
-            parse_ratfunc(args.f, sig), parse_ratfunc(args.g, sig), args.trunc
-        )
-        return _emit_reports([report], args.json)
-
-    if args.check == "bilinear":
-        report = bilinear_reciprocity_check(
-            parse_ratfunc(args.f, sig), parse_ratfunc(args.g, sig), parse_scalar(args.base), cfg
-        )
-        return _emit_reports([report], args.json)
-
-    if args.check == "commutator":
-        report = commutator_quadratic_check(
-            parse_path(args.alpha),
-            parse_path(args.beta),
-            DlogForm(parse_ratfunc(args.f, sig)),
-            DlogForm(parse_ratfunc(args.g, sig)),
-            cfg,
-        )
-        return _emit_reports([report], args.json)
-
-    if args.check == "identities":
-        return _emit_reports(identity_suite(cfg), args.json)
-
-    raise InputError(f"unknown verify target {args.check!r}")
+    check, values = verify_flags(args)
+    kwargs = {param.keyword or param.flag: KINDS[param.kind](value, sig) for param, value in values.items()}
+    if "steps" in check.reads:
+        kwargs["cfg"] = QuadratureConfig(args.steps, args.tol)
+    if "trunc" in check.reads:
+        kwargs["trunc"] = args.trunc
+    result = getattr(checks, check.function)(**kwargs)
+    return _emit_reports(result if isinstance(result, list) else [result], args.json)
 
 
 def main(argv=None) -> int:

@@ -182,8 +182,10 @@ class LaurentSeries:
         finite m-adic correction by the geometric series of 1 - f*g0."""
         nu = self.valuation()
         c_red = self.signature.scalar(self.coeffs[nu].reduce())
-        # stage 1: invert the reduction classically
-        t = self.reduction().shift(-nu).scale(c_red.inverse()) - 1  # valuation >= 1
+        # stage 1: invert the reduction classically; t = monic - 1 has
+        # valuation >= 1, so its x^0 term (rounding residue on floats) is dropped
+        monic = self.reduction().shift(-nu).scale(c_red.inverse())
+        t = LaurentSeries(self.signature, {e: c for e, c in monic.coeffs.items() if e}, monic.trunc)
         if math.isinf(t.trunc) and not t.is_zero():
             raise InsufficientTruncation(
                 "inversion of a non-monomial series with infinite truncation "

@@ -22,7 +22,7 @@ from functools import total_ordering
 from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from .laurent import LaurentSeries
-from .scalars import GR_ZERO, GaussianRational, as_exact, poly_eval, power
+from .scalars import GaussianRational, as_exact, poly_eval, power
 
 
 @total_ordering
@@ -89,14 +89,12 @@ def poly_reduction(p: list) -> list:
     return out
 
 
-def _scalar_poly_divide_linear(p: list, r: GaussianRational):
-    """Divide a Q(i)-polynomial by (x - r); returns (quotient, remainder)."""
-    q = [GR_ZERO] * max(len(p) - 1, 0)
-    acc = GR_ZERO
-    for i in range(len(p) - 1, 0, -1):
-        acc = p[i] + acc * r
-        q[i - 1] = acc
-    return q, p[0] + acc * r
+def _scalar_poly_divide_linear(p: list, r):
+    """Divide a polynomial over Q(i) or C by (x - r); returns (quotient, remainder)."""
+    q = list(p[1:])
+    for i in range(len(q) - 2, -1, -1):
+        q[i] = q[i] + q[i + 1] * r
+    return q, (p[0] + q[0] * r if q else p[0])
 
 
 @dataclass(frozen=True)
@@ -210,6 +208,7 @@ class RationalFunctionA:
         """Check that finite perturbation poles sit over declared roots."""
         red = poly_reduction(list(self.pert_den))
         for root in self.roots():
+            root = root if self.signature.backend is Backend.EXACT else complex(root)
             while len(red) > 1:
                 q, rem = _scalar_poly_divide_linear(red, root)
                 if rem:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class GaussianRational:
@@ -55,7 +57,10 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise InputError(f"{self} is too large for a float") from None
 
     def __str__(self) -> str:
         if not self.im:

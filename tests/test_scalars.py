@@ -184,6 +184,21 @@ def test_float_series_inverse_with_rounding_residue():
     assert max(deviation(product.coeff(e), sig.zero()) for e in range(1, 9)) < 1e-15
 
 
+def test_float_series_inverse_ignores_rounding_residue(monkeypatch):
+    # the x^0 residue of stage 1 must not lengthen the geometric sum: a
+    # leading coefficient 3+i costs as many series products as 2 does
+    sig = parse_signature("gens=eps;degree=2;scalars=float")
+    products = []
+    mul = LaurentSeries.__mul__
+    monkeypatch.setattr(LaurentSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    counts = []
+    for lead in (2, 3 + 1j):
+        products.clear()
+        LaurentSeries(sig, {0: sig.scalar(lead), 1: sig.one(), 3: sig.gen("eps")}, 9).inverse()
+        counts.append(len(products))
+    assert counts == [12, 12]
+
+
 def test_series_inverse_term_cap(monkeypatch):
     # 1/(1+x) below x^T takes T terms of the stage-1 sum
     monkeypatch.setattr(laurent, "_GEOM_CAP", 5)
