@@ -287,6 +287,69 @@ class AlgebraElement:
         return max(abs(complex(c)) for c in self.coeffs.values())
 
 
+class DenseLayout:
+    """Float elements as dense coefficient lists over the monomials that
+    products of the given ones can reach (with 1, below the truncation
+    degree), ordered by (degree, exponents).  A layout over the
+    monomials that actually occur stays as small as the sparse maps it
+    replaces; `rows[i]` lists (j, k) with monomials[i] * monomials[j]
+    = monomials[k]."""
+
+    __slots__ = ("signature", "monomials", "rows")
+
+    def __init__(self, signature: AlgebraSignature, monomials=()):
+        self.signature = signature.to_float()
+        n = signature.truncation_degree
+        steps = {m for m in monomials if sum(m)}
+        reached = {signature.empty_monomial()}
+        frontier = list(reached)
+        while frontier:
+            frontier = [p for p in {tuple(map(sum, zip(m, s))) for m in frontier for s in steps}
+                        if sum(p) < n and p not in reached]
+            reached.update(frontier)
+        self.monomials = sorted(reached, key=lambda m: (sum(m), m))
+        index = {m: i for i, m in enumerate(self.monomials)}
+        self.rows = [
+            [(j, index[p]) for j, m2 in enumerate(self.monomials)
+             if (p := tuple(map(sum, zip(m1, m2)))) in index]
+            for m1 in self.monomials
+        ]
+
+    def vector(self, a: AlgebraElement) -> list:
+        """The coefficients of a float element, which must lie in the layout."""
+        coeffs = a.coeffs
+        return [coeffs.get(m, 0j) for m in self.monomials]
+
+    def element(self, v: list) -> AlgebraElement:
+        return AlgebraElement(self.signature, {m: c for m, c in zip(self.monomials, v) if c})
+
+    def mul(self, a: list, b: list) -> list:
+        out = [0j] * len(b)
+        for ai, row in zip(a, self.rows):
+            if ai:
+                for j, k in row:
+                    out[k] += ai * b[j]
+        return out
+
+    def inverse(self, a: list) -> list:
+        """1/a = (1/c) (1 + u + u^2 + ...) with c = a[0] and u = 1 - a/c
+        nilpotent, as in `AlgebraElement.inverse`."""
+        c = a[0]
+        if not c:
+            raise NotAUnit("cannot invert an element of the maximal ideal")
+        c_inv = 1.0 / c
+        u = [-x * c_inv for x in a]
+        u[0] = 0j
+        out, p = list(u), u
+        out[0] = 1 + 0j
+        for _ in range(2, self.signature.truncation_degree):
+            p = self.mul(p, u)
+            if not any(p):
+                break
+            out = [x + y for x, y in zip(out, p)]
+        return [x * c_inv for x in out]
+
+
 def deviation(a: AlgebraElement, b: AlgebraElement) -> float:
     """Max monomial-component modulus of a - b, after widening to floats."""
     return (a.widen() - b.widen()).max_abs()

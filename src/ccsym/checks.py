@@ -112,7 +112,7 @@ def lemma_3_2(cfg: QuadratureConfig, r: int, radius=0.5) -> CheckReport:
     """Iterated winding: (dz/z)^r around 0 gives (2 pi i)^r / r! (relative deviation)."""
     started = time.perf_counter()
     sig = AlgebraSignature((), 1, Backend.FLOAT)
-    F = transport([SimplePole(sig, 0)], circle(0, radius), r, cfg)
+    F = transport([SimplePole(sig, 0)], circle(0, radius), r, cfg, [(1,) * r])
     lhs = complex(F.coeff((1,) * r).reduce())
     rhs = TWO_PI_I ** r / math.factorial(r)
     fields = dict(r=r, radius=radius, deviation_kind="relative")
@@ -364,7 +364,7 @@ def bilinear_reciprocity_check(
         ordered.append(_ray_loop(base_c, base_c, big, theta, clockwise=True))
 
     form_f, form_g = DlogForm(f), DlogForm(g)
-    transports = [transport([form_f, form_g], loop, 2, cfg) for loop in ordered]
+    transports = [transport([form_f, form_g], loop, 2, cfg, [(1,), (2,), (1, 2)]) for loop in ordered]
     sig = form_f.signature
     total = sig.zero()
     for F in transports:

@@ -3,13 +3,25 @@
 The transport of a connection sum_i A_i w_i along a path solves
 dF = F (sum_i A_i w_i) in the free associative algebra on letters
 A_1..A_n, truncated at word length L.  The word coefficients of the
-solution are exactly the iterated integrals, every word at once, and the
-composition law F_{ab} = F_a F_b holds by construction.
+solution are exactly the iterated integrals, and the composition law
+F_{ab} = F_a F_b holds by construction.
 
-The stepper is a classical fourth-order Runge-Kutta update in the word
-algebra with a fixed number of steps per path segment, so reports are
-reproducible bit for bit.  Integration of algebra-valued forms happens
-componentwise on the monomial basis.
+The coefficient of a word w = (v, a) obeys dF[w] = F[v] w_a, so it
+needs only its prefixes.  The state therefore holds the prefix closure
+of the words the caller reads: r + 1 words for an iterated integral of
+r forms instead of every word up to length r.  Each coefficient is a
+dense list over the monomials of A that the forms can reach, in
+(degree, exponents) order, multiplied through the product table of
+`algebra.DenseLayout`.
+
+The stepper is a classical fourth-order Runge-Kutta update with a fixed
+number of steps per path segment, so reports are reproducible bit for
+bit.  Its four stages are fused into one pass over the words in length
+order: stage s of w is (F + c_s k_{s-1})[v] times the letter's form
+value at that stage's sample, read from the stages of the parent v.
+Forms are compiled once into dense coefficients, so a sample costs a
+few complex Horner evaluations and at most one dense inverse per
+perturbation polynomial.
 """
 
 from __future__ import annotations
@@ -20,11 +32,12 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import AlgebraElement, AlgebraSignature, Backend, deviation
-from .errors import InputError, PoleOnPath, SignatureMismatch
+from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout, deviation
+from .errors import InputError, NotInvertible, PoleOnPath, SignatureMismatch
 from .paths import Path
-from .ratfunc import RationalFunctionA
+from .ratfunc import RationalFunctionA, poly_derivative
 from .reports import CheckReport, make_report
+from .scalars import poly_eval
 
 
 @dataclass(frozen=True)
@@ -44,11 +57,16 @@ class QuadratureConfig:
 
 
 class DifferentialForm:
-    """A 1-form handle: an evaluator plus its declared pole set."""
+    """A 1-form handle: an evaluator plus its declared pole set.
+
+    `monomials` lists the monomials of A that the form's coefficients
+    carry; its values lie in the products of those (and 1), which is
+    the dense layout the transport keeps its state in."""
 
     signature: AlgebraSignature
     poles: tuple
     label: str
+    monomials: tuple = ()
 
     def eval(self, z: complex) -> AlgebraElement:
         raise NotImplementedError
@@ -81,16 +99,49 @@ class SimplePole(DifferentialForm):
 
 
 class DlogForm(DifferentialForm):
-    """df/f for a rational function with coefficients in A."""
+    """df/f for a rational function with coefficients in A.
+
+    Compiled once: the float roots with their nonzero multiplicities,
+    and for each nonconstant perturbation polynomial p (num, then den)
+    the dense coefficients of p and p' per monomial, so a sample is
+    complex Horner per monomial plus one dense inverse."""
 
     def __init__(self, f: RationalFunctionA):
         self.f = f
         self.signature = f.signature.to_float()
         self.poles = tuple(f.pole_points())
         self.label = f"dlog({f})"
+        self._roots = [(complex(r), m, r) for r, m in f.net_multiplicities().items() if m]
+        fw = f.widen()
+        self.monomials = tuple({m for c in fw.pert_num + fw.pert_den for m in c.coeffs})
+        layout = self._layout = DenseLayout(self.signature, self.monomials)
+
+        def per_monomial(poly):  # each monomial's coefficients, by degree in x
+            return list(zip(*map(layout.vector, poly)))
+
+        self._perts = [
+            (per_monomial(p), per_monomial(poly_derivative(list(p))), sign)
+            for p, sign in ((fw.pert_num, 1), (fw.pert_den, -1))
+            if len(p) > 1
+        ]
 
     def eval(self, z: complex) -> AlgebraElement:
-        return self.f.dlog_eval(complex(z))
+        z = complex(z)
+        residue = 0j
+        for r, m, root in self._roots:
+            if z == r:
+                raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
+            residue += m / (z - r)
+        layout = self._layout
+        out = [0j] * len(layout.monomials)
+        out[0] = residue
+        for p, dp, sign in self._perts:
+            v = [poly_eval(c, z, 0j) for c in p]
+            if not v[0]:
+                raise NotInvertible("logarithmic derivative at a perturbation pole")
+            term = layout.mul([poly_eval(c, z, 0j) for c in dp], layout.inverse(v))
+            out = [a + b * sign for a, b in zip(out, term)]
+        return layout.element(out)
 
 
 class BinomialLogForm(DifferentialForm):
@@ -116,18 +167,35 @@ class BinomialLogForm(DifferentialForm):
             )
         self.poles = tuple(poles)
         self.label = f"dlog(1-a*z^{n})"
+        self.monomials = tuple(self.a.coeffs)
+        self._layout = DenseLayout(self.signature, self.monomials)
+        self._a = self._layout.vector(self.a)
 
     def eval(self, z: complex) -> AlgebraElement:
         zn1 = z ** (self.n - 1)  # safe at z = 0 for n >= 1
-        denom = self.signature.one() - self.a * (zn1 * z)
-        return self.a * (-self.n * zn1) * denom.inverse()
+        zn = zn1 * z
+        layout = self._layout
+        denom = [-(c * zn) for c in self._a]
+        denom[0] += 1
+        scaled = [c * (-self.n * zn1) for c in self._a]
+        return layout.element(layout.mul(scaled, layout.inverse(denom)))
 
 
 # -- word series ----------------------------------------------------------------
 
 
+def _words_up_to(alphabet_size: int, max_len: int) -> list:
+    """Every word of length <= max_len in letters 1..alphabet_size, by length."""
+    words = level = [()]
+    for _ in range(max_len):
+        level = [w + (a,) for w in level for a in range(1, alphabet_size + 1)]
+        words = words + level
+    return words
+
+
 class TruncatedWordSeries:
-    """Word-indexed coefficients (length <= max_len) in A, letters 1..n."""
+    """Coefficients in A of a set of words (length <= max_len, letters
+    1..n): `coeffs` maps each computed word to its coefficient."""
 
     __slots__ = ("signature", "alphabet_size", "max_len", "coeffs")
 
@@ -139,15 +207,19 @@ class TruncatedWordSeries:
 
     @classmethod
     def identity(cls, signature, alphabet_size: int, max_len: int):
-        return cls(signature, alphabet_size, max_len, {(): signature.one()})
+        coeffs = {w: signature.zero() for w in _words_up_to(alphabet_size, max_len)}
+        coeffs[()] = signature.one()
+        return cls(signature, alphabet_size, max_len, coeffs)
 
     def coeff(self, word) -> AlgebraElement:
         word = tuple(word)
-        if len(word) > self.max_len:
-            raise InputError(f"word {word} longer than the truncation length {self.max_len}")
-        if any(not 1 <= a <= self.alphabet_size for a in word):
-            raise InputError(f"word {word} uses letters outside 1..{self.alphabet_size}")
-        return self.coeffs.get(word, self.signature.zero())
+        c = self.coeffs.get(word)
+        if c is None:
+            raise InputError(
+                f"word {word} is not among the computed words "
+                f"(letters 1..{self.alphabet_size}, length <= {self.max_len})"
+            )
+        return c
 
     def _compatible(self, other):
         if (
@@ -157,67 +229,23 @@ class TruncatedWordSeries:
         ):
             raise SignatureMismatch("incompatible word series")
 
-    def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-        return TruncatedWordSeries(self.signature, self.alphabet_size, self.max_len, out)
-
-    def scale(self, s) -> "TruncatedWordSeries":
-        return TruncatedWordSeries(
-            self.signature,
-            self.alphabet_size,
-            self.max_len,
-            {w: c * s for w, c in self.coeffs.items()},
-        )
-
     def __mul__(self, other):
-        """Concatenation product truncated at max_len."""
+        """Concatenation product, on the words whose every split into a
+        prefix and a suffix has the prefix in self and the suffix in other."""
         self._compatible(other)
+        a, b = self.coeffs, other.coeffs
         out = {}
-        L = self.max_len
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                if len(w1) + len(w2) > L:
-                    continue
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                out[w] = c if s is None else s + c
-        return TruncatedWordSeries(self.signature, self.alphabet_size, L, out)
-
-    def right_connection(self, omega: list) -> "TruncatedWordSeries":
-        """Multiply on the right by sum_i A_i omega[i]."""
-        out = {}
-        L = self.max_len
-        for w, c in self.coeffs.items():
-            if len(w) >= L:
-                continue
-            for i, v in enumerate(omega, start=1):
-                prod = c * v
-                if prod.is_zero():
-                    continue
-                key = w + (i,)
-                s = out.get(key)
-                out[key] = prod if s is None else s + prod
-        return TruncatedWordSeries(self.signature, self.alphabet_size, L, out)
+        for w in a:
+            splits = [(w[:i], w[i:]) for i in range(len(w) + 1)]
+            if all(u in a and v in b for u, v in splits):
+                out[w] = sum((a[u] * b[v] for u, v in splits), self.signature.zero())
+        return TruncatedWordSeries(self.signature, self.alphabet_size, self.max_len, out)
 
     def deviation(self, other) -> float:
         self._compatible(other)
-        words = set(self.coeffs) | set(other.coeffs)
-        dev = 0.0
-        for w in words:
-            dev = max(dev, deviation(self.coeff(w), other.coeff(w)))
-        return dev
-
-    def words(self):
-        return sorted(self.coeffs, key=lambda w: (len(w), w))
-
-    def __str__(self):
-        bits = [f"{'.'.join(map(str, w)) or '1'}: {self.coeffs[w]}" for w in self.words()]
-        return "{" + ", ".join(bits) + "}"
+        if self.coeffs.keys() != other.coeffs.keys():
+            raise SignatureMismatch("word series over different word sets")
+        return max((deviation(c, other.coeffs[w]) for w, c in self.coeffs.items()), default=0.0)
 
 
 # -- transport -------------------------------------------------------------------
@@ -234,9 +262,22 @@ def _clearance_check(forms, path: Path, cfg: QuadratureConfig):
                     )
 
 
-def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig) -> TruncatedWordSeries:
-    """Solve dF = F (sum_i A_i omega_i) along the path, truncated at word
-    length max_len, with a fixed-step RK4 update per segment."""
+def _prefix_closure(words, alphabet_size: int, max_len: int) -> list:
+    """The given words and all their prefixes, by length; () first."""
+    words = [tuple(w) for w in words]
+    for w in words:
+        if len(w) > max_len or any(not 1 <= a <= alphabet_size for a in w):
+            raise InputError(
+                f"word {w} is not a word of length <= {max_len} in letters 1..{alphabet_size}"
+            )
+    closure = {w[:i] for w in words for i in range(len(w) + 1)} | {()}
+    return sorted(closure, key=lambda w: (len(w), w))
+
+
+def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None) -> TruncatedWordSeries:
+    """Solve dF = F (sum_i A_i omega_i) along the path with a fixed-step
+    RK4 update per segment, for the given words and their prefixes
+    (every word up to length max_len when `words` is None)."""
     if max_len < 1:
         raise InputError("word truncation length must be >= 1")
     if not forms:
@@ -247,42 +288,57 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig) -> Truncat
             raise SignatureMismatch("forms over different signatures")
     if sig.backend is not Backend.FLOAT:
         raise InputError("transport runs on the float backend")
+    n = len(forms)
+    state = _words_up_to(n, max_len) if words is None else _prefix_closure(words, n, max_len)
     _clearance_check(forms, path, cfg)
 
-    F = TruncatedWordSeries.identity(sig, len(forms), max_len)
+    index = {w: i for i, w in enumerate(state)}
+    # (word, parent = word minus its last letter, last letter) by length
+    links = [(i, index[w[:-1]], w[-1] - 1) for i, w in enumerate(state) if w]
+    layout = DenseLayout(sig, [m for form in forms for m in form.monomials])
+    mul = layout.mul
+    one = layout.vector(sig.one())
+    zero = [0j] * len(one)
+    F = [one] + [zero] * len(links)
     steps = cfg.steps_per_segment
     h = 1.0 / steps
+    half, sixth = h / 2, h / 6
     for seg in path.segments:
-        samples = [None] * (2 * steps + 1)
 
         def omega_at(idx):
             # idx counts half-steps along the segment
-            if samples[idx] is None:
-                t = idx * (0.5 * h)
-                z = seg.point(t)
-                v = seg.velocity(t)
-                samples[idx] = [form.eval(z) * v for form in forms]
-            return samples[idx]
+            t = idx * (0.5 * h)
+            z = seg.point(t)
+            v = seg.velocity(t)
+            return [[c * v for c in layout.vector(form.eval(z))] for form in forms]
 
+        w1 = omega_at(0)
         for k in range(steps):
-            w0 = omega_at(2 * k)
-            w_half = omega_at(2 * k + 1)
-            w1 = omega_at(2 * k + 2)
-            k1 = F.right_connection(w0)
-            k2 = (F + k1.scale(h / 2)).right_connection(w_half)
-            k3 = (F + k2.scale(h / 2)).right_connection(w_half)
-            k4 = (F + k3.scale(h)).right_connection(w1)
-            incr = k1 + k2.scale(2.0) + k3.scale(2.0) + k4
-            F = F + incr.scale(h / 6)
-    return F
+            w0, w_half, w1 = w1, omega_at(2 * k + 1), omega_at(2 * k + 2)
+            # the four RK4 stages of each word from those of its parent
+            K1, K2, K3 = [zero] * len(F), [zero] * len(F), [zero] * len(F)
+            G = list(F)
+            for w, p, a in links:
+                x = F[p]
+                k1 = mul(x, w0[a])
+                k2 = mul([u + y * half for u, y in zip(x, K1[p])], w_half[a])
+                k3 = mul([u + y * half for u, y in zip(x, K2[p])], w_half[a])
+                k4 = mul([u + y * h for u, y in zip(x, K3[p])], w1[a])
+                K1[w], K2[w], K3[w] = k1, k2, k3
+                G[w] = [
+                    f + (b1 + b2 * 2.0 + b3 * 2.0 + b4) * sixth
+                    for f, b1, b2, b3, b4 in zip(F[w], k1, k2, k3, k4)
+                ]
+            F = G
+    coeffs = {w: layout.element(F[i]) for i, w in enumerate(state)}
+    return TruncatedWordSeries(sig, n, max_len, coeffs)
 
 
 def iterated_integral(forms_word, path: Path, cfg: QuadratureConfig) -> AlgebraElement:
     """The iterated integral of the given word of forms along the path."""
     forms_word = list(forms_word)
-    r = len(forms_word)
-    F = transport(forms_word, path, r, cfg)
-    return F.coeff(tuple(range(1, r + 1)))
+    word = tuple(range(1, len(forms_word) + 1))
+    return transport(forms_word, path, len(word), cfg, [word]).coeff(word)
 
 
 def line_integral(form, path: Path, cfg: QuadratureConfig) -> AlgebraElement:
@@ -314,11 +370,13 @@ def chen_identity_check(kind: str, cfg: QuadratureConfig, **inputs) -> CheckRepo
         word1, word2, path = inputs["word1"], inputs["word2"], inputs["path"]
         forms = list(word1) + list(word2)
         m, n = len(word1), len(word2)
-        F = transport(forms, path, m + n, cfg)
-        lhs = F.coeff(tuple(range(1, m + 1))) * F.coeff(tuple(range(m + 1, m + n + 1)))
+        first, second = tuple(range(1, m + 1)), tuple(range(m + 1, m + n + 1))
+        shuffled = [tuple(i + 1 for i in tau) for tau in shuffles(m, n)]
+        F = transport(forms, path, m + n, cfg, [first, second, *shuffled])
+        lhs = F.coeff(first) * F.coeff(second)
         rhs = F.signature.zero()
-        for tau in shuffles(m, n):
-            rhs = rhs + F.coeff(tuple(i + 1 for i in tau))
+        for w in shuffled:
+            rhs = rhs + F.coeff(w)
     elif kind == "reversal":
         word, path = list(inputs["word"]), inputs["path"]
         r = len(word)
@@ -329,12 +387,14 @@ def chen_identity_check(kind: str, cfg: QuadratureConfig, **inputs) -> CheckRepo
     elif kind == "composition":
         word, path1, path2 = list(inputs["word"]), inputs["path1"], inputs["path2"]
         r = len(word)
-        F1 = transport(word, path1, r, cfg)
-        F2 = transport(word, path2, r, cfg)
+        prefixes = [tuple(range(1, i + 1)) for i in range(r + 1)]
+        suffixes = [tuple(range(i + 1, r + 1)) for i in range(r + 1)]
+        F1 = transport(word, path1, r, cfg, prefixes)
+        F2 = transport(word, path2, r, cfg, suffixes)
         lhs = iterated_integral(word, path1 + path2, cfg)
         rhs = F1.signature.zero()
-        for i in range(r + 1):
-            rhs = rhs + F1.coeff(tuple(range(1, i + 1))) * F2.coeff(tuple(range(i + 1, r + 1)))
+        for prefix, suffix in zip(prefixes, suffixes):
+            rhs = rhs + F1.coeff(prefix) * F2.coeff(suffix)
     elif kind == "homotopy":
         word, path_a, path_b = list(inputs["word"]), inputs["path_a"], inputs["path_b"]
         lhs = iterated_integral(word, path_a, cfg)

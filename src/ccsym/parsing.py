@@ -25,6 +25,11 @@ from .scalars import GR_I, GaussianRational, gaussian, power
 # minus, path constructors) and the depth of the tree the evaluators
 # recurse through, where a flat sum of n terms is n levels deep.
 MAX_DEPTH = 100
+# Bounds the size of an exact power before it is computed, estimated as
+# |n| times the largest bit length among the base's numerators and
+# denominators; it keeps every result printable (Python prints ints of
+# at most 4300 digits) and quick to compute.
+MAX_POWER_BITS = 8192
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,18 @@ class ExpressionParser:
             raise InputError(
                 f"exponent must be an integer literal at position {tok.pos} in {self.text!r}"
             )
-        return sign * int(tok.text)
+        return sign * self.integer(tok)
+
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than Python converts
+            raise InputError(f"number literal at position {tok.pos} is too long") from None
 
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "NUM":
-            return ("num", int(tok.text))
+            return ("num", self.integer(tok))
         if tok.kind == "NAME":
             return ("name", tok.text)
         if tok.text == "(":
@@ -201,10 +212,36 @@ def _fold(node, leaf, div, pow_):
     if kind == "neg":
         return -_fold(node[1], leaf, div, pow_)
     if kind == "pow":
-        return pow_(_fold(node[1], leaf, div, pow_), node[2])
+        return _power(_fold(node[1], leaf, div, pow_), node[2], pow_)
     a = _fold(node[1], leaf, div, pow_)
     b = _fold(node[2], leaf, div, pow_)
     return div(a, b) if kind == "div" else _BINARY[kind](a, b)
+
+
+def _bit_length(value) -> int:
+    """The largest bit length among the numerators and denominators of
+    the exact scalars of an evaluated value; a float scalar counts 1."""
+    if isinstance(value, GaussianRational):
+        return max(n.bit_length() for q in (value.re, value.im) for n in (q.numerator, q.denominator))
+    if isinstance(value, complex):
+        return 1
+    if isinstance(value, RationalFunctionA):
+        parts = [r for r, _ in value.base_factors] + [value.scale, *value.pert_num, *value.pert_den]
+    elif isinstance(value, _PolyFraction):
+        parts = value.num + value.den
+    else:  # an AlgebraElement, or a LaurentSeries of them
+        parts = value.coeffs.values()
+    return max(map(_bit_length, parts), default=0)
+
+
+def _power(base, n: int, pow_):
+    """pow_(base, n), unless MAX_POWER_BITS rules the result out."""
+    if abs(n) * _bit_length(base) > MAX_POWER_BITS:
+        raise InputError(
+            f"power too large: the exponent times the bit length of the base's "
+            f"numbers exceeds {MAX_POWER_BITS} bits"
+        )
+    return pow_(base, n)
 
 
 def eval_scalar(node, text: str = "") -> GaussianRational:
@@ -344,7 +381,7 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctio
     if kind == "div":
         return eval_ratfunc(node[1], sig, text) * eval_ratfunc(node[2], sig, text).inverse()
     if kind == "pow":
-        return eval_ratfunc(node[1], sig, text) ** node[2]
+        return _power(eval_ratfunc(node[1], sig, text), node[2], operator.pow)
     if kind == "neg":
         return RationalFunctionA.constant(sig, -1) * eval_ratfunc(node[1], sig, text)
     if kind == "name" and node[1] == "x":
@@ -352,8 +389,11 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctio
     if kind in ("num", "name"):
         return RationalFunctionA.constant(sig, eval_element(node, sig, text))
     if kind in ("add", "sub"):
-        frac = _polyfrac(node, sig, text)
-        return _classify_poly(frac.num, sig, text) * _classify_poly(frac.den, sig, text).inverse()
+        # factor over the exact scalars, so that a root stays exact on the float backend
+        exact = AlgebraSignature(sig.generators, sig.truncation_degree)
+        frac = _polyfrac(node, exact, text)
+        f = _classify_poly(frac.num, exact, text) * _classify_poly(frac.den, exact, text).inverse()
+        return f if exact == sig else f.widen()
     raise InputError(f"bad function expression in {text!r}")
 
 

@@ -227,29 +227,31 @@ class RationalFunctionA:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _context(self, z):
-        """Widen to the float backend when z is inexact."""
-        exact_z = isinstance(z, (GaussianRational, int, Fraction))
-        if exact_z and self.signature.backend is Backend.EXACT:
-            return self.signature, as_exact(z)
-        sig = self.signature if self.signature.backend is Backend.FLOAT else self.signature.to_float()
-        return sig, complex(as_exact(z)) if exact_z else complex(z)
-
-    def _widened(self, sig):
-        if sig is self.signature:
+    def widen(self) -> "RationalFunctionA":
+        """Exact to float coefficients, keeping the exact roots (identity
+        on the float backend)."""
+        if self.signature.backend is Backend.FLOAT:
             return self
         return RationalFunctionA(
-            sig,
+            self.signature.to_float(),
             self.base_factors,
             self.scale.widen(),
             tuple(c.widen() for c in self.pert_num),
             tuple(c.widen() for c in self.pert_den),
         )
 
+    def _at(self, z):
+        """The function and point to evaluate: exact for an exact point on
+        the exact backend, else widened to floats."""
+        exact_z = isinstance(z, (GaussianRational, int, Fraction))
+        if exact_z and self.signature.backend is Backend.EXACT:
+            return self, as_exact(z)
+        return self.widen(), complex(as_exact(z)) if exact_z else complex(z)
+
     def eval(self, z) -> AlgebraElement:
         """Value at a point off the reduction's divisor."""
-        sig, zc = self._context(z)
-        f = self._widened(sig)
+        f, zc = self._at(z)
+        sig = f.signature
         out = f.scale
         for root, mult in f.net_multiplicities().items():
             if mult == 0:
@@ -267,8 +269,8 @@ class RationalFunctionA:
 
     def dlog_eval(self, z) -> AlgebraElement:
         """Value of f'/f at z: sum m_i/(z - r_i) plus the perturbation term."""
-        sig, zc = self._context(z)
-        f = self._widened(sig)
+        f, zc = self._at(z)
+        sig = f.signature
         out = sig.zero()
         for root, mult in f.net_multiplicities().items():
             if mult == 0:

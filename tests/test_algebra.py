@@ -5,6 +5,8 @@ import pytest
 
 from ccsym.algebra import (
     Backend,
+    DenseLayout,
+    deviation,
     element_to_json,
     exp,
     format_element,
@@ -213,3 +215,29 @@ def test_degree_one_signature_is_plain_c():
     assert sig.one() * sig.scalar(5) == sig.scalar(5)
     two_gen = parse_signature("gens=eps;degree=1;scalars=exact")
     assert two_gen.gen("eps").is_zero()
+
+
+def test_dense_layout_matches_the_exact_oracle():
+    # exact products and inverses, then widened, against the dense float layout
+    rng = random.Random(11)
+    sig = parse_signature("gens=eps,delta;degree=3;scalars=exact")
+    layout = DenseLayout(sig, [(1, 0), (0, 1)])
+    assert layout.monomials == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    for _ in range(30):
+        a, b = random_element(rng, sig), random_element(rng, sig, unit=True)
+        exact = sig.element(oracle_alg_mul(a.coeffs, b.coeffs, 3)).widen()
+        got = layout.element(layout.mul(layout.vector(a.widen()), layout.vector(b.widen())))
+        assert deviation(got, exact) <= 1e-13
+        inverse = layout.element(layout.inverse(layout.vector(b.widen())))
+        assert deviation(inverse, b.inverse().widen()) <= 1e-13 * b.inverse().max_abs()
+    with pytest.raises(NotAUnit):
+        layout.inverse(layout.vector(sig.gen("eps").widen()))
+
+
+def test_dense_layout_spans_only_reachable_monomials():
+    sig = parse_signature("gens=eps,delta,eta;degree=4;scalars=float")
+    assert DenseLayout(sig).monomials == [(0, 0, 0)]
+    assert DenseLayout(sig, [(0, 1, 0)]).monomials == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0)]
+    assert DenseLayout(sig, [(2, 0, 0), (0, 0, 1)]).monomials == [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2), (2, 0, 0), (0, 0, 3), (2, 0, 1),
+    ]

@@ -17,9 +17,11 @@ from ccsym.chen import (
     shuffles,
     transport,
 )
-from ccsym.errors import InputError, PathError, PoleOnPath
+from ccsym.errors import InputError, NotInvertible, PathError, PoleOnPath
+from ccsym.parsing import parse_ratfunc, parse_scalar
 from ccsym.paths import ArcSegment, LineSegment, Path, circle, commutator, concat, lasso, segment
 from ccsym.ratfunc import RationalFunctionA as RF
+from ccsym.ratfunc import SpherePoint
 
 from conftest import group_like_deviation, oracle_iterated_2
 
@@ -271,3 +273,98 @@ def test_word_series_structure():
         F.coeff((3,))
     G = F * F
     assert G.coeff(()) == TRIV.one()
+
+
+# -- compiled forms against the exact layer ----------------------------------------
+
+COMPILED_CASES = [
+    ("gens=eps;degree=2;scalars=exact", "(x-1+eps)*(x-1/2*i-1/3*eps)^-2*(x+2)"),
+    ("gens=eps;degree=2;scalars=exact", "3*(x+eps)^2*(x-1-2*eps)^-1"),
+    ("gens=eps,delta;degree=3;scalars=exact", "(x-1+eps+delta)*(x-i+2*delta-eps*delta)^-1"),
+    ("gens=eps,delta;degree=3;scalars=exact", "(x+1/2-eps^2)^3*(x-2*i+delta)*(1+eps)"),
+]
+EXACT_POINTS = ["1/3+1/5*i", "-2+i", "3/2", "-1/7-2/3*i"]
+
+
+@pytest.mark.parametrize("sig_text,f_text", COMPILED_CASES)
+def test_dlog_form_matches_exact_expansion(sig_text, f_text):
+    # f(z + x) = a0 + a1 x + O(x^2) exactly, so f'/f(z) = a1/a0
+    sig = parse_signature(sig_text)
+    f = parse_ratfunc(f_text, sig)
+    form = DlogForm(f)
+    for text in EXACT_POINTS:
+        z = parse_scalar(text)
+        series = f.expand_at(SpherePoint.finite(z), 2)
+        expected = (series.coeff(1) * series.coeff(0).inverse()).widen()
+        got = form.eval(complex(z))
+        assert got.signature == expected.signature
+        assert deviation(got, expected) <= 1e-13 * max(1.0, expected.max_abs())
+
+
+@pytest.mark.parametrize("n", [-2, -1, 1, 3])
+def test_binomial_form_matches_direct_computation(n):
+    sig = parse_signature("gens=eps,delta;degree=3;scalars=float")
+    eps, delta = sig.gen("eps"), sig.gen("delta")
+    a = eps * (0.3 - 0.2j) + delta * 0.7 + eps * delta * (1.5 + 0.5j) + delta * delta * -0.4
+    form = BinomialLogForm(sig, a, n)
+    for z in (0.5 + 0.25j, -1.2 + 0.1j, 0.3j):
+        expected = a * (-n * z ** (n - 1)) * (sig.one() - a * z ** n).inverse()
+        assert deviation(form.eval(z), expected) <= 1e-14 * max(1.0, expected.max_abs())
+
+
+def test_dlog_form_keeps_its_unit_checks():
+    sig = parse_signature("gens=eps;degree=2;scalars=exact")
+    form = DlogForm(parse_ratfunc("(x-1+eps)*(x+2)^-1", sig))
+    for z in (1, -2):
+        with pytest.raises(NotInvertible):
+            form.eval(z)
+
+
+# -- transport over the words a caller reads -----------------------------------------
+
+
+def _nilpotent_forms():
+    sig = parse_signature("gens=eps;degree=2;scalars=exact")
+    f = parse_ratfunc("(x-1/2+eps)", sig)
+    g = parse_ratfunc("(x+1/2-2*eps)*(x-3)^-1", sig)
+    return [DlogForm(f), DlogForm(g)]
+
+
+@pytest.mark.parametrize(
+    "forms,path,words",
+    [
+        (_nilpotent_forms(), lasso(1j, 0.5, 0.3), [(1, 2)]),
+        (_nilpotent_forms(), lasso(1j, 0.5, 0.3), [(1,), (2,), (1, 2)]),
+        (_nilpotent_forms(), circle(0, 1), [(2, 1), (2, 2)]),
+        ([SimplePole(TRIV, 0), SimplePole(TRIV, 1), Dz(TRIV)], lasso(-1j, 0, 0.4), [(1, 2, 3), (3, 1)]),
+        ([SimplePole(TRIV, 0), SimplePole(TRIV, 1), Dz(TRIV)], segment(2, 3 + 1j), [(3, 3, 3), (2, 1, 3), (2,)]),
+    ],
+)
+def test_transport_over_read_words_matches_full_transport(forms, path, words):
+    cfg = QuadratureConfig(64, 1e-8)
+    max_len = max(map(len, words))
+    full = transport(forms, path, max_len, cfg)
+    part = transport(forms, path, max_len, cfg, words)
+    closure = {w[:i] for w in words for i in range(len(w) + 1)}
+    assert set(part.coeffs) == closure
+    for w in closure:
+        assert deviation(part.coeff(w), full.coeff(w)) <= 1e-13 * max(1.0, full.coeff(w).max_abs())
+
+
+def test_transport_reads_only_its_words():
+    forms = _nilpotent_forms()
+    F = transport(forms, circle(0, 1), 2, CFG, [(1, 2)])
+    assert list(F.coeffs) == [(), (1,), (1, 2)]
+    for word in [(2,), (2, 1), (1, 1), (1, 2, 1)]:
+        with pytest.raises(InputError):
+            F.coeff(word)
+    for bad in [(3,), (1, 2, 1), (0, 1)]:
+        with pytest.raises(InputError):
+            transport(forms, circle(0, 1), 2, CFG, [bad])
+
+
+def test_iterated_integral_computes_one_word_per_prefix():
+    forms = [SimplePole(TRIV, 0), SimplePole(TRIV, 1), Dz(TRIV)]
+    F = transport(forms, lasso(-1j, 0, 0.4), 3, CFG, [(1, 2, 3)])
+    assert len(F.coeffs) == 4
+    assert F.coeff((1, 2, 3)) == iterated_integral(forms, lasso(-1j, 0, 0.4), CFG)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -159,11 +160,11 @@ def test_non_finite_or_non_positive_tolerance_is_an_input_error(capsys, tol):
     assert "tolerance" in err
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, timeout=None):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ccsym.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "ccsym.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "ccsym.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -193,3 +194,32 @@ def test_expression_depth_limit_is_exact(capsys):
     for text in ("x+" + flat, "(" + nested + ")"):
         code, _, err = run_cli(capsys, "symbol", "--f", text, "--g", "x", "--trunc", "4")
         assert code == 2 and "deeper than" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbol", "--f", "2^100000", "--g", "x", "--trunc", "4"],
+        ["symbol", "--f", "2^4000000", "--g", "x", "--trunc", "4"],
+        ["symbol", "--f", "(2^1000)^1000", "--g", "x", "--trunc", "4"],
+        ["verify", "weil", "--f", "2^100000*x", "--g", "(1-x)"],
+        ["symbol", "--f", "1" * 5000, "--g", "x", "--trunc", "4"],
+    ],
+    ids=["power", "huge-power", "nested-power", "ratfunc-power", "long-literal"],
+)
+def test_oversized_numbers_exit_2_promptly(argv):
+    proc = run_cli_process(*argv, timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_integrate_float_backend_affine_factor(capsys):
+    float_algebra = "gens=;degree=1;scalars=float"
+    for center, value in (("0", 0j), ("1", 2j * math.pi)):
+        code, out, _ = run_cli(
+            capsys, "integrate", "--f", "(x-1)", "--path", f"circle({center},1/2)",
+            "--algebra", float_algebra, "--steps", "64", "--json",
+        )
+        assert code == 0
+        assert abs(complex(*json.loads(out).get("1", (0, 0))) - value) < 1e-9

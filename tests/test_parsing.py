@@ -6,6 +6,7 @@ from ccsym.algebra import parse_signature
 from ccsym.errors import InputError
 from ccsym.laurent import LaurentSeries, factorize
 from ccsym.parsing import (
+    MAX_POWER_BITS,
     parse_element,
     parse_path,
     parse_ratfunc,
@@ -164,3 +165,40 @@ def test_path_literal_errors():
         parse_path("seg(0,1) extra")
     with pytest.raises(PathError):
         parse_path("comm(seg(0,1),seg(0,1))")  # not loops
+
+
+def test_float_backend_affine_factor_keeps_an_exact_root():
+    float_sig = parse_signature("gens=eps;degree=2;scalars=float")
+    for text, root in [("(x-1)", gaussian(1)), ("(2*x+1/3*i-eps)", gaussian(0, Fraction(-1, 6)))]:
+        f = parse_ratfunc(text, float_sig)
+        assert f.signature == float_sig
+        assert f.base_factors == ((root, 1),)
+        assert f.widen() is f
+        exact = parse_ratfunc(text, SIG2).widen()
+        assert (f.scale, f.pert_num, f.pert_den) == (exact.scale, exact.pert_num, exact.pert_den)
+
+
+def test_powers_are_capped_before_they_are_computed():
+    # the estimate is |n| times the largest bit length of the base's numbers
+    assert MAX_POWER_BITS == 8192
+    assert parse_scalar("2^4096") == gaussian(2 ** 4096)  # 2 bits * 4096
+    assert parse_scalar("(1/3)^-4096") == gaussian(3 ** 4096)
+    assert parse_scalar("(2^100)^81") == gaussian(2 ** 8100)  # 101 bits * 81
+    for text in ("2^4097", "(1/3)^-4097", "(2^100)^82", "((2^100)^10)^10", "2^4000000"):
+        with pytest.raises(InputError, match="power too large"):
+            parse_scalar(text)
+    with pytest.raises(InputError, match="power too large"):
+        parse_element("(1+eps/3)^5000", SIG2)
+    with pytest.raises(InputError, match="power too large"):
+        parse_series("(x+2)^5000", SIG2)
+    assert parse_ratfunc("x^-8192", SIG2).net_multiplicities() == {gaussian(0): -8192}  # 1 bit
+    for text in ("x^-8193", "(x-1/3)^-5000"):
+        with pytest.raises(InputError, match="power too large"):
+            parse_ratfunc(text, SIG2)
+
+
+def test_overlong_number_literals_are_input_errors():
+    with pytest.raises(InputError, match="too long"):
+        parse_scalar("1" * 5000)
+    with pytest.raises(InputError, match="too long"):
+        parse_scalar("x^" + "1" * 5000)
