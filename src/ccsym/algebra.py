@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotAUnit, NotNilpotent, SignatureMismatch
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, gaussian, geometric, power
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, geometric, power
 
 Monomial = tuple
 
@@ -245,16 +245,14 @@ class AlgebraElement:
         return self.signature.scalar(value)
 
     def divided_by_int(self, k: int) -> "AlgebraElement":
-        if self.signature.backend is Backend.EXACT:
-            return self._scale(gaussian(Fraction(1, k)))
-        return self._scale(1.0 / k)
+        return self._scale(self.signature.coerce_scalar(Fraction(1, k)))
 
     def inverse(self) -> "AlgebraElement":
         """Multiplicative inverse via a geometric series on the nilpotent part."""
         c = self.reduce()
         if not _nonzero(c):
             raise NotAUnit("cannot invert an element of the maximal ideal")
-        c_inv = (GR_ONE / c) if isinstance(c, GaussianRational) else (1.0 / c)
+        c_inv = self.signature.scalar_one() / c
         one = self.signature.one()
         u = self._scale(c_inv) - one  # nilpotent; 1/(1+u) = sum of (-u)^k
         return geometric(-u, one, self.signature.truncation_degree)._scale(c_inv)
@@ -288,17 +286,18 @@ class AlgebraElement:
 
 
 class DenseLayout:
-    """Float elements as dense coefficient lists over the monomials that
+    """Elements as dense coefficient lists over the monomials that
     products of the given ones can reach (with 1, below the truncation
-    degree), ordered by (degree, exponents).  A layout over the
-    monomials that actually occur stays as small as the sparse maps it
-    replaces; `rows[i]` lists (j, k) with monomials[i] * monomials[j]
-    = monomials[k]."""
+    degree), ordered by (degree, exponents), in the scalars of the given
+    signature.  A layout over the monomials that actually occur stays as
+    small as the sparse maps it replaces; `rows[i]` lists (j, k) with
+    monomials[i] * monomials[j] = monomials[k]."""
 
-    __slots__ = ("signature", "monomials", "rows")
+    __slots__ = ("signature", "monomials", "rows", "zero", "one")
 
     def __init__(self, signature: AlgebraSignature, monomials=()):
-        self.signature = signature.to_float()
+        self.signature = signature
+        self.zero, self.one = signature.scalar_zero(), signature.scalar_one()
         n = signature.truncation_degree
         steps = {m for m in monomials if sum(m)}
         reached = {signature.empty_monomial()}
@@ -316,15 +315,15 @@ class DenseLayout:
         ]
 
     def vector(self, a: AlgebraElement) -> list:
-        """The coefficients of a float element, which must lie in the layout."""
+        """The coefficients of an element, which must lie in the layout."""
         coeffs = a.coeffs
-        return [coeffs.get(m, 0j) for m in self.monomials]
+        return [coeffs.get(m, self.zero) for m in self.monomials]
 
     def element(self, v: list) -> AlgebraElement:
         return AlgebraElement(self.signature, {m: c for m, c in zip(self.monomials, v) if c})
 
     def mul(self, a: list, b: list) -> list:
-        out = [0j] * len(b)
+        out = [self.zero] * len(b)
         for ai, row in zip(a, self.rows):
             if ai:
                 for j, k in row:
@@ -337,11 +336,11 @@ class DenseLayout:
         c = a[0]
         if not c:
             raise NotAUnit("cannot invert an element of the maximal ideal")
-        c_inv = 1.0 / c
+        c_inv = self.one / c
         u = [-x * c_inv for x in a]
-        u[0] = 0j
+        u[0] = self.zero
         out, p = list(u), u
-        out[0] = 1 + 0j
+        out[0] = self.one
         for _ in range(2, self.signature.truncation_degree):
             p = self.mul(p, u)
             if not any(p):
@@ -420,20 +419,10 @@ def format_monomial(signature: AlgebraSignature, mono: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _is_one(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return c == GR_ONE
-    return c == 1
-
-def _is_minus_one(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return c == -GR_ONE
-    return c == -1
-
-
 def format_element(a: AlgebraElement) -> str:
     if not a.coeffs:
         return "0"
+    one = a.signature.scalar_one()
     terms = []
     for mono in sorted(a.coeffs, key=lambda m: (sum(m), m)):
         c = a.coeffs[mono]
@@ -441,9 +430,9 @@ def format_element(a: AlgebraElement) -> str:
         if mono_str == "1":
             terms.append(_format_scalar(c))
             continue
-        if _is_one(c):
+        if c == one:
             terms.append(mono_str)
-        elif _is_minus_one(c):
+        elif c == -one:
             terms.append(f"-{mono_str}")
         else:
             s = _format_scalar(c)

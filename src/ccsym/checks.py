@@ -279,7 +279,7 @@ def weil_reciprocity_check(f: RationalFunctionA, g: RationalFunctionA, trunc: in
     return make_report("weil-reciprocity", inputs, product, one, dev, 0.0, started)
 
 
-def _shell_loops(points, base: complex, pad_scale: float = 0.5):
+def _shell_loops(points, base: complex):
     """Nested-shell loop system: loops from `base`, one per finite point,
     whose ordered product is homotopic to a single circle around all of
     them.  Points must have distinct distances from the base."""
@@ -299,7 +299,7 @@ def _shell_loops(points, base: complex, pad_scale: float = 0.5):
     radii = []
     for i, d in enumerate(sorted_d):
         nxt = sorted_d[i + 1] if i + 1 < len(sorted_d) else d * 2 + 1
-        radii.append(d + (nxt - d) * pad_scale)
+        radii.append(d + (nxt - d) / 2)
 
     # a ray from the base that stays clear of every point
     clear = min(

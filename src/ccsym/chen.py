@@ -19,8 +19,9 @@ number of steps per path segment, so reports are reproducible bit for
 bit.  Its four stages are fused into one pass over the words in length
 order: stage s of w is (F + c_s k_{s-1})[v] times the letter's form
 value at that stage's sample, read from the stages of the parent v.
-Forms are compiled once into dense coefficients, so a sample costs a
-few complex Horner evaluations and at most one dense inverse per
+Forms are compiled once into dense coefficients: a dlog form samples
+`RationalFunctionA.dlog_eval` of its function's float twin, which costs
+a few complex Horner evaluations and at most one dense inverse per
 perturbation polynomial.
 """
 
@@ -33,18 +34,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout, deviation
-from .errors import InputError, NotInvertible, PoleOnPath, SignatureMismatch
+from .errors import InputError, PoleOnPath, SignatureMismatch
 from .paths import Path
-from .ratfunc import RationalFunctionA, poly_derivative
+from .ratfunc import RationalFunctionA
 from .reports import CheckReport, make_report
-from .scalars import poly_eval
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     steps_per_segment: int = 256
     tolerance: float = 1e-8
-    pole_clearance: float = 1e-6
 
     def __post_init__(self):
         if self.steps_per_segment < 1:
@@ -99,49 +98,19 @@ class SimplePole(DifferentialForm):
 
 
 class DlogForm(DifferentialForm):
-    """df/f for a rational function with coefficients in A.
-
-    Compiled once: the float roots with their nonzero multiplicities,
-    and for each nonconstant perturbation polynomial p (num, then den)
-    the dense coefficients of p and p' per monomial, so a sample is
-    complex Horner per monomial plus one dense inverse."""
+    """df/f for a rational function with coefficients in A, sampled by
+    `RationalFunctionA.dlog_eval` of its float twin."""
 
     def __init__(self, f: RationalFunctionA):
-        self.f = f
-        self.signature = f.signature.to_float()
+        self.f = f.widen()
+        self.signature = self.f.signature
         self.poles = tuple(f.pole_points())
         self.label = f"dlog({f})"
-        self._roots = [(complex(r), m, r) for r, m in f.net_multiplicities().items() if m]
-        fw = f.widen()
-        self.monomials = tuple({m for c in fw.pert_num + fw.pert_den for m in c.coeffs})
-        layout = self._layout = DenseLayout(self.signature, self.monomials)
-
-        def per_monomial(poly):  # each monomial's coefficients, by degree in x
-            return list(zip(*map(layout.vector, poly)))
-
-        self._perts = [
-            (per_monomial(p), per_monomial(poly_derivative(list(p))), sign)
-            for p, sign in ((fw.pert_num, 1), (fw.pert_den, -1))
-            if len(p) > 1
-        ]
+        _, layout, _ = self.f.compiled_dlog
+        self.monomials = tuple(layout.monomials)
 
     def eval(self, z: complex) -> AlgebraElement:
-        z = complex(z)
-        residue = 0j
-        for r, m, root in self._roots:
-            if z == r:
-                raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
-            residue += m / (z - r)
-        layout = self._layout
-        out = [0j] * len(layout.monomials)
-        out[0] = residue
-        for p, dp, sign in self._perts:
-            v = [poly_eval(c, z, 0j) for c in p]
-            if not v[0]:
-                raise NotInvertible("logarithmic derivative at a perturbation pole")
-            term = layout.mul([poly_eval(c, z, 0j) for c in dp], layout.inverse(v))
-            out = [a + b * sign for a, b in zip(out, term)]
-        return layout.element(out)
+        return self.f.dlog_eval(z)
 
 
 class BinomialLogForm(DifferentialForm):
@@ -250,13 +219,15 @@ class TruncatedWordSeries:
 
 # -- transport -------------------------------------------------------------------
 
+POLE_CLEARANCE = 1e-6  # least distance between a path and a form's pole
 
-def _clearance_check(forms, path: Path, cfg: QuadratureConfig):
+
+def _clearance_check(forms, path: Path):
     for form in forms:
         for pole in form.poles:
             for seg in path.segments:
                 d = seg.distance_to(pole)
-                if d <= cfg.pole_clearance:
+                if d <= POLE_CLEARANCE:
                     raise PoleOnPath(
                         f"path passes within {d:.2e} of the pole {pole} of {form}"
                     )
@@ -290,7 +261,7 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
         raise InputError("transport runs on the float backend")
     n = len(forms)
     state = _words_up_to(n, max_len) if words is None else _prefix_closure(words, n, max_len)
-    _clearance_check(forms, path, cfg)
+    _clearance_check(forms, path)
 
     index = {w: i for i, w in enumerate(state)}
     # (word, parent = word minus its last letter, last letter) by length

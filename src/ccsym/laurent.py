@@ -260,7 +260,7 @@ class LaurentSeries:
                     xs = "x" if e == 1 else f"x^{e}"
                     parts.append(xs if c == "1" else f"-{xs}" if c == "-1" else f"{c}*{xs}")
             body = "+".join(parts).replace("+-", "-")
-        if self.trunc is INF:
+        if math.isinf(self.trunc):
             return body
         return f"{body}+O(x^{self.trunc})"
 
@@ -406,10 +406,10 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
     return CanonicalFactorization(sig, nu, a0, neg, pos, t_eff + lam)
 
 
-def reconstruct(fac: CanonicalFactorization, trunc=None) -> LaurentSeries:
+def reconstruct(fac: CanonicalFactorization) -> LaurentSeries:
     """Expand the product decomposition back into a series."""
     sig = fac.signature
-    T = fac.trunc_order if trunc is None else trunc
+    T = fac.trunc_order
     neg_poly = _neg_product(sig, fac.neg_factors)
     lam = min(neg_poly.lower_bound, 0)
     rel_cap = T - fac.nu - lam

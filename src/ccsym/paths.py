@@ -155,12 +155,12 @@ def commutator(alpha: Path, beta: Path) -> Path:
     return concat(alpha, beta, alpha.reversed(), beta.reversed())
 
 
-def lasso(base: complex, center: complex, radius: float, clockwise: bool = False) -> Path:
-    """Loop from `base`: walk to the circle around `center`, go around, walk back."""
+def lasso(base: complex, center: complex, radius: float) -> Path:
+    """Loop from `base`: walk to the circle around `center`, go around it counterclockwise, walk back."""
     approach = complex(base) - complex(center)
     if abs(approach) <= radius:
         raise PathError("lasso base point lies inside the loop circle")
     theta = cmath.phase(approach)
     foot = complex(center) + radius * cmath.exp(1j * theta)
     go = segment(base, foot)
-    return concat(go, circle(center, radius, theta, clockwise), go.reversed())
+    return concat(go, circle(center, radius, theta), go.reversed())

@@ -11,15 +11,19 @@ Poles of the perturbation must sit over declared base roots (add a
 cancelling pair (x-r)(x-r)^-1 as a carrier if necessary); a degree
 imbalance between num and den puts extra nilpotent data at infinity and
 forces infinity into the support.
+
+`dlog_eval`, the f'/f every numeric check samples, runs on data compiled
+once per function in its own scalars: exact at exact points on the
+exact backend, else on the function's cached float twin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
-from .algebra import AlgebraElement, AlgebraSignature, Backend
+from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from .laurent import LaurentSeries
 from .scalars import GaussianRational, as_exact, poly_eval, power
@@ -99,7 +103,8 @@ def _scalar_poly_divide_linear(p: list, r):
 
 @dataclass(frozen=True)
 class RationalFunctionA:
-    """scale * prod (x - root)^mult * num(x)/den(x), num == den mod m."""
+    """scale * prod (x - root)^mult * num(x)/den(x), num == den mod m;
+    a perturbation with num == den is stored as 1/1."""
 
     signature: AlgebraSignature
     base_factors: tuple = ()  # ((GaussianRational, int), ...)
@@ -123,7 +128,9 @@ class RationalFunctionA:
         num, den = poly_trim(num), poly_trim(den)
         if not num or not den:
             raise InputError("perturbation polynomials must be nonzero")
-        if poly_reduction(num) != poly_reduction(den):
+        if num == den:
+            num = den = [sig.one()]
+        elif poly_reduction(num) != poly_reduction(den):
             raise InputError(
                 "perturbation numerator and denominator must have identical reductions"
             )
@@ -240,13 +247,15 @@ class RationalFunctionA:
             tuple(c.widen() for c in self.pert_den),
         )
 
+    _float = cached_property(widen)  # the twin `_at` samples on, built once
+
     def _at(self, z):
         """The function and point to evaluate: exact for an exact point on
         the exact backend, else widened to floats."""
         exact_z = isinstance(z, (GaussianRational, int, Fraction))
         if exact_z and self.signature.backend is Backend.EXACT:
             return self, as_exact(z)
-        return self.widen(), complex(as_exact(z)) if exact_z else complex(z)
+        return self._float, complex(as_exact(z)) if exact_z else complex(z)
 
     def eval(self, z) -> AlgebraElement:
         """Value at a point off the reduction's divisor."""
@@ -267,27 +276,47 @@ class RationalFunctionA:
             raise NotInvertible("evaluation at a pole of the perturbation")
         return out * num_v * den_v.inverse()
 
+    @cached_property
+    def compiled_dlog(self):
+        """f'/f compiled in this function's scalars: (root, multiplicity,
+        exact root) per nonzero multiplicity, the dense layout of the
+        perturbation's monomials, and for each nonconstant perturbation
+        polynomial p the per-monomial coefficients of p and of p' (of -p'
+        for the denominator)."""
+        sig = self.signature
+        roots = [(sig.coerce_scalar(r), sig.coerce_scalar(m), r)
+                 for r, m in self.net_multiplicities().items() if m]
+        layout = DenseLayout(sig, {m for c in self.pert_num + self.pert_den for m in c.coeffs})
+
+        def per_monomial(poly):  # each monomial's coefficients, by degree in x
+            return list(zip(*map(layout.vector, poly)))
+
+        perts = [
+            (per_monomial(p), per_monomial(dp))
+            for p, dp in ((self.pert_num, poly_derivative(self.pert_num)),
+                          (self.pert_den, [-c for c in poly_derivative(self.pert_den)]))
+            if len(p) > 1
+        ]
+        return roots, layout, perts
+
     def dlog_eval(self, z) -> AlgebraElement:
-        """Value of f'/f at z: sum m_i/(z - r_i) plus the perturbation term."""
+        """Value of f'/f at z: sum m_i/(z - r_i) plus num'/num - den'/den."""
         f, zc = self._at(z)
-        sig = f.signature
-        out = sig.zero()
-        for root, mult in f.net_multiplicities().items():
-            if mult == 0:
-                continue
-            diff = sig.scalar(zc - (complex(root) if sig.backend is Backend.FLOAT else root))
-            if not diff.is_unit():
+        roots, layout, perts = f.compiled_dlog
+        zero = layout.zero
+        out = [zero] * len(layout.monomials)
+        for r, m, root in roots:
+            diff = zc - r
+            if not diff:
                 raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
-            out = out + diff.inverse() * mult
-        z_elt = sig.scalar(zc)
-        for p, sign in ((list(f.pert_num), 1), (list(f.pert_den), -1)):
-            if len(p) <= 1:
-                continue
-            v = poly_eval(p, z_elt, sig.zero())
-            if not v.is_unit():
+            out[0] += m / diff
+        for p, dp in perts:
+            v = [poly_eval(c, zc, zero) for c in p]
+            if not v[0]:
                 raise NotInvertible("logarithmic derivative at a perturbation pole")
-            out = out + poly_eval(poly_derivative(p), z_elt, sig.zero()) * v.inverse() * sign
-        return out
+            term = layout.mul([poly_eval(c, zc, zero) for c in dp], layout.inverse(v))
+            out = [a + b for a, b in zip(out, term)]
+        return layout.element(out)
 
     # -- local expansion ----------------------------------------------------------
 

@@ -93,9 +93,9 @@ def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> S
     return SymbolValue(value)
 
 
-def cc_symbol_series(f: LaurentSeries, g: LaurentSeries, trunc=None) -> SymbolValue:
+def cc_symbol_series(f: LaurentSeries, g: LaurentSeries) -> SymbolValue:
     """Factorize both series, then evaluate the symbol."""
-    return cc_symbol(factorize(f, trunc), factorize(g, trunc))
+    return cc_symbol(factorize(f), factorize(g))
 
 
 def tame_symbol(f: LaurentSeries, g: LaurentSeries):
@@ -116,17 +116,17 @@ def tame_symbol(f: LaurentSeries, g: LaurentSeries):
     return value
 
 
-def steinberg_value(f: LaurentSeries, trunc=None) -> SymbolValue:
+def steinberg_value(f: LaurentSeries) -> SymbolValue:
     """<f, 1 - f>; equals 1 whenever both arguments are invertible."""
     g = LaurentSeries.one(f.signature) - f
     try:
         g.valuation()
     except NotInvertible:
         raise NotInvertible("1 - f is not invertible") from None
-    return cc_symbol_series(f, g, trunc)
+    return cc_symbol_series(f, g)
 
 
-def scalar_multiple_symbol(f: LaurentSeries, c, trunc=None) -> SymbolValue:
+def scalar_multiple_symbol(f: LaurentSeries, c) -> SymbolValue:
     """<f, c*f> for a unit constant c.
 
     Provided as an evaluator only; the standard exact identity asserted
@@ -136,4 +136,4 @@ def scalar_multiple_symbol(f: LaurentSeries, c, trunc=None) -> SymbolValue:
     c_elt = c if isinstance(c, AlgebraElement) else sig.scalar(c)
     if not c_elt.is_unit():
         raise NotInvertible("scalar multiple must be a unit")
-    return cc_symbol_series(f, f.scale(c_elt), trunc)
+    return cc_symbol_series(f, f.scale(c_elt))

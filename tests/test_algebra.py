@@ -221,10 +221,16 @@ def test_dense_layout_matches_the_exact_oracle():
     # exact products and inverses, then widened, against the dense float layout
     rng = random.Random(11)
     sig = parse_signature("gens=eps,delta;degree=3;scalars=exact")
-    layout = DenseLayout(sig, [(1, 0), (0, 1)])
+    layout = DenseLayout(sig.to_float(), [(1, 0), (0, 1)])
     assert layout.monomials == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    # the same layout over Q(i) is exact: structural equality with the oracle
+    exact_layout = DenseLayout(sig, [(1, 0), (0, 1)])
+    assert exact_layout.monomials == layout.monomials
     for _ in range(30):
         a, b = random_element(rng, sig), random_element(rng, sig, unit=True)
+        va, vb = exact_layout.vector(a), exact_layout.vector(b)
+        assert exact_layout.element(exact_layout.mul(va, vb)) == sig.element(oracle_alg_mul(a.coeffs, b.coeffs, 3))
+        assert exact_layout.element(exact_layout.inverse(vb)) == b.inverse()
         exact = sig.element(oracle_alg_mul(a.coeffs, b.coeffs, 3)).widen()
         got = layout.element(layout.mul(layout.vector(a.widen()), layout.vector(b.widen())))
         assert deviation(got, exact) <= 1e-13
@@ -232,6 +238,8 @@ def test_dense_layout_matches_the_exact_oracle():
         assert deviation(inverse, b.inverse().widen()) <= 1e-13 * b.inverse().max_abs()
     with pytest.raises(NotAUnit):
         layout.inverse(layout.vector(sig.gen("eps").widen()))
+    with pytest.raises(NotAUnit):
+        exact_layout.inverse(exact_layout.vector(sig.gen("eps")))
 
 
 def test_dense_layout_spans_only_reachable_monomials():

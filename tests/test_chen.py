@@ -295,6 +295,8 @@ def test_dlog_form_matches_exact_expansion(sig_text, f_text):
     for text in EXACT_POINTS:
         z = parse_scalar(text)
         series = f.expand_at(SpherePoint.finite(z), 2)
+        # structural equality over Q(i) at the exact point
+        assert f.dlog_eval(z) == series.coeff(1) * series.coeff(0).inverse()
         expected = (series.coeff(1) * series.coeff(0).inverse()).widen()
         got = form.eval(complex(z))
         assert got.signature == expected.signature

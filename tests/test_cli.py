@@ -223,3 +223,15 @@ def test_integrate_float_backend_affine_factor(capsys):
         )
         assert code == 0
         assert abs(complex(*json.loads(out).get("1", (0, 0))) - value) < 1e-9
+
+
+def test_power_of_a_plain_factor_parses_promptly():
+    # a plain factor has no perturbation polynomials, so its power only
+    # scales a multiplicity; n = -1024 took about 34 s when it had
+    proc = run_cli_process(
+        "integrate", "--f", "(x-1/3)^-1024", "--path", "circle(1/3,1/4)",
+        "--algebra", "gens=eps;degree=2;scalars=exact", "--steps", "8", "--json", timeout=30,
+    )
+    assert proc.returncode == 0
+    value = complex(*json.loads(proc.stdout)["1"])
+    assert abs(value - -1024 * 2j * math.pi) <= 1e-9 * 1024 * 2 * math.pi

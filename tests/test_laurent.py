@@ -224,3 +224,10 @@ def test_insufficient_truncation_detected():
     f = LaurentSeries(SIG2, {-3: eps, 0: SIG2.one()}, 2)
     with pytest.raises(InsufficientTruncation):
         factorize(f)
+
+
+def test_str_of_a_computed_infinite_truncation():
+    shifted = LaurentSeries.one(SIG2).shift(1)  # trunc is inf + 1, a new float
+    assert math.isinf(shifted.trunc)
+    assert str(shifted) == "x"
+    assert str(shifted.truncate(3)) == "x+O(x^3)"

@@ -5,6 +5,7 @@ import pytest
 
 from ccsym.algebra import deviation, parse_signature
 from ccsym.errors import InputError, NotInvertible
+from ccsym.parsing import parse_ratfunc
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint, rf_support
 from ccsym.scalars import gaussian
 
@@ -176,3 +177,14 @@ def test_products_and_powers():
 def test_monic_linear_rejects_unit_shift():
     with pytest.raises(InputError):
         RF.monic_linear(SIG2, 0, shift=SIG2.one())
+
+
+def test_plain_factors_carry_no_perturbation():
+    one = SIG2.one()
+    plain = RF(SIG2, ((gaussian(1), 1),), None, (-one, one), (-one, one))
+    for f in (plain, parse_ratfunc("(x-1/3)", SIG2), parse_ratfunc("(2*x+1)^3*(x-1/3)^-5", SIG2)):
+        assert f.pert_num == f.pert_den == (one,)
+        assert "[pert]" not in str(f)
+    shifted = parse_ratfunc("(x-1/2+1/3*eps)", SIG2)
+    assert shifted.pert_num == (SIG2.scalar(-3) + EPS * 2, SIG2.scalar(6))
+    assert shifted.pert_den == (SIG2.scalar(-3), SIG2.scalar(6))
