@@ -126,7 +126,7 @@ def lemma_3_3(cfg: QuadratureConfig, f: RationalFunctionA, center=0, radius=0.5)
     for root in f.roots():
         if root != center and abs(complex(root) - complex(center)) <= radius:
             raise InputError(f"loop around {center} also encloses {root}")
-    nu = f.net_multiplicities().get(center, 0)
+    nu = dict(f.base_factors).get(center, 0)
     form = DlogForm(f)
     lhs = line_integral(form, circle(complex(center), radius), cfg)
     rhs = form.signature.scalar(TWO_PI_I * nu)

@@ -104,7 +104,7 @@ class DlogForm(DifferentialForm):
     def __init__(self, f: RationalFunctionA):
         self.f = f.widen()
         self.signature = self.f.signature
-        self.poles = tuple(f.pole_points())
+        self.poles = tuple(complex(r) for r in f.roots())
         self.label = f"dlog({f})"
         _, layout, _ = self.f.compiled_dlog
         self.monomials = tuple(layout.monomials)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .algebra import AlgebraElement, AlgebraSignature
 from .errors import InputError
 from .laurent import INF, LaurentSeries
 from .paths import Path, circle, commutator, concat, segment
-from .ratfunc import RationalFunctionA, poly_mul, poly_reduction, poly_trim
+from .ratfunc import RationalFunctionA, poly_add, poly_mul, poly_reduction, poly_trim
 from .scalars import GR_I, GaussianRational, gaussian, power
 
 # Bounds both the nesting the parser recurses through (parentheses, unary
@@ -317,10 +316,9 @@ class _PolyFraction:
         return _PolyFraction(self.sig, [-c for c in self.num], self.den)
 
     def __add__(self, other):
-        left = poly_mul(self.num, other.den, self.sig)
-        right = poly_mul(other.num, self.den, self.sig)
-        total = [a + b for a, b in zip_longest(left, right, fillvalue=self.sig.zero())]
-        return _PolyFraction(self.sig, poly_trim(total), poly_mul(self.den, other.den, self.sig))
+        sig = self.sig
+        total = poly_add(poly_mul(self.num, other.den, sig), poly_mul(other.num, self.den, sig), sig)
+        return _PolyFraction(sig, total, poly_mul(self.den, other.den, sig))
 
     def __sub__(self, other):
         return self + (-other)
@@ -360,14 +358,11 @@ def _classify_poly(p: list, sig: AlgebraSignature, text: str) -> RationalFunctio
     c_elt = sig.scalar(c_lead)
     if len(support) == 1:
         k = support[0]
-        base = ((gaussian(0), 1),) * k
-        den = [sig.zero()] * k + [c_elt]
-        return RationalFunctionA(sig, base, c_elt, tuple(p), tuple(den))
+        base = ((gaussian(0), k),) if k else ()
+        return RationalFunctionA(sig, base, c_elt, p, [sig.zero()] * k + [c_elt])
     if len(red) == 2:
         root = -(red[0] / red[1])
-        base = ((root, 1),)
-        den = [sig.scalar(-root) * c_lead, c_elt]
-        return RationalFunctionA(sig, base, c_elt, tuple(p), tuple(den))
+        return RationalFunctionA(sig, ((root, 1),), c_elt, p, [sig.scalar(-root) * c_lead, c_elt])
     raise InputError(
         f"factor with reduction of degree {len(red) - 1} in {text!r}; "
         "write the input as a product of (x - root)^m factors"

@@ -1,16 +1,20 @@
 """Rational functions on the Riemann sphere with nilpotent coefficients.
 
 A function is stored in factored form: an exact divisor over Q(i)
-(pairs root/multiplicity describing the reduction), a unit scale, and a
-"pure nilpotent" perturbation num/den, two A-coefficient polynomials
-with identical reductions.  The factored form keeps the divisor support
-exact, which the reciprocity harness requires; root finding is out of
-scope by design.
+(one (root, net multiplicity) pair per distinct root, describing the
+reduction), a unit scale, and a "pure nilpotent" perturbation num/den,
+two A-coefficient polynomials with identical reductions.  The factored
+form keeps the divisor support exact, which the reciprocity harness
+requires; root finding is out of scope by design.
 
-Poles of the perturbation must sit over declared base roots (add a
-cancelling pair (x-r)(x-r)^-1 as a carrier if necessary); a degree
-imbalance between num and den puts extra nilpotent data at infinity and
-forces infinity into the support.
+Poles of the perturbation must sit over declared base roots; a root of
+net multiplicity 0 stays in the divisor as the carrier of such poles
+(written (x-r)*(x-r)^-1).  A degree imbalance between num and den puts
+extra nilpotent data at infinity and forces infinity into the support.
+
+Products merge the divisor.  A power multiplies the multiplicities and
+raises the perturbation by a binomial sum that ends below the truncation
+degree N of A, so its degree does not grow with the exponent.
 
 `dlog_eval`, the f'/f every numeric check samples, runs on data compiled
 once per function in its own scalars: exact at exact points on the
@@ -22,11 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
+from itertools import zip_longest
+from math import comb
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from .laurent import LaurentSeries
-from .scalars import GaussianRational, as_exact, poly_eval, power
+from .scalars import GaussianRational, as_exact, poly_eval
 
 
 @total_ordering
@@ -69,6 +75,10 @@ def poly_trim(p: list) -> list:
     return p
 
 
+def poly_add(p: list, q: list, sig: AlgebraSignature) -> list:
+    return poly_trim([a + b for a, b in zip_longest(p, q, fillvalue=sig.zero())])
+
+
 def poly_mul(p: list, q: list, sig: AlgebraSignature) -> list:
     if not p or not q:
         return []
@@ -103,8 +113,11 @@ def _scalar_poly_divide_linear(p: list, r):
 
 @dataclass(frozen=True)
 class RationalFunctionA:
-    """scale * prod (x - root)^mult * num(x)/den(x), num == den mod m;
-    a perturbation with num == den is stored as 1/1."""
+    """scale * prod (x - root)^mult * num(x)/den(x), num == den mod m.
+
+    `base_factors` holds one (root, net multiplicity) per distinct root,
+    sorted as SpherePoints; a multiplicity of 0 is a pole carrier.  A
+    perturbation with num == den is stored as 1/1."""
 
     signature: AlgebraSignature
     base_factors: tuple = ()  # ((GaussianRational, int), ...)
@@ -118,11 +131,13 @@ class RationalFunctionA:
             object.__setattr__(self, "scale", sig.one())
         if not self.scale.is_unit():
             raise NotInvertible("scale must be a unit of A")
+        net = {}
         for root, mult in self.base_factors:
             if not isinstance(root, GaussianRational):
                 raise InputError("base roots must be exact Gaussian rationals")
-            if mult == 0:
-                raise InputError("base multiplicities must be nonzero")
+            net[root] = net.get(root, 0) + mult
+        merged = sorted(net.items(), key=lambda rm: SpherePoint(rm[0]))
+        object.__setattr__(self, "base_factors", tuple(merged))
         num = list(self.pert_num) if self.pert_num else [sig.one()]
         den = list(self.pert_den) if self.pert_den else [sig.one()]
         num, den = poly_trim(num), poly_trim(den)
@@ -148,14 +163,11 @@ class RationalFunctionA:
     def monic_linear(cls, sig: AlgebraSignature, root, shift=None) -> "RationalFunctionA":
         """(x - root + shift) with an exact root and a nilpotent shift."""
         r = as_exact(root)
-        base = ((r, 1),)
         if shift is None or shift.is_zero():
-            return cls(sig, base)
+            return cls(sig, ((r, 1),))
         if shift.is_unit():
             raise InputError("the shift of a linear factor must be nilpotent")
-        num = (sig.scalar(-r) + shift, sig.one())
-        den = (sig.scalar(-r), sig.one())
-        return cls(sig, base, None, num, den)
+        return cls(sig, ((r, 1),), None, (sig.scalar(-r) + shift, sig.one()), (sig.scalar(-r), sig.one()))
 
     # -- algebra --------------------------------------------------------------
 
@@ -163,33 +175,30 @@ class RationalFunctionA:
         if self.signature != other.signature:
             raise SignatureMismatch("rational functions over different signatures")
         sig = self.signature
-        return RationalFunctionA(
-            sig,
-            self.base_factors + other.base_factors,
-            self.scale * other.scale,
-            tuple(poly_mul(list(self.pert_num), list(other.pert_num), sig)),
-            tuple(poly_mul(list(self.pert_den), list(other.pert_den), sig)),
-        )
+        num = poly_mul(self.pert_num, other.pert_num, sig)
+        den = poly_mul(self.pert_den, other.pert_den, sig)
+        return RationalFunctionA(sig, self.base_factors + other.base_factors, self.scale * other.scale, num, den)
 
     def inverse(self) -> "RationalFunctionA":
-        return RationalFunctionA(
-            self.signature,
-            tuple((r, -m) for r, m in self.base_factors),
-            self.scale.inverse(),
-            self.pert_den,
-            self.pert_num,
-        )
+        base = tuple((r, -m) for r, m in self.base_factors)
+        return RationalFunctionA(self.signature, base, self.scale.inverse(), self.pert_den, self.pert_num)
 
     def __pow__(self, n: int) -> "RationalFunctionA":
-        return power(self, n, RationalFunctionA.constant(self.signature, 1))
+        """(num/den)^n = sum_{k<=K} C(n,k) d^k den^(K-k) / den^K with
+        d = num - den and K = min(n, N-1), exact because d^N = 0."""
+        sig = self.signature
+        if n <= 0:
+            return self.inverse() ** -n if n else RationalFunctionA.constant(sig, 1)
+        d = poly_add(self.pert_num, [-c for c in self.pert_den], sig)
+        K = min(n, sig.truncation_degree - 1)
+        num, den = [sig.scalar(comb(n, K))], [sig.one()]
+        for k in range(K - 1, -1, -1):  # Horner in d, homogenized by den
+            den = poly_mul(den, self.pert_den, sig)
+            num = poly_add(poly_mul(num, d, sig), [c * comb(n, k) for c in den], sig)
+        base = tuple((r, m * n) for r, m in self.base_factors)
+        return RationalFunctionA(sig, base, self.scale ** n, num, den)
 
     # -- divisor data ----------------------------------------------------------
-
-    def net_multiplicities(self) -> dict:
-        out = {}
-        for root, mult in self.base_factors:
-            out[root] = out.get(root, 0) + mult
-        return out
 
     @property
     def total_degree(self) -> int:
@@ -198,22 +207,18 @@ class RationalFunctionA:
     @property
     def pert_excess(self) -> int:
         """Extra nilpotent degree at infinity from an unbalanced perturbation."""
-        red_deg = len(poly_reduction(list(self.pert_den))) - 1
+        red_deg = len(poly_reduction(self.pert_den)) - 1
         return max(len(self.pert_num), len(self.pert_den)) - 1 - red_deg
 
     def roots(self) -> list:
-        seen = []
-        for root, _ in self.base_factors:
-            if root not in seen:
-                seen.append(root)
-        return seen
+        return [root for root, _ in self.base_factors]
 
     def involves_infinity(self) -> bool:
         return self.total_degree != 0 or self.pert_excess > 0
 
     def validate_poles(self):
         """Check that finite perturbation poles sit over declared roots."""
-        red = poly_reduction(list(self.pert_den))
+        red = poly_reduction(self.pert_den)
         for root in self.roots():
             root = root if self.signature.backend is Backend.EXACT else complex(root)
             while len(red) > 1:
@@ -227,11 +232,6 @@ class RationalFunctionA:
                 "add a cancelling (x-r)*(x-r)^-1 carrier pair for each"
             )
 
-    def pole_points(self) -> list:
-        """All finite points where the function or its nilpotent part can
-        be singular, as complex numbers (for path-clearance checks)."""
-        return [complex(r) for r in self.roots()]
-
     # -- evaluation -------------------------------------------------------------
 
     def widen(self) -> "RationalFunctionA":
@@ -239,13 +239,8 @@ class RationalFunctionA:
         on the float backend)."""
         if self.signature.backend is Backend.FLOAT:
             return self
-        return RationalFunctionA(
-            self.signature.to_float(),
-            self.base_factors,
-            self.scale.widen(),
-            tuple(c.widen() for c in self.pert_num),
-            tuple(c.widen() for c in self.pert_den),
-        )
+        num, den = ([c.widen() for c in p] for p in (self.pert_num, self.pert_den))
+        return RationalFunctionA(self.signature.to_float(), self.base_factors, self.scale.widen(), num, den)
 
     _float = cached_property(widen)  # the twin `_at` samples on, built once
 
@@ -262,7 +257,7 @@ class RationalFunctionA:
         f, zc = self._at(z)
         sig = f.signature
         out = f.scale
-        for root, mult in f.net_multiplicities().items():
+        for root, mult in f.base_factors:
             if mult == 0:
                 continue
             diff = sig.scalar(zc - (complex(root) if sig.backend is Backend.FLOAT else root))
@@ -285,7 +280,7 @@ class RationalFunctionA:
         for the denominator)."""
         sig = self.signature
         roots = [(sig.coerce_scalar(r), sig.coerce_scalar(m), r)
-                 for r, m in self.net_multiplicities().items() if m]
+                 for r, m in self.base_factors if m]
         layout = DenseLayout(sig, {m for c in self.pert_num + self.pert_den for m in c.coeffs})
 
         def per_monomial(poly):  # each monomial's coefficients, by degree in x
@@ -326,7 +321,14 @@ class RationalFunctionA:
         The working window widens adaptively: inverting local units and the
         perturbation denominator erodes the truncation a little, so retry
         with the measured shortfall until the requested order is covered.
+        A truncation at or below the valuation there leaves no term.
         """
+        nu = -self.total_degree if s.is_infinite else dict(self.base_factors).get(s.value, 0)
+        if trunc <= nu:
+            raise InsufficientTruncation(
+                f"the expansion at {s} starts at x^{nu}, at or above the truncation "
+                f"x^{trunc}; expand with truncation (--trunc) at least {nu + 1}"
+            )
         slack = 4
         for _ in range(5):
             out = self._expand_window(s, trunc + slack)
@@ -345,7 +347,7 @@ class RationalFunctionA:
             x_local = LaurentSeries(sig, {0: sig.scalar(s.value), 1: sig.one()})
 
         out = LaurentSeries(sig, {0: self.scale}, w)
-        for root, mult in self.net_multiplicities().items():
+        for root, mult in self.base_factors:
             if mult == 0:
                 continue
             factor = (x_local - LaurentSeries(sig, {0: sig.scalar(root)})).truncate(w)

@@ -235,3 +235,34 @@ def test_power_of_a_plain_factor_parses_promptly():
     assert proc.returncode == 0
     value = complex(*json.loads(proc.stdout)["1"])
     assert abs(value - -1024 * 2j * math.pi) <= 1e-9 * 1024 * 2 * math.pi
+
+
+def test_lemma_3_3_on_a_shifted_power(capsys):
+    # sampled as a degree-32 polynomial, Horner's rule loses every digit
+    # of the perturbation to cancellation; the binomial power keeps degree 1
+    code, out, _ = run_cli(
+        capsys, "verify", "lemma", "--id=3.3", "--f", "(x-1/3+eps)^32", "--center=1/3", "--radius=1/4",
+        "--algebra", "gens=eps;degree=2;scalars=exact", "--steps", "256", "--tol", "1e-8", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["pass"]
+
+
+def test_power_of_a_shifted_factor_parses_promptly():
+    proc = run_cli_process(
+        "integrate", "--f", "(x-1/3+eps)^-4096", "--path", "circle(1/3,1/4)",
+        "--algebra", "gens=eps;degree=2;scalars=exact", "--steps", "8", "--json", timeout=30,
+    )
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert abs(complex(*out["1"]) - -4096 * 2j * math.pi) <= 1e-9 * 4096 * 2 * math.pi
+    assert abs(complex(*out["eps"])) <= 1e-9 * 4096 * 2 * math.pi
+
+
+def test_truncation_below_a_valuation_names_the_needed_trunc(capsys):
+    argv = ["verify", "weil", "--f", "x^20", "--g", "(1-x)", "--algebra", "gens=eps;degree=2;scalars=exact"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "--trunc" in err and err.count("\n") == 1
+    code, _, _ = run_cli(capsys, *argv, "--trunc", "24")
+    assert code == 0

@@ -174,7 +174,7 @@ GOOD = {
     "complex": ["-1/2", "1/4+1/10*i", "2"],
     "point": ["0", "1", "inf", "-1"],
     "element": ["1/5", "1/5*eps", "0", "i/10", "2"],
-    "ratfunc": ["x", "(1-x)", "(x+eps)", "x^2*(x-2)^-1", "(x-1/2)"],
+    "ratfunc": ["x", "(1-x)", "(x+eps)", "x^2*(x-2)^-1", "(x-1/2)", "(x+eps)^-3", "(x-1/2+eps)^7", "x^20"],
     "form": ["x", "(x-1)", "(1-x)"],
     "path": ["circle(0,1/2)", "circle(1,1/2,1/2)", "concat(seg(-i,-1/2*i),circle(0,1/2,3/4),seg(-1/2*i,-i))"],
 }

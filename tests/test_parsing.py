@@ -83,9 +83,9 @@ def test_parse_error_positions():
 
 def test_ratfunc_simple_factors():
     f = parse_ratfunc("x", TRIV)
-    assert f.net_multiplicities() == {gaussian(0): 1}
+    assert dict(f.base_factors) == {gaussian(0): 1}
     g = parse_ratfunc("(1-x)", TRIV)
-    assert g.net_multiplicities() == {gaussian(1): 1}
+    assert dict(g.base_factors) == {gaussian(1): 1}
     assert g.scale == TRIV.scalar(-1)
     assert g.eval(Fraction(-1, 2)) == TRIV.scalar(Fraction(3, 2))
 
@@ -107,7 +107,7 @@ def test_ratfunc_perturbation_group_gets_carriers():
     f = parse_ratfunc("(x-1)*(1+eps/(x-2))", SIG2)
     f.validate_poles()
     # the perturbation pole at 2 carries a cancelling base pair
-    nets = f.net_multiplicities()
+    nets = dict(f.base_factors)
     assert nets[gaussian(1)] == 1
     assert nets.get(gaussian(2), 0) == 0
     assert {str(s) for s in rf_support(f, f)} == {"1", "2", "inf"}
@@ -129,7 +129,7 @@ def test_ratfunc_rejects_nilpotent_leading():
 
 def test_ratfunc_monomial_reduction_allowed():
     f = parse_ratfunc("(x^2+eps)", SIG2)
-    assert f.net_multiplicities() == {gaussian(0): 2}
+    assert dict(f.base_factors) == {gaussian(0): 2}
     assert f.eval(1) == SIG2.one() + SIG2.gen("eps")
 
 
@@ -191,7 +191,7 @@ def test_powers_are_capped_before_they_are_computed():
         parse_element("(1+eps/3)^5000", SIG2)
     with pytest.raises(InputError, match="power too large"):
         parse_series("(x+2)^5000", SIG2)
-    assert parse_ratfunc("x^-8192", SIG2).net_multiplicities() == {gaussian(0): -8192}  # 1 bit
+    assert dict(parse_ratfunc("x^-8192", SIG2).base_factors) == {gaussian(0): -8192}  # 1 bit
     for text in ("x^-8193", "(x-1/3)^-5000"):
         with pytest.raises(InputError, match="power too large"):
             parse_ratfunc(text, SIG2)

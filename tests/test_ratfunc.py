@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from ccsym.algebra import deviation, parse_signature
-from ccsym.errors import InputError, NotInvertible
+from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
 from ccsym.parsing import parse_ratfunc
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint, rf_support
-from ccsym.scalars import gaussian
+from ccsym.scalars import gaussian, power
 
 SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
@@ -170,7 +170,7 @@ def test_products_and_powers():
     f = RF.monic_linear(TRIV, 0) ** 2 * RF.monic_linear(TRIV, 3).inverse()
     assert f.total_degree == 1
     assert f.eval(1) == TRIV.scalar(Fraction(-1, 2))
-    nets = f.net_multiplicities()
+    nets = dict(f.base_factors)
     assert nets[gaussian(0)] == 2 and nets[gaussian(3)] == -1
 
 
@@ -188,3 +188,61 @@ def test_plain_factors_carry_no_perturbation():
     shifted = parse_ratfunc("(x-1/2+1/3*eps)", SIG2)
     assert shifted.pert_num == (SIG2.scalar(-3) + EPS * 2, SIG2.scalar(6))
     assert shifted.pert_den == (SIG2.scalar(-3), SIG2.scalar(6))
+
+
+SIG3 = parse_signature("gens=eps,delta;degree=3;scalars=exact")
+
+
+@pytest.mark.parametrize(
+    "sig, text",
+    [
+        (SIG2, "(x-1/3+eps)*(1+eps/(x-2))"),
+        (SIG2, "(x+eps*x^2)*(x-1+i)^-1"),
+        (SIG3, "(x-1/2+eps+delta)*(1+eps*delta/(x-2))*(x-i)"),
+        (SIG3, "(2-i)*(x+eps*x^2)*(x-1/2+delta)^-1"),
+    ],
+)
+def test_powers_match_the_product_oracle(sig, text):
+    # f ** n takes the binomial sum on the factored form; the oracle
+    # scalars.power multiplies through __mul__
+    f = parse_ratfunc(text, sig)
+    points = [gaussian(Fraction(5, 2), Fraction(1, 3)), gaussian(-3, 1), gaussian(Fraction(-1, 4))]
+    for n in range(-5, 6):
+        fast, slow = f ** n, power(f, n, RF.constant(sig, 1))
+        assert dict(fast.base_factors) == {r: m for r, m in slow.base_factors}
+        assert rf_support(fast, fast) == rf_support(slow, slow)
+        for z in points:
+            assert fast.eval(z) == slow.eval(z)
+            assert fast.dlog_eval(z) == slow.dlog_eval(z)
+        for s in rf_support(fast, fast):
+            nu = -fast.total_degree if s.is_infinite else dict(fast.base_factors).get(s.value, 0)
+            assert fast.expand_at(s, max(nu, 0) + 4) == slow.expand_at(s, max(nu, 0) + 4)
+        # the binomial sum ends at K = min(|n|, N-1): degree at most K times f's
+        K = min(abs(n), sig.truncation_degree - 1)
+        assert len(fast.pert_num) - 1 <= K * max(len(f.pert_num) - 1, len(f.pert_den) - 1)
+        assert len(fast.pert_den) - 1 <= K * max(len(f.pert_num) - 1, len(f.pert_den) - 1)
+
+
+def test_one_entry_per_root():
+    f = parse_ratfunc("(x-1/3)^-4096", SIG2)
+    assert f.base_factors == ((gaussian(Fraction(1, 3)), -4096),)
+    assert len(str(f)) < 40
+    # merged, sorted as sphere points, a net multiplicity of 0 kept as a carrier
+    g = parse_ratfunc("(x-2)*x*(x-i)*(x-2)^-1*x", SIG2)
+    assert g.base_factors == ((gaussian(0), 2), (gaussian(0, 1), 1), (gaussian(2), 0))
+
+
+def test_products_of_plain_factors_commute_structurally():
+    factors = [parse_ratfunc(t, SIG2) for t in ("(x-1/3)", "x^2", "(2*x+i)^-1", "(x-1)^3", "(1-x)")]
+    for f in factors:
+        for g in factors:
+            assert f * g == g * f
+
+
+def test_truncation_at_or_below_the_valuation_names_the_needed_truncation():
+    f = parse_ratfunc("x^20*(x-1)^-3", SIG2)
+    with pytest.raises(InsufficientTruncation, match="at least 21"):
+        f.expand_at(SpherePoint.finite(0), 20)
+    assert f.expand_at(SpherePoint.finite(0), 21).valuation() == 20
+    with pytest.raises(InsufficientTruncation, match="at least -16"):
+        f.expand_at(SpherePoint.infinity(), -17)
