@@ -7,8 +7,10 @@ satisfies m^N = 0, so every element splits as unit-or-nilpotent by its
 constant coefficient, inverses are finite geometric series, and exp/log
 are finite sums.
 
-Elements keep their coefficients in a canonical zero-pruned map, so
-equality on the exact backend is structural equality.
+An exact element keeps Gaussian-integer numerators over one positive
+denominator, zero terms dropped and in lowest terms after each operation
+(the form of FLINT's fmpq_poly), so its arithmetic runs on plain ints and
+equality is structural; the Q(i) coefficients are derived from it on demand.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add
 
 from .errors import InputError, NotAUnit, NotNilpotent, SignatureMismatch
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, geometric, power
@@ -27,6 +32,9 @@ Monomial = tuple
 class Backend(enum.Enum):
     EXACT = "exact"
     FLOAT = "float"
+
+
+_FLOAT = Backend.FLOAT  # read per float operation: cheaper than Backend.FLOAT
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class AlgebraSignature:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return self.scalar(1)
+        return AlgebraElement(self, {self.empty_monomial(): self.scalar_one()})
 
     def scalar(self, value) -> "AlgebraElement":
         c = self.coerce_scalar(value)
@@ -142,14 +150,43 @@ class AlgebraElement:
     """An element of a truncated nilpotent polynomial algebra.
 
     `coeffs` maps exponent tuples (total degree < N) to nonzero scalars.
+    On the exact backend the arithmetic runs on `num`, {monomial:
+    (re, im)} Gaussian-integer numerators over the denominator `den`, and
+    `coeffs` is derived from them on first use; a float element has
+    `num` = `coeffs` and `den` = None.
     All arithmetic is value-semantic: operands are never mutated.
     """
 
-    __slots__ = ("signature", "coeffs")
+    __slots__ = ("signature", "num", "den", "_coeffs")
 
     def __init__(self, signature: AlgebraSignature, coeffs: dict):
         self.signature = signature
-        self.coeffs = coeffs
+        self._coeffs = coeffs
+        if signature.backend is _FLOAT:
+            self.num, self.den = coeffs, None
+            return
+        # over the lcm of the reduced denominators no prime divides every numerator
+        self.den = den = lcm(*(f.denominator for c in coeffs.values() for f in (c.re, c.im)))
+        self.num = {m: (c.re.numerator * den // c.re.denominator, c.im.numerator * den // c.im.denominator)
+                    for m, c in coeffs.items()}
+
+    @classmethod
+    def _exact(cls, signature: AlgebraSignature, num: dict, den: int) -> "AlgebraElement":
+        """num / den in lowest terms with den > 0, for nonzero numerators."""
+        g = gcd(den, *chain.from_iterable(num.values())) * (1 if den > 0 else -1)
+        if g != 1:
+            num, den = {m: (re // g, im // g) for m, (re, im) in num.items()}, den // g
+        out = object.__new__(cls)
+        out.signature, out.num, out.den, out._coeffs = signature, num, den, None
+        return out
+
+    @property
+    def coeffs(self) -> dict:
+        """{monomial: scalar}; not to be mutated."""
+        if self._coeffs is None:
+            d = self.den
+            self._coeffs = {m: GaussianRational(Fraction(re, d), Fraction(im, d)) for m, (re, im) in self.num.items()}
+        return self._coeffs
 
     # -- structure ---------------------------------------------------------
 
@@ -158,10 +195,11 @@ class AlgebraElement:
         return self.coeffs.get(self.signature.empty_monomial(), self.signature.scalar_zero())
 
     def is_unit(self) -> bool:
-        return _nonzero(self.reduce())
+        # an exact (re, im) numerator is a nonempty tuple; a float residue can be 0j
+        return bool(self.num.get(self.signature.empty_monomial()))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def nilpotent_part(self) -> "AlgebraElement":
         return self - self.signature.scalar(self.reduce())
@@ -176,7 +214,7 @@ class AlgebraElement:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "AlgebraElement"):
-        if self.signature != other.signature:
+        if self.signature is not other.signature and self.signature != other.signature:
             raise SignatureMismatch(
                 f"operands over different signatures: {self.signature} vs {other.signature}"
             )
@@ -184,15 +222,24 @@ class AlgebraElement:
     def __add__(self, other):
         other = self._as_element(other)
         self._check(other)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if _nonzero(s):
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return AlgebraElement(self.signature, out)
+        if self.den is None:
+            out = dict(self.num)
+            for mono, c in other.num.items():
+                s = out.get(mono)
+                s = c if s is None else s + c
+                if _nonzero(s):
+                    out[mono] = s
+                else:
+                    out.pop(mono, None)
+            return AlgebraElement(self.signature, out)
+        g = gcd(self.den, other.den)
+        f1, f2 = other.den // g, self.den // g
+        out = {m: (re * f1, im * f1) for m, (re, im) in self.num.items()}
+        for mono, (re, im) in other.num.items():
+            s = out.get(mono, (0, 0))
+            out[mono] = (s[0] + re * f2, s[1] + im * f2)
+        out = {m: c for m, c in out.items() if c[0] or c[1]}
+        return AlgebraElement._exact(self.signature, out, self.den * f1)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -204,28 +251,45 @@ class AlgebraElement:
         return self._as_element(other) - self
 
     def __neg__(self):
-        return AlgebraElement(self.signature, {m: -c for m, c in self.coeffs.items()})
+        if self.den is None:
+            return AlgebraElement(self.signature, {m: -c for m, c in self.num.items()})
+        return AlgebraElement._exact(self.signature, {m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
-            return self._scale(self.signature.coerce_scalar(other))
+            if self.den is None:
+                return self._scale(self.signature.coerce_scalar(other))
+            other = self.signature.scalar(other)
         self._check(other)
         n = self.signature.truncation_degree
         out = {}
-        for m1, c1 in self.coeffs.items():
+        if self.den is None:
+            for m1, c1 in self.num.items():
+                d1 = sum(m1)
+                for m2, c2 in other.num.items():
+                    if d1 + sum(m2) >= n:
+                        continue
+                    mono = tuple(a + b for a, b in zip(m1, m2))
+                    c = c1 * c2
+                    s = out.get(mono)
+                    s = c if s is None else s + c
+                    if _nonzero(s):
+                        out[mono] = s
+                    else:
+                        out.pop(mono, None)
+            return AlgebraElement(self.signature, out)
+        for m1, (a, b) in self.num.items():
             d1 = sum(m1)
-            for m2, c2 in other.coeffs.items():
-                if d1 + sum(m2) >= n:
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(mono)
-                s = c if s is None else s + c
-                if _nonzero(s):
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return AlgebraElement(self.signature, out)
+            for m2, (c, d) in other.num.items():
+                if d1 + sum(m2) < n:
+                    mono = tuple(map(add, m1, m2))
+                    s = out.get(mono, (0, 0))
+                    re, im = s[0] + a * c - b * d, s[1] + a * d + b * c
+                    if re or im:
+                        out[mono] = (re, im)
+                    else:
+                        out.pop(mono, None)
+        return AlgebraElement._exact(self.signature, out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -235,9 +299,10 @@ class AlgebraElement:
         return self * other.inverse()
 
     def _scale(self, c) -> "AlgebraElement":
+        """Product with a scalar on the float backend."""
         if not _nonzero(c):
             return self.signature.zero()
-        return AlgebraElement(self.signature, {m: v * c for m, v in self.coeffs.items()})
+        return AlgebraElement(self.signature, {m: v * c for m, v in self.num.items()})
 
     def _as_element(self, value) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
@@ -245,17 +310,25 @@ class AlgebraElement:
         return self.signature.scalar(value)
 
     def divided_by_int(self, k: int) -> "AlgebraElement":
-        return self._scale(self.signature.coerce_scalar(Fraction(1, k)))
+        if self.den is None:
+            return self * Fraction(1, k)
+        return AlgebraElement._exact(self.signature, self.num, self.den * k)
 
     def inverse(self) -> "AlgebraElement":
         """Multiplicative inverse via a geometric series on the nilpotent part."""
-        c = self.reduce()
-        if not _nonzero(c):
+        sig, e = self.signature, self.signature.empty_monomial()
+        c = self.num.get(e)
+        if not c:
             raise NotAUnit("cannot invert an element of the maximal ideal")
-        c_inv = self.signature.scalar_one() / c
-        one = self.signature.one()
-        u = self._scale(c_inv) - one  # nilpotent; 1/(1+u) = sum of (-u)^k
-        return geometric(-u, one, self.signature.truncation_degree)._scale(c_inv)
+        one = sig.one()
+        if self.den is None:
+            c_inv = sig.scalar_one() / c
+            u = self._scale(c_inv) - one  # nilpotent; 1/(1+u) = sum of (-u)^k
+            return geometric(-u, one, sig.truncation_degree)._scale(c_inv)
+        p, q = c  # c = (p + q i) / den, so 1/c = den (p - q i) / (p^2 + q^2)
+        c_inv = AlgebraElement._exact(sig, {e: (self.den * p, -self.den * q)}, p * p + q * q)
+        u = self * c_inv - one
+        return geometric(-u, one, sig.truncation_degree) * c_inv
 
     def __pow__(self, n: int) -> "AlgebraElement":
         return power(self, n, self.signature.one())
@@ -264,13 +337,15 @@ class AlgebraElement:
 
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
-            return self.signature == other.signature and self.coeffs == other.coeffs
+            return self.signature == other.signature and self.den == other.den and self.num == other.num
+        if isinstance(other, (float, complex)) and self.den is not None:
+            return self.widen() == other
         if isinstance(other, (int, Fraction, float, complex, GaussianRational)):
             return self == self.signature.scalar(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.signature, frozenset(self.coeffs.items())))
+        return hash((self.signature, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
         return f"AlgebraElement({self})"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend
@@ -324,6 +325,12 @@ def _neg_product(sig: AlgebraSignature, factors: dict) -> LaurentSeries:
     return out
 
 
+def _binomial_inverse(sig: AlgebraSignature, j: int, a: AlgebraElement, terms: int, trunc=INF) -> LaurentSeries:
+    """(1 - a x^j)^{-1} = sum of a^k x^{jk} over k < terms."""
+    powers = itertools.accumulate(itertools.repeat(a, terms - 1), operator.mul, initial=sig.one())
+    return LaurentSeries(sig, {j * k: p for k, p in enumerate(powers)}, trunc)
+
+
 def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
     """Canonical product decomposition of an invertible series.
 
@@ -366,11 +373,10 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
             neg.pop(j, None)
         else:
             neg[j] = updated
-        # (1 - a x^jj)^{-1} = sum_k a^k x^{jj k}, finite because a is nilpotent
+        # the combined inverse is finite because each a is nilpotent
         combined = LaurentSeries.one(sig)
         for jj, a in neg.items():
-            u = LaurentSeries(sig, {jj: a})
-            combined = combined * geometric(u, LaurentSeries.one(sig), n_deg)
+            combined = combined * _binomial_inverse(sig, jj, a, n_deg)
         residual = work * combined
     else:
         raise InsufficientTruncation("factorization did not stabilize; raise the truncation")
@@ -397,10 +403,8 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
         c = unit.coeffs.get(j)
         if c is not None:
             pos[j] = -c
-            # (1 - a_j x^j)^{-1} = sum of a_j^k x^{jk}; below x^rel_trunc that is
-            # ceil(rel_trunc / j) terms
-            u = LaurentSeries(sig, {j: pos[j]}, rel_trunc)
-            inv = geometric(u, LaurentSeries.one(sig, rel_trunc), -(-rel_trunc // j))
+            # below x^rel_trunc the inverse has ceil(rel_trunc / j) terms
+            inv = _binomial_inverse(sig, j, pos[j], -(-rel_trunc // j), rel_trunc)
             unit = (unit * inv).truncate(rel_trunc)
         j += 1
     return CanonicalFactorization(sig, nu, a0, neg, pos, t_eff + lam)

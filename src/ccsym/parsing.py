@@ -363,10 +363,46 @@ def _classify_poly(p: list, sig: AlgebraSignature, text: str) -> RationalFunctio
     if len(red) == 2:
         root = -(red[0] / red[1])
         return RationalFunctionA(sig, ((root, 1),), c_elt, p, [sig.scalar(-root) * c_lead, c_elt])
-    raise InputError(
-        f"factor with reduction of degree {len(red) - 1} in {text!r}; "
+    raise _degree_error(len(red) - 1, text)
+
+
+def _degree_error(degree: int, text: str) -> InputError:
+    return InputError(
+        f"factor with reduction of degree {degree} in {text!r}; "
         "write the input as a product of (x - root)^m factors"
     )
+
+
+def _reduction_spans(node, sig: AlgebraSignature, text: str):
+    """The (lowest, highest) x-degree of the reductions mod m of the
+    numerator and the denominator that `_polyfrac` builds, read off the
+    leaves before any product is formed, and whether both are exact: where
+    the two terms of a sum reach the same degree they may cancel, and the
+    spans are only bounds.  A zero reduction spans (INF, -INF)."""
+    kind = node[0]
+    if node == ("name", "x"):
+        return (1, 1), (0, 0), True
+    if kind in ("num", "name"):
+        return ((0, 0) if eval_element(node, sig, text).is_unit() else (INF, -INF)), (0, 0), True
+    if kind == "neg":
+        return _reduction_spans(node[1], sig, text)
+    if kind == "pow":
+        num, den, exact = _reduction_spans(node[1], sig, text)
+        n = node[2]
+        if n < 0:
+            num, den, n = den, num, -n
+        if n == 0:
+            return (0, 0), (0, 0), True
+        return (num[0] * n, num[1] * n), (den[0] * n, den[1] * n), exact
+    (a, b, exact_a), (c, d, exact_c) = (_reduction_spans(t, sig, text) for t in node[1:])
+    if kind == "div":
+        c, d = d, c
+    den = (b[0] + d[0], b[1] + d[1])
+    if kind in ("mul", "div"):
+        return (a[0] + c[0], a[1] + c[1]), den, exact_a and exact_c
+    p, q = (a[0] + d[0], a[1] + d[1]), (c[0] + b[0], c[1] + b[1])  # num = a*d +- c*b
+    exact = exact_a and exact_c and p[0] != q[0] and p[1] != q[1]
+    return (min(p[0], q[0]), max(p[1], q[1])), den, exact
 
 
 def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctionA:
@@ -386,6 +422,12 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctio
     if kind in ("add", "sub"):
         # factor over the exact scalars, so that a root stays exact on the float backend
         exact = AlgebraSignature(sig.generators, sig.truncation_degree)
+        # a known reduction of degree >= 2 that is not a monomial is rejected
+        # before the powers that build it are expanded
+        num, den, known = _reduction_spans(node, exact, text)
+        too_high = [hi for lo, hi in (num, den) if known and lo < hi and hi > 1]
+        if too_high:
+            raise _degree_error(too_high[0], text)
         frac = _polyfrac(node, exact, text)
         f = _classify_poly(frac.num, exact, text) * _classify_poly(frac.den, exact, text).inverse()
         return f if exact == sig else f.widen()

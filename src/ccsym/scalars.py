@@ -1,10 +1,13 @@
 """Scalar backends: exact Gaussian rationals and complex doubles.
 
 Every algebra element carries its coefficients in one of two scalar
-domains.  The exact domain is Q(i), represented as a pair of
-`fractions.Fraction`; the floating domain is plain `complex`.  Both
-support +, -, *, /, integer powers and exact equality against zero,
-which is all the algebra layer needs.  The ring-generic `power`,
+domains.  The exact domain is Q(i), where a `GaussianRational` is a pair
+of `fractions.Fraction`; the floating domain is plain `complex`.  Both
+support +, -, *, /, integer powers and exact equality against zero.
+Exact algebra elements do not compute on these pairs: they keep
+Gaussian-integer numerators over one denominator (`algebra`).
+`GaussianRational` arithmetic runs on single scalars (parsed literals,
+roots, points, and the exact `DenseLayout`).  The ring-generic `power`,
 `geometric` and `poly_eval` below serve every ring type in ccsym.
 """
 

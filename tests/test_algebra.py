@@ -249,3 +249,56 @@ def test_dense_layout_spans_only_reachable_monomials():
     assert DenseLayout(sig, [(2, 0, 0), (0, 0, 1)]).monomials == [
         (0, 0, 0), (0, 0, 1), (0, 0, 2), (2, 0, 0), (0, 0, 3), (2, 0, 1),
     ]
+
+
+EXACT_SIGS = [
+    parse_signature("gens=;degree=1;scalars=exact"),
+    parse_signature("gens=eps;degree=2;scalars=exact"),
+    parse_signature("gens=eps,delta;degree=3;scalars=exact"),
+]
+
+
+@pytest.mark.parametrize("sig", EXACT_SIGS, ids=str)
+def test_integer_form_against_the_fraction_oracles(sig):
+    rng = random.Random(f"integer-form:{sig}")
+    for _ in range(40):
+        a, b = random_element(rng, sig), random_element(rng, sig)
+        assert (a * b).coeffs == oracle_alg_mul(a.coeffs, b.coeffs, sig.truncation_degree)
+        total = {m: a.coeffs.get(m, gaussian(0)) + b.coeffs.get(m, gaussian(0)) for m in {*a.coeffs, *b.coeffs}}
+        assert (a + b).coeffs == {m: c for m, c in total.items() if c}
+        assert a + b == sig.element(total) and hash(a + b) == hash(sig.element(total))
+
+
+@pytest.mark.parametrize("sig", EXACT_SIGS, ids=str)
+def test_integer_form_is_canonical(sig):
+    rng = random.Random(f"canonical:{sig}")
+    for _ in range(40):
+        a = random_element(rng, sig)
+        zero = a + (-a)
+        assert zero.is_zero() and zero == sig.zero() and hash(zero) == hash(sig.zero())
+        back = (a * 2) / 2
+        assert back == a and hash(back) == hash(a) and str(back) == str(a)
+        assert back.den == a.den and back.num == a.num
+        if a.is_unit():
+            assert a * a.inverse() == 1 and a.inverse() * a == sig.one()
+        k = rng.randint(2, 9)
+        assert a.divided_by_int(k) == a * sig.scalar(Fraction(1, k))
+        assert a.divided_by_int(k) * k == a
+
+
+def test_integer_form_past_64_bits():
+    sig = EXACT_SIGS[2]
+    big = Fraction(3, 2**70 + 1)
+    a = sig.element({(0, 0): 1, (1, 0): big, (0, 1): gaussian(0, Fraction(1, 3))})
+    assert a.den == 3 * (2**70 + 1)
+    assert a.coeffs[(1, 0)] == gaussian(big)
+    assert (a * a).coeffs == oracle_alg_mul(a.coeffs, a.coeffs, 3)
+    assert a * a.inverse() == sig.one()
+    assert (a - sig.one()).divided_by_int(2**70 + 1).coeffs[(1, 0)] == gaussian(big / (2**70 + 1))
+
+
+def test_exact_element_equals_the_float_it_widens_to():
+    sig = EXACT_SIGS[1]
+    assert sig.one() == 1.0 and sig.one() == complex(1)
+    assert sig.one() != 0.5
+    assert sig.scalar(Fraction(1, 2)) + sig.gen("eps") != 0.5

@@ -259,6 +259,16 @@ def test_power_of_a_shifted_factor_parses_promptly():
     assert abs(complex(*out["eps"])) <= 1e-9 * 4096 * 2 * math.pi
 
 
+def test_power_inside_a_sum_is_rejected_before_it_is_expanded():
+    proc = run_cli_process(
+        "integrate", "--f", "(x-1/3+eps)^4096+0", "--path", "circle(1/3,1/4)",
+        "--algebra", "gens=eps;degree=2;scalars=exact", "--steps", "8", timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "reduction of degree 4096" in proc.stderr
+
+
 def test_truncation_below_a_valuation_names_the_needed_trunc(capsys):
     argv = ["verify", "weil", "--f", "x^20", "--g", "(1-x)", "--algebra", "gens=eps;degree=2;scalars=exact"]
     code, _, err = run_cli(capsys, *argv)

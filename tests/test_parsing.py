@@ -120,6 +120,18 @@ def test_ratfunc_rejects_unfactored_quadratics():
         parse_ratfunc("(x^2-1)", TRIV)
 
 
+def test_ratfunc_degree_check_before_expanding_keeps_cancelling_sums():
+    # the degree is read off the leaves, so the error comes before any power is expanded
+    with pytest.raises(InputError, match="reduction of degree 256"):
+        parse_ratfunc("(x-1/3+eps)^256+0", SIG2)
+    with pytest.raises(InputError, match="reduction of degree 2"):
+        parse_ratfunc("(x-1)^-2+1", TRIV)
+    # top terms that may cancel are expanded as before; monomial reductions stay allowed
+    assert str(parse_ratfunc("(x+1)^2-x^2", TRIV)) == str(parse_ratfunc("2*x+1", TRIV))
+    assert str(parse_ratfunc("(x-1)*(x+1)-x^2+x", TRIV)) == str(parse_ratfunc("x-1", TRIV))
+    assert dict(parse_ratfunc("(x+eps)^5+0", SIG2).base_factors) == {gaussian(0): 5}
+
+
 def test_ratfunc_rejects_nilpotent_leading():
     from ccsym.errors import NotInvertible
 
