@@ -7,10 +7,14 @@ satisfies m^N = 0, so every element splits as unit-or-nilpotent by its
 constant coefficient, inverses are finite geometric series, and exp/log
 are finite sums.
 
-An exact element keeps Gaussian-integer numerators over one positive
-denominator, zero terms dropped and in lowest terms after each operation
-(the form of FLINT's fmpq_poly), so its arithmetic runs on plain ints and
-equality is structural; the Q(i) coefficients are derived from it on demand.
+Both backends share one arithmetic on (re, im) numerator pairs over one
+denominator, zero pairs dropped: Gaussian integers in lowest terms over
+a positive denominator on the exact backend (the form of FLINT's
+fmpq_poly), so equality is structural; floats over 1 on the float
+backend, whose products round as complex ones do.  Only building,
+normalising and converting an element read the backend, and a float
+residue's reciprocal, which takes complex division to stay in range.
+`DenseLayout` holds elements as dense lists for the numeric engine.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class Backend(enum.Enum):
     FLOAT = "float"
 
 
-_FLOAT = Backend.FLOAT  # read per float operation: cheaper than Backend.FLOAT
+_FLOAT = Backend.FLOAT  # read per operation: cheaper than Backend.FLOAT
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,7 @@ class AlgebraSignature:
 
     def scalar(self, value) -> "AlgebraElement":
         c = self.coerce_scalar(value)
-        if not _nonzero(c):
-            return self.zero()
-        return AlgebraElement(self, {self.empty_monomial(): c})
+        return AlgebraElement(self, {self.empty_monomial(): c} if c else {})
 
     def gen(self, name: str) -> "AlgebraElement":
         if name not in self.generators:
@@ -102,7 +104,7 @@ class AlgebraSignature:
             if sum(mono) >= self.truncation_degree:
                 continue
             c = self.coerce_scalar(value)
-            if _nonzero(c):
+            if c:
                 out[mono] = c
         return AlgebraElement(self, out)
 
@@ -141,19 +143,14 @@ def parse_signature(text: str) -> AlgebraSignature:
     return AlgebraSignature(gens, degree, backend)
 
 
-def _nonzero(c) -> bool:
-    # exact zero test on both backends; no epsilon pruning
-    return bool(c) if isinstance(c, GaussianRational) else c != 0
-
-
 class AlgebraElement:
     """An element of a truncated nilpotent polynomial algebra.
 
-    `coeffs` maps exponent tuples (total degree < N) to nonzero scalars.
-    On the exact backend the arithmetic runs on `num`, {monomial:
-    (re, im)} Gaussian-integer numerators over the denominator `den`, and
-    `coeffs` is derived from them on first use; a float element has
-    `num` = `coeffs` and `den` = None.
+    The arithmetic runs on `num`, {monomial: (re, im)} numerator pairs
+    over the denominator `den`, with no zero pair: Gaussian integers in
+    lowest terms over a positive `den` on the exact backend, floats over
+    `den` = 1 on the float backend.  `coeffs`, the {monomial: scalar} map
+    (total degree < N) in the backend's scalars, is derived on first use.
     All arithmetic is value-semantic: operands are never mutated.
     """
 
@@ -161,21 +158,27 @@ class AlgebraElement:
 
     def __init__(self, signature: AlgebraSignature, coeffs: dict):
         self.signature = signature
-        self._coeffs = coeffs
         if signature.backend is _FLOAT:
-            self.num, self.den = coeffs, None
+            self.num, self.den, self._coeffs = {m: (c.real, c.imag) for m, c in coeffs.items() if c}, 1, None
             return
+        self._coeffs = coeffs
         # over the lcm of the reduced denominators no prime divides every numerator
         self.den = den = lcm(*(f.denominator for c in coeffs.values() for f in (c.re, c.im)))
         self.num = {m: (c.re.numerator * den // c.re.denominator, c.im.numerator * den // c.im.denominator)
                     for m, c in coeffs.items()}
 
     @classmethod
-    def _exact(cls, signature: AlgebraSignature, num: dict, den: int) -> "AlgebraElement":
-        """num / den in lowest terms with den > 0, for nonzero numerators."""
-        g = gcd(den, *chain.from_iterable(num.values())) * (1 if den > 0 else -1)
-        if g != 1:
-            num, den = {m: (re // g, im // g) for m, (re, im) in num.items()}, den // g
+    def _normal(cls, signature: AlgebraSignature, num: dict, den: int) -> "AlgebraElement":
+        """num / den, for nonzero numerators: in lowest terms with den > 0
+        on the exact backend, with den divided out on the float backend."""
+        if signature.backend is not _FLOAT:
+            g = gcd(den, *chain.from_iterable(num.values())) * (1 if den > 0 else -1)
+            if g != 1:
+                num, den = {m: (re // g, im // g) for m, (re, im) in num.items()}, den // g
+        elif den != 1:  # a float quotient can underflow to a zero pair
+            r = 1 / den
+            num, den = {m: (re * r, im * r) for m, (re, im) in num.items()}, 1
+            num = {m: c for m, c in num.items() if c[0] or c[1]}
         out = object.__new__(cls)
         out.signature, out.num, out.den, out._coeffs = signature, num, den, None
         return out
@@ -185,7 +188,9 @@ class AlgebraElement:
         """{monomial: scalar}; not to be mutated."""
         if self._coeffs is None:
             d = self.den
-            self._coeffs = {m: GaussianRational(Fraction(re, d), Fraction(im, d)) for m, (re, im) in self.num.items()}
+            exact = self.signature.backend is not _FLOAT
+            self._coeffs = {m: GaussianRational(Fraction(re, d), Fraction(im, d)) if exact else complex(re, im)
+                            for m, (re, im) in self.num.items()}
         return self._coeffs
 
     # -- structure ---------------------------------------------------------
@@ -195,8 +200,7 @@ class AlgebraElement:
         return self.coeffs.get(self.signature.empty_monomial(), self.signature.scalar_zero())
 
     def is_unit(self) -> bool:
-        # an exact (re, im) numerator is a nonempty tuple; a float residue can be 0j
-        return bool(self.num.get(self.signature.empty_monomial()))
+        return self.signature.empty_monomial() in self.num
 
     def is_zero(self) -> bool:
         return not self.num
@@ -205,11 +209,11 @@ class AlgebraElement:
         return self - self.signature.scalar(self.reduce())
 
     def widen(self) -> "AlgebraElement":
-        """Exact to float conversion (identity on the float backend)."""
-        if self.signature.backend is Backend.FLOAT:
+        """Exact to float conversion (identity on the float backend); a
+        coefficient that rounds to 0j is dropped."""
+        if self.signature.backend is _FLOAT:
             return self
-        sig = self.signature.to_float()
-        return AlgebraElement(sig, {m: complex(c) for m, c in self.coeffs.items()})
+        return AlgebraElement(self.signature.to_float(), {m: complex(c) for m, c in self.coeffs.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -222,16 +226,6 @@ class AlgebraElement:
     def __add__(self, other):
         other = self._as_element(other)
         self._check(other)
-        if self.den is None:
-            out = dict(self.num)
-            for mono, c in other.num.items():
-                s = out.get(mono)
-                s = c if s is None else s + c
-                if _nonzero(s):
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-            return AlgebraElement(self.signature, out)
         g = gcd(self.den, other.den)
         f1, f2 = other.den // g, self.den // g
         out = {m: (re * f1, im * f1) for m, (re, im) in self.num.items()}
@@ -239,7 +233,7 @@ class AlgebraElement:
             s = out.get(mono, (0, 0))
             out[mono] = (s[0] + re * f2, s[1] + im * f2)
         out = {m: c for m, c in out.items() if c[0] or c[1]}
-        return AlgebraElement._exact(self.signature, out, self.den * f1)
+        return AlgebraElement._normal(self.signature, out, self.den * f1)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -251,45 +245,26 @@ class AlgebraElement:
         return self._as_element(other) - self
 
     def __neg__(self):
-        if self.den is None:
-            return AlgebraElement(self.signature, {m: -c for m, c in self.num.items()})
-        return AlgebraElement._exact(self.signature, {m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
+        return AlgebraElement._normal(self.signature, {m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            if self.den is None:
-                return self._scale(self.signature.coerce_scalar(other))
-            other = self.signature.scalar(other)
+        other = self._as_element(other)
         self._check(other)
         n = self.signature.truncation_degree
         out = {}
-        if self.den is None:
-            for m1, c1 in self.num.items():
-                d1 = sum(m1)
-                for m2, c2 in other.num.items():
-                    if d1 + sum(m2) >= n:
-                        continue
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    c = c1 * c2
-                    s = out.get(mono)
-                    s = c if s is None else s + c
-                    if _nonzero(s):
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-            return AlgebraElement(self.signature, out)
         for m1, (a, b) in self.num.items():
             d1 = sum(m1)
             for m2, (c, d) in other.num.items():
                 if d1 + sum(m2) < n:
                     mono = tuple(map(add, m1, m2))
                     s = out.get(mono, (0, 0))
-                    re, im = s[0] + a * c - b * d, s[1] + a * d + b * c
+                    # one rounding per product part, as complex multiplication
+                    re, im = s[0] + (a * c - b * d), s[1] + (a * d + b * c)
                     if re or im:
                         out[mono] = (re, im)
                     else:
                         out.pop(mono, None)
-        return AlgebraElement._exact(self.signature, out, self.den * other.den)
+        return AlgebraElement._normal(self.signature, out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -298,21 +273,13 @@ class AlgebraElement:
         other = self._as_element(other)
         return self * other.inverse()
 
-    def _scale(self, c) -> "AlgebraElement":
-        """Product with a scalar on the float backend."""
-        if not _nonzero(c):
-            return self.signature.zero()
-        return AlgebraElement(self.signature, {m: v * c for m, v in self.num.items()})
-
     def _as_element(self, value) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
             return value
         return self.signature.scalar(value)
 
     def divided_by_int(self, k: int) -> "AlgebraElement":
-        if self.den is None:
-            return self * Fraction(1, k)
-        return AlgebraElement._exact(self.signature, self.num, self.den * k)
+        return AlgebraElement._normal(self.signature, self.num, self.den * k)
 
     def inverse(self) -> "AlgebraElement":
         """Multiplicative inverse via a geometric series on the nilpotent part."""
@@ -320,14 +287,13 @@ class AlgebraElement:
         c = self.num.get(e)
         if not c:
             raise NotAUnit("cannot invert an element of the maximal ideal")
+        p, q = c
+        if sig.backend is _FLOAT:  # complex division keeps a float reciprocal in range
+            c_inv = sig.scalar(1 / complex(p, q))
+        else:  # c = (p + q i) / den, so 1/c = den (p - q i) / (p^2 + q^2)
+            c_inv = AlgebraElement._normal(sig, {e: (self.den * p, -self.den * q)}, p * p + q * q)
         one = sig.one()
-        if self.den is None:
-            c_inv = sig.scalar_one() / c
-            u = self._scale(c_inv) - one  # nilpotent; 1/(1+u) = sum of (-u)^k
-            return geometric(-u, one, sig.truncation_degree)._scale(c_inv)
-        p, q = c  # c = (p + q i) / den, so 1/c = den (p - q i) / (p^2 + q^2)
-        c_inv = AlgebraElement._exact(sig, {e: (self.den * p, -self.den * q)}, p * p + q * q)
-        u = self * c_inv - one
+        u = self * c_inv - one  # nilpotent; 1/(1+u) = sum of (-u)^k
         return geometric(-u, one, sig.truncation_degree) * c_inv
 
     def __pow__(self, n: int) -> "AlgebraElement":
@@ -338,7 +304,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
             return self.signature == other.signature and self.den == other.den and self.num == other.num
-        if isinstance(other, (float, complex)) and self.den is not None:
+        if isinstance(other, (float, complex)) and self.signature.backend is not _FLOAT:
             return self.widen() == other
         if isinstance(other, (int, Fraction, float, complex, GaussianRational)):
             return self == self.signature.scalar(other)
@@ -355,9 +321,7 @@ class AlgebraElement:
 
     def max_abs(self) -> float:
         """Largest coefficient modulus; used for float deviations."""
-        if not self.coeffs:
-            return 0.0
-        return max(abs(complex(c)) for c in self.coeffs.values())
+        return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
 
 
 class DenseLayout:
@@ -451,15 +415,12 @@ def exp(a: AlgebraElement) -> AlgebraElement:
 
     Float backend accepts any a via e^a = e^{reduce(a)} * e^{a - reduce(a)}.
     """
-    sig = a.signature
-    c = a.reduce()
-    if _nonzero(c):
+    sig, scale = a.signature, None
+    if a.is_unit():
         if sig.backend is Backend.EXACT:
             raise NotNilpotent("exact exp requires an element of the maximal ideal")
-        scale = cmath.exp(c)
+        scale = cmath.exp(a.reduce())
         a = a.nilpotent_part()
-    else:
-        scale = None
     out = sig.one()
     term = sig.one()
     for n in range(1, sig.truncation_degree):
@@ -467,7 +428,7 @@ def exp(a: AlgebraElement) -> AlgebraElement:
         if term.is_zero():
             break
         out = out + term
-    return out if scale is None else out._scale(scale)
+    return out if scale is None else out * scale
 
 
 # -- printing ---------------------------------------------------------------

@@ -22,7 +22,10 @@ value at that stage's sample, read from the stages of the parent v.
 Forms are compiled once into dense coefficients: a dlog form samples
 `RationalFunctionA.dlog_eval` of its function's float twin, which costs
 a few complex Horner evaluations and at most one dense inverse per
-perturbation polynomial.
+perturbation polynomial.  A form's `eval` returns a dense list over its
+own layout, which the transport scatters into its state's layout through
+index lists built once per call, so the step loop builds no algebra
+element.
 """
 
 from __future__ import annotations
@@ -58,17 +61,21 @@ class QuadratureConfig:
 class DifferentialForm:
     """A 1-form handle: an evaluator plus its declared pole set.
 
-    `monomials` lists the monomials of A that the form's coefficients
-    carry; its values lie in the products of those (and 1), which is
-    the dense layout the transport keeps its state in."""
+    `eval(z)` is the form's coefficient of dz at z as a dense list over
+    the form's own `layout`, the monomials of A its values can reach;
+    the transport scatters it into its state's layout.  `value(z)` is
+    the same coefficient as an element."""
 
     signature: AlgebraSignature
     poles: tuple
     label: str
-    monomials: tuple = ()
+    layout: DenseLayout
 
-    def eval(self, z: complex) -> AlgebraElement:
+    def eval(self, z: complex) -> list:
         raise NotImplementedError
+
+    def value(self, z: complex) -> AlgebraElement:
+        return self.layout.element(self.eval(z))
 
     def __str__(self):
         return self.label
@@ -77,11 +84,12 @@ class DifferentialForm:
 class Dz(DifferentialForm):
     def __init__(self, signature: AlgebraSignature):
         self.signature = signature.to_float()
+        self.layout = DenseLayout(self.signature)
         self.poles = ()
         self.label = "dz"
 
-    def eval(self, z: complex) -> AlgebraElement:
-        return self.signature.one()
+    def eval(self, z: complex) -> list:
+        return [self.layout.one]
 
 
 class SimplePole(DifferentialForm):
@@ -89,12 +97,13 @@ class SimplePole(DifferentialForm):
 
     def __init__(self, signature: AlgebraSignature, c: complex):
         self.signature = signature.to_float()
+        self.layout = DenseLayout(self.signature)
         self.c = complex(c)
         self.poles = (self.c,)
         self.label = f"dz/(z-{self.c})" if self.c else "dz/z"
 
-    def eval(self, z: complex) -> AlgebraElement:
-        return self.signature.scalar(1.0 / (z - self.c))
+    def eval(self, z: complex) -> list:
+        return [1.0 / (z - self.c)]
 
 
 class DlogForm(DifferentialForm):
@@ -106,10 +115,9 @@ class DlogForm(DifferentialForm):
         self.signature = self.f.signature
         self.poles = tuple(complex(r) for r in f.roots())
         self.label = f"dlog({f})"
-        _, layout, _ = self.f.compiled_dlog
-        self.monomials = tuple(layout.monomials)
+        _, self.layout, _ = self.f.compiled_dlog
 
-    def eval(self, z: complex) -> AlgebraElement:
+    def eval(self, z: complex) -> list:
         return self.f.dlog_eval(z)
 
 
@@ -136,18 +144,16 @@ class BinomialLogForm(DifferentialForm):
             )
         self.poles = tuple(poles)
         self.label = f"dlog(1-a*z^{n})"
-        self.monomials = tuple(self.a.coeffs)
-        self._layout = DenseLayout(self.signature, self.monomials)
-        self._a = self._layout.vector(self.a)
+        self.layout = DenseLayout(self.signature, self.a.coeffs)
+        self._a = self.layout.vector(self.a)
 
-    def eval(self, z: complex) -> AlgebraElement:
+    def eval(self, z: complex) -> list:
         zn1 = z ** (self.n - 1)  # safe at z = 0 for n >= 1
         zn = zn1 * z
-        layout = self._layout
         denom = [-(c * zn) for c in self._a]
         denom[0] += 1
         scaled = [c * (-self.n * zn1) for c in self._a]
-        return layout.element(layout.mul(scaled, layout.inverse(denom)))
+        return self.layout.mul(scaled, self.layout.inverse(denom))
 
 
 # -- word series ----------------------------------------------------------------
@@ -266,11 +272,13 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     index = {w: i for i, w in enumerate(state)}
     # (word, parent = word minus its last letter, last letter) by length
     links = [(i, index[w[:-1]], w[-1] - 1) for i, w in enumerate(state) if w]
-    layout = DenseLayout(sig, [m for form in forms for m in form.monomials])
+    layout = DenseLayout(sig, [m for form in forms for m in form.layout.monomials])
     mul = layout.mul
-    one = layout.vector(sig.one())
-    zero = [0j] * len(one)
-    F = [one] + [zero] * len(links)
+    place = {m: i for i, m in enumerate(layout.monomials)}
+    # each form's sampler and where its layout's monomials sit in this one
+    samplers = [(form.eval, [place[m] for m in form.layout.monomials]) for form in forms]
+    zero = [0j] * len(place)
+    F = [layout.vector(sig.one())] + [zero] * len(links)
     steps = cfg.steps_per_segment
     h = 1.0 / steps
     half, sixth = h / 2, h / 6
@@ -281,7 +289,11 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
             t = idx * (0.5 * h)
             z = seg.point(t)
             v = seg.velocity(t)
-            return [[c * v for c in layout.vector(form.eval(z))] for form in forms]
+            out = [list(zero) for _ in samplers]
+            for w, (sample, at) in zip(out, samplers):
+                for i, c in zip(at, sample(z)):
+                    w[i] = c * v
+            return out
 
         w1 = omega_at(0)
         for k in range(steps):

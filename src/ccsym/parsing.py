@@ -29,6 +29,10 @@ MAX_DEPTH = 100
 # denominators; it keeps every result printable (Python prints ints of
 # at most 4300 digits) and quick to compute.
 MAX_POWER_BITS = 8192
+# Bounds the x-degree a sum's numerator or denominator may reach, read off
+# its leaves before `_polyfrac` expands it, since expanding costs about
+# the square of the degree.
+MAX_SUM_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -366,9 +370,10 @@ def _classify_poly(p: list, sig: AlgebraSignature, text: str) -> RationalFunctio
     raise _degree_error(len(red) - 1, text)
 
 
-def _degree_error(degree: int, text: str) -> InputError:
+def _degree_error(degree: int, text: str, known: bool = True) -> InputError:
+    cap = f" (a sum may reach degree {MAX_SUM_DEGREE})" if degree > MAX_SUM_DEGREE else ""
     return InputError(
-        f"factor with reduction of degree {degree} in {text!r}; "
+        f"factor with reduction of degree {'' if known else 'up to '}{degree} in {text!r}{cap}; "
         "write the input as a product of (x - root)^m factors"
     )
 
@@ -422,12 +427,12 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctio
     if kind in ("add", "sub"):
         # factor over the exact scalars, so that a root stays exact on the float backend
         exact = AlgebraSignature(sig.generators, sig.truncation_degree)
-        # a known reduction of degree >= 2 that is not a monomial is rejected
-        # before the powers that build it are expanded
+        # a known reduction of degree >= 2 that is not a monomial, or a bound
+        # above MAX_SUM_DEGREE, is rejected before the powers that build it are expanded
         num, den, known = _reduction_spans(node, exact, text)
-        too_high = [hi for lo, hi in (num, den) if known and lo < hi and hi > 1]
+        too_high = [hi for lo, hi in (num, den) if (known and lo < hi and hi > 1) or hi > MAX_SUM_DEGREE]
         if too_high:
-            raise _degree_error(too_high[0], text)
+            raise _degree_error(too_high[0], text, known)
         frac = _polyfrac(node, exact, text)
         f = _classify_poly(frac.num, exact, text) * _classify_poly(frac.den, exact, text).inverse()
         return f if exact == sig else f.widen()

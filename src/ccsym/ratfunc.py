@@ -18,7 +18,8 @@ degree N of A, so its degree does not grow with the exponent.
 
 `dlog_eval`, the f'/f every numeric check samples, runs on data compiled
 once per function in its own scalars: exact at exact points on the
-exact backend, else on the function's cached float twin.
+exact backend, else on the function's cached float twin.  It returns a
+dense coefficient list over the layout compiled with that data.
 """
 
 from __future__ import annotations
@@ -294,8 +295,9 @@ class RationalFunctionA:
         ]
         return roots, layout, perts
 
-    def dlog_eval(self, z) -> AlgebraElement:
-        """Value of f'/f at z: sum m_i/(z - r_i) plus num'/num - den'/den."""
+    def dlog_eval(self, z) -> list:
+        """Value of f'/f at z: sum m_i/(z - r_i) plus num'/num - den'/den,
+        dense over the `compiled_dlog` layout of the function `_at` picks."""
         f, zc = self._at(z)
         roots, layout, perts = f.compiled_dlog
         zero = layout.zero
@@ -311,7 +313,7 @@ class RationalFunctionA:
                 raise NotInvertible("logarithmic derivative at a perturbation pole")
             term = layout.mul([poly_eval(c, zc, zero) for c in dp], layout.inverse(v))
             out = [a + b for a, b in zip(out, term)]
-        return layout.element(out)
+        return out
 
     # -- local expansion ----------------------------------------------------------
 

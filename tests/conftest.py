@@ -40,6 +40,12 @@ def oracle_series_mul(coeffs_f: dict, coeffs_g: dict, sig: AlgebraSignature) -> 
     return {e: c for e, c in out.items() if not c.is_zero()}
 
 
+def dlog_value(f, z) -> AlgebraElement:
+    """f'/f at z as an element: `dlog_eval`'s dense list over the layout
+    of the function it samples there (f, or f's float twin)."""
+    return f._at(z)[0].compiled_dlog[1].element(f.dlog_eval(z))
+
+
 # -- nested quadrature oracle for scalar 2-word integrals -----------------------
 
 
@@ -55,7 +61,7 @@ def oracle_iterated_2(form1, form2, path, grid: int = 8192) -> complex:
         local = s - idx
         z = segs[idx].point(local)
         v = segs[idx].velocity(local) * m
-        return complex(form.eval(z).reduce()) * v
+        return complex(form.value(z).reduce()) * v
 
     h = 1.0 / grid
     f1 = [pullback(form1, k * h) for k in range(grid + 1)]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -302,3 +303,47 @@ def test_exact_element_equals_the_float_it_widens_to():
     assert sig.one() == 1.0 and sig.one() == complex(1)
     assert sig.one() != 0.5
     assert sig.scalar(Fraction(1, 2)) + sig.gen("eps") != 0.5
+
+
+def test_widen_drops_coefficients_that_round_to_zero():
+    tiny = Fraction(1, 10**400)
+    eps = SIG2.element({(0,): tiny, (1,): 1}).widen()
+    assert eps == SIG2.to_float().gen("eps") and str(eps) == "eps"
+    assert SIG2.element({(0,): tiny}).widen().is_zero()
+
+
+def test_float_reciprocal_keeps_extreme_residues():
+    # den (p - q i) / (p^2 + q^2) over- and underflows on floats; complex division does not
+    sig = parse_signature("gens=eps;degree=2;scalars=float")
+    eps = sig.gen("eps")
+    assert (sig.scalar(1e-200) + eps).inverse().coeffs == {(0,): 1e200, (1,): -math.inf}
+    assert (sig.scalar(1e200) + eps).inverse() == sig.scalar(1e-200)
+
+
+@pytest.mark.parametrize("sig", EXACT_SIGS[1:], ids=str)
+def test_float_arithmetic_agrees_with_the_widened_exact(sig):
+    # both backends share one arithmetic on (re, im) pairs; the float side
+    # must track the exact one to rounding
+    rng = random.Random(f"cross-backend:{sig}")
+
+    def close(exact, got):
+        want = exact.widen()
+        assert got.signature == want.signature
+        assert deviation(got, want) <= 1e-13 * want.max_abs()
+
+    for _ in range(30):
+        a, b = random_element(rng, sig), random_element(rng, sig, unit=True)
+        fa, fb = a.widen(), b.widen()
+        close(a + b, fa + fb)
+        close(a - b, fa - fb)
+        close(a * b, fa * fb)
+        close(b.inverse(), fb.inverse())
+        k = rng.randint(2, 9)
+        close(a.divided_by_int(k), fa.divided_by_int(k))
+        for n in range(-3, 4):
+            close(b ** n, fb ** n)
+            if n >= 0:
+                close(a ** n, fa ** n)
+        nil = random_element(rng, sig, unit=False)
+        close(exp(nil), exp(nil.widen()))
+        close(log1m(nil), log1m(nil.widen()))

@@ -269,6 +269,28 @@ def test_power_inside_a_sum_is_rejected_before_it_is_expanded():
     assert "reduction of degree 4096" in proc.stderr
 
 
+def test_float_reciprocal_of_a_large_residue_fails_cleanly(capsys):
+    # f(base) is about 1e-192; its float reciprocal must stay finite, so the
+    # check reports a failure (exit 1) instead of crashing
+    code, out, err = run_cli(
+        capsys, "verify", "lemma", "--id", "3.6", "--f", "(x-1/3)^64", "--base", "1/3+1/1000",
+        "--point", "1", "--steps", "64",
+    )
+    assert code == 1
+    assert out.startswith("[FAIL] lemma-3.6") and not err
+
+
+def test_sum_above_the_degree_cap_is_rejected_before_it_is_expanded():
+    # the top terms may cancel, so only the cap keeps the degree-4096 powers unexpanded
+    proc = run_cli_process(
+        "integrate", "--f", "(x-1/3+eps)^4096-(x-1/3)^4096+x", "--path", "circle(1/3,1/4)",
+        "--algebra", "gens=eps;degree=2;scalars=exact", "--steps", "8", timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "degree up to 4096" in proc.stderr and "(a sum may reach degree 64)" in proc.stderr
+
+
 def test_truncation_below_a_valuation_names_the_needed_trunc(capsys):
     argv = ["verify", "weil", "--f", "x^20", "--g", "(1-x)", "--algebra", "gens=eps;degree=2;scalars=exact"]
     code, _, err = run_cli(capsys, *argv)

@@ -7,6 +7,7 @@ from ccsym.errors import InputError
 from ccsym.laurent import LaurentSeries, factorize
 from ccsym.parsing import (
     MAX_POWER_BITS,
+    MAX_SUM_DEGREE,
     parse_element,
     parse_path,
     parse_ratfunc,
@@ -130,6 +131,15 @@ def test_ratfunc_degree_check_before_expanding_keeps_cancelling_sums():
     assert str(parse_ratfunc("(x+1)^2-x^2", TRIV)) == str(parse_ratfunc("2*x+1", TRIV))
     assert str(parse_ratfunc("(x-1)*(x+1)-x^2+x", TRIV)) == str(parse_ratfunc("x-1", TRIV))
     assert dict(parse_ratfunc("(x+eps)^5+0", SIG2).base_factors) == {gaussian(0): 5}
+
+
+def test_ratfunc_sum_degree_is_capped_before_expanding():
+    # the reduction of both sums is x, but only the one within MAX_SUM_DEGREE is expanded
+    at_cap = f"(x-1/3+eps)^{MAX_SUM_DEGREE}-(x-1/3)^{MAX_SUM_DEGREE}+x"
+    assert dict(parse_ratfunc(at_cap, SIG2).base_factors) == {gaussian(0): 1}
+    above = f"(x-1/3+eps)^{MAX_SUM_DEGREE + 1}-(x-1/3)^{MAX_SUM_DEGREE + 1}+x"
+    with pytest.raises(InputError, match=f"reduction of degree up to {MAX_SUM_DEGREE + 1}"):
+        parse_ratfunc(above, SIG2)
 
 
 def test_ratfunc_rejects_nilpotent_leading():
