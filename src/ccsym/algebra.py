@@ -14,7 +14,8 @@ fmpq_poly), so equality is structural; floats over 1 on the float
 backend, whose products round as complex ones do.  Only building,
 normalising and converting an element read the backend, and a float
 residue's reciprocal, which takes complex division to stay in range.
-`DenseLayout` holds elements as dense lists for the numeric engine.
+`DenseLayout` holds elements as dense lists for the numeric engine, with
+monomials in degree order, so that dividing is one forward substitution.
 """
 
 from __future__ import annotations
@@ -330,7 +331,8 @@ class DenseLayout:
     degree), ordered by (degree, exponents), in the scalars of the given
     signature.  A layout over the monomials that actually occur stays as
     small as the sparse maps it replaces; `rows[i]` lists (j, k) with
-    monomials[i] * monomials[j] = monomials[k]."""
+    monomials[i] * monomials[j] = monomials[k] in increasing j, so
+    rows[i][0] == (0, i) and every later k exceeds i."""
 
     __slots__ = ("signature", "monomials", "rows", "zero", "one")
 
@@ -369,23 +371,20 @@ class DenseLayout:
                     out[k] += ai * b[j]
         return out
 
-    def inverse(self, a: list) -> list:
-        """1/a = (1/c) (1 + u + u^2 + ...) with c = a[0] and u = 1 - a/c
-        nilpotent, as in `AlgebraElement.inverse`."""
-        c = a[0]
-        if not c:
-            raise NotAUnit("cannot invert an element of the maximal ideal")
-        c_inv = self.one / c
-        u = [-x * c_inv for x in a]
-        u[0] = self.zero
-        out, p = list(u), u
-        out[0] = self.one
-        for _ in range(2, self.signature.truncation_degree):
-            p = self.mul(p, u)
-            if not any(p):
-                break
-            out = [x + y for x, y in zip(out, p)]
-        return [x * c_inv for x in out]
+    def divide(self, a: list, b: list) -> list:
+        """a/b by forward substitution: the quotient's coefficient at k is
+        fixed once every lower-degree one is, since rows[k][0] == (0, k)
+        and the rest of rows[k] reaches only later monomials."""
+        if not b[0]:
+            raise NotAUnit("cannot divide by an element of the maximal ideal")
+        c_inv = self.one / b[0]
+        out = list(a)
+        for k, row in enumerate(self.rows):
+            if out[k]:
+                q = out[k] = out[k] * c_inv
+                for j, p in row[1:]:
+                    out[p] -= q * b[j]
+        return out
 
 
 def deviation(a: AlgebraElement, b: AlgebraElement) -> float:

@@ -21,7 +21,7 @@ order: stage s of w is (F + c_s k_{s-1})[v] times the letter's form
 value at that stage's sample, read from the stages of the parent v.
 Forms are compiled once into dense coefficients: a dlog form samples
 `RationalFunctionA.dlog_eval` of its function's float twin, which costs
-a few complex Horner evaluations and at most one dense inverse per
+a few complex Horner evaluations and at most one dense division per
 perturbation polynomial.  A form's `eval` returns a dense list over its
 own layout, which the transport scatters into its state's layout through
 index lists built once per call, so the step loop builds no algebra
@@ -152,8 +152,7 @@ class BinomialLogForm(DifferentialForm):
         zn = zn1 * z
         denom = [-(c * zn) for c in self._a]
         denom[0] += 1
-        scaled = [c * (-self.n * zn1) for c in self._a]
-        return self.layout.mul(scaled, self.layout.inverse(denom))
+        return self.layout.divide([c * (-self.n * zn1) for c in self._a], denom)
 
 
 # -- word series ----------------------------------------------------------------

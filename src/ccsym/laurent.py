@@ -28,8 +28,8 @@ from .scalars import geometric, power
 
 INF = math.inf
 
-# iteration guard for geometric sums over series of infinite truncation
-_GEOM_CAP = 10_000
+# the most terms a series inverse computes by long division
+_TERM_CAP = 10_000
 
 
 class LaurentSeries:
@@ -102,13 +102,6 @@ class LaurentSeries:
         sig = self.signature.to_float()
         return LaurentSeries(sig, {e: c.widen() for e, c in self.coeffs.items()}, self.trunc)
 
-    def reduction(self) -> "LaurentSeries":
-        """The series of residues mod m, lifted back into the same algebra."""
-        out = {}
-        for e, c in self.coeffs.items():
-            out[e] = self.signature.scalar(c.reduce())
-        return LaurentSeries(self.signature, out, self.trunc)
-
     def _check(self, other):
         if self.signature != other.signature:
             raise SignatureMismatch("series over different signatures")
@@ -179,37 +172,28 @@ class LaurentSeries:
         return min(units)
 
     def inverse(self) -> "LaurentSeries":
-        """Invert in A((x)): classical inversion of the reduction, then a
-        finite m-adic correction by the geometric series of 1 - f*g0."""
-        nu = self.valuation()
-        c_red = self.signature.scalar(self.coeffs[nu].reduce())
-        # stage 1: invert the reduction classically; t = monic - 1 has
-        # valuation >= 1, so its x^0 term (rounding residue on floats) is dropped
-        monic = self.reduction().shift(-nu).scale(c_red.inverse())
-        t = LaurentSeries(self.signature, {e: c for e, c in monic.coeffs.items() if e}, monic.trunc)
-        if math.isinf(t.trunc) and not t.is_zero():
+        """Invert in A((x)): long division by the reduction, then a finite
+        m-adic correction by the geometric series of 1 - f*g0."""
+        nu, sig = self.valuation(), self.signature
+        # stage 1: the reduction is x^nu (lead + sum of c x^i over red), and
+        # 1/reduction = x^-nu (g_0 + g_1 x + ...) below x^(trunc - 2 nu)
+        lead = sig.scalar(self.coeffs[nu].reduce())
+        red = [(e - nu, sig.scalar(c.reduce())) for e, c in self.coeffs.items() if e > nu and c.is_unit()]
+        terms = self.trunc - nu if red else 1
+        if terms > _TERM_CAP:  # infinitely many at an infinite truncation
             raise InsufficientTruncation(
-                "inversion of a non-monomial series with infinite truncation "
-                "is an infinite series; truncate the series first"
+                f"inverting this series below x^{self.trunc} takes {terms} terms, "
+                f"more than {_TERM_CAP}; truncate the series first"
             )
-        below_trunc = itertools.count(1)
-
-        def cut(p):
-            # p is nonzero; the _GEOM_CAP-th power still below t.trunc is too many
-            if p.lower_bound < t.trunc and next(below_trunc) == _GEOM_CAP:
-                raise InsufficientTruncation(
-                    "inversion of a series with infinite truncation does not "
-                    "terminate; truncate the series first"
-                )
-            return p.lower_bound >= t.trunc
-
-        geom = geometric(-t, LaurentSeries.one(self.signature, t.trunc), _GEOM_CAP + 1, cut=cut)
-        g0 = geom.scale(c_red.inverse()).shift(-nu)
+        g = [lead.inverse()]
+        for k in range(1, terms):
+            s = sum((c * g[k - i] for i, c in red if i <= k), sig.zero())
+            g.append(-s * g[0])
+        g0 = LaurentSeries(sig, {k - nu: c for k, c in enumerate(g)}, self.trunc - 2 * nu)
         # stage 2: m-adic correction; e has nilpotent coefficients so the
         # geometric series is a finite sum
-        e = LaurentSeries.one(self.signature) - self * g0
-        one = LaurentSeries.one(self.signature, e.trunc)
-        return g0 * geometric(e, one, self.signature.truncation_degree)
+        e = LaurentSeries.one(sig) - self * g0
+        return g0 * geometric(e, LaurentSeries.one(sig, e.trunc), sig.truncation_degree)
 
     def __pow__(self, n: int) -> "LaurentSeries":
         return power(self, n, LaurentSeries.one(self.signature))

@@ -30,8 +30,8 @@ MAX_DEPTH = 100
 # at most 4300 digits) and quick to compute.
 MAX_POWER_BITS = 8192
 # Bounds the x-degree a sum's numerator or denominator may reach, read off
-# its leaves before `_polyfrac` expands it, since expanding costs about
-# the square of the degree.
+# its leaves before `_polyfrac` expands it and checked on every polynomial
+# it builds, since expanding costs about the square of the degree.
 MAX_SUM_DEGREE = 64
 
 
@@ -315,24 +315,29 @@ class _PolyFraction:
     sig: AlgebraSignature
     num: list
     den: list
+    text: str
+
+    def __post_init__(self):  # a backstop for the sums `_reduction_spans` cannot bound
+        if (degree := max(len(self.num), len(self.den)) - 1) > MAX_SUM_DEGREE:
+            raise _degree_error(degree, self.text, known=False)
 
     def __neg__(self):
-        return _PolyFraction(self.sig, [-c for c in self.num], self.den)
+        return _PolyFraction(self.sig, [-c for c in self.num], self.den, self.text)
 
     def __add__(self, other):
         sig = self.sig
         total = poly_add(poly_mul(self.num, other.den, sig), poly_mul(other.num, self.den, sig), sig)
-        return _PolyFraction(sig, total, poly_mul(self.den, other.den, sig))
+        return _PolyFraction(sig, total, poly_mul(self.den, other.den, sig), self.text)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         num = poly_mul(self.num, other.num, self.sig)
-        return _PolyFraction(self.sig, num, poly_mul(self.den, other.den, self.sig))
+        return _PolyFraction(self.sig, num, poly_mul(self.den, other.den, self.sig), self.text)
 
     def inverse(self):
-        return _PolyFraction(self.sig, self.den, self.num)
+        return _PolyFraction(self.sig, self.den, self.num, self.text)
 
 
 def _polyfrac(node, sig: AlgebraSignature, text: str) -> _PolyFraction:
@@ -340,11 +345,11 @@ def _polyfrac(node, sig: AlgebraSignature, text: str) -> _PolyFraction:
 
     def leaf(node):
         if node == ("name", "x"):
-            return _PolyFraction(sig, [sig.zero(), sig.one()], [sig.one()])
-        return _PolyFraction(sig, [eval_element(node, sig, text)], [sig.one()])
+            return _PolyFraction(sig, [sig.zero(), sig.one()], [sig.one()], text)
+        return _PolyFraction(sig, [eval_element(node, sig, text)], [sig.one()], text)
 
     def pow_(base, n):
-        return power(base, n, _PolyFraction(sig, [sig.one()], [sig.one()]))
+        return power(base, n, _PolyFraction(sig, [sig.one()], [sig.one()], text))
 
     return _fold(node, leaf, lambda a, b: a * b.inverse(), pow_)
 
@@ -379,16 +384,16 @@ def _degree_error(degree: int, text: str, known: bool = True) -> InputError:
 
 
 def _reduction_spans(node, sig: AlgebraSignature, text: str):
-    """The (lowest, highest) x-degree of the reductions mod m of the
-    numerator and the denominator that `_polyfrac` builds, read off the
-    leaves before any product is formed, and whether both are exact: where
-    the two terms of a sum reach the same degree they may cancel, and the
-    spans are only bounds.  A zero reduction spans (INF, -INF)."""
+    """The highest x-degree of the reductions mod m of the numerator and
+    the denominator that `_polyfrac` builds, read off the leaves before any
+    product is formed, and whether both are exact: where the two terms of
+    a sum reach the same degree they may cancel, and the degrees are only
+    bounds.  A zero reduction has degree -INF."""
     kind = node[0]
     if node == ("name", "x"):
-        return (1, 1), (0, 0), True
+        return 1, 0, True
     if kind in ("num", "name"):
-        return ((0, 0) if eval_element(node, sig, text).is_unit() else (INF, -INF)), (0, 0), True
+        return (0 if eval_element(node, sig, text).is_unit() else -INF), 0, True
     if kind == "neg":
         return _reduction_spans(node[1], sig, text)
     if kind == "pow":
@@ -396,18 +401,13 @@ def _reduction_spans(node, sig: AlgebraSignature, text: str):
         n = node[2]
         if n < 0:
             num, den, n = den, num, -n
-        if n == 0:
-            return (0, 0), (0, 0), True
-        return (num[0] * n, num[1] * n), (den[0] * n, den[1] * n), exact
+        return (num * n, den * n, exact) if n else (0, 0, True)
     (a, b, exact_a), (c, d, exact_c) = (_reduction_spans(t, sig, text) for t in node[1:])
     if kind == "div":
         c, d = d, c
-    den = (b[0] + d[0], b[1] + d[1])
     if kind in ("mul", "div"):
-        return (a[0] + c[0], a[1] + c[1]), den, exact_a and exact_c
-    p, q = (a[0] + d[0], a[1] + d[1]), (c[0] + b[0], c[1] + b[1])  # num = a*d +- c*b
-    exact = exact_a and exact_c and p[0] != q[0] and p[1] != q[1]
-    return (min(p[0], q[0]), max(p[1], q[1])), den, exact
+        return a + c, b + d, exact_a and exact_c
+    return max(a + d, c + b), b + d, exact_a and exact_c and a + d != c + b  # num = a*d +- c*b
 
 
 def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctionA:
@@ -427,10 +427,10 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctio
     if kind in ("add", "sub"):
         # factor over the exact scalars, so that a root stays exact on the float backend
         exact = AlgebraSignature(sig.generators, sig.truncation_degree)
-        # a known reduction of degree >= 2 that is not a monomial, or a bound
-        # above MAX_SUM_DEGREE, is rejected before the powers that build it are expanded
+        # a reduction above MAX_SUM_DEGREE is named and rejected before the
+        # powers that build it are expanded; `_classify_poly` rejects lower ones
         num, den, known = _reduction_spans(node, exact, text)
-        too_high = [hi for lo, hi in (num, den) if (known and lo < hi and hi > 1) or hi > MAX_SUM_DEGREE]
+        too_high = [hi for hi in (num, den) if hi > MAX_SUM_DEGREE]
         if too_high:
             raise _degree_error(too_high[0], text, known)
         frac = _polyfrac(node, exact, text)

@@ -296,8 +296,8 @@ class RationalFunctionA:
         return roots, layout, perts
 
     def dlog_eval(self, z) -> list:
-        """Value of f'/f at z: sum m_i/(z - r_i) plus num'/num - den'/den,
-        dense over the `compiled_dlog` layout of the function `_at` picks."""
+        """Value of f'/f at z: sum m_i/(z - r_i) plus num'/num - den'/den, one
+        `DenseLayout.divide` each, dense over the `compiled_dlog` layout `_at` picks."""
         f, zc = self._at(z)
         roots, layout, perts = f.compiled_dlog
         zero = layout.zero
@@ -311,8 +311,7 @@ class RationalFunctionA:
             v = [poly_eval(c, zc, zero) for c in p]
             if not v[0]:
                 raise NotInvertible("logarithmic derivative at a perturbation pole")
-            term = layout.mul([poly_eval(c, zc, zero) for c in dp], layout.inverse(v))
-            out = [a + b for a, b in zip(out, term)]
+            out = [a + b for a, b in zip(out, layout.divide([poly_eval(c, zc, zero) for c in dp], v))]
         return out
 
     # -- local expansion ----------------------------------------------------------

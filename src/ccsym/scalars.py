@@ -63,7 +63,8 @@ class GaussianRational:
         try:
             return complex(float(self.re), float(self.im))
         except OverflowError:
-            raise InputError(f"{self} is too large for a float") from None
+            bits = int(max(abs(self.re), abs(self.im))).bit_length()
+            raise InputError(f"a number of {bits} bits is too large for a float") from None
 
     def __str__(self) -> str:
         if not self.im:
@@ -118,14 +119,14 @@ def power(x, n: int, one):
     return out
 
 
-def geometric(u, one, terms: int, cut=None):
+def geometric(u, one, terms: int):
     """1 + u + u^2 + ... + u^(terms-1), ending early before the first
-    power that is zero or for which `cut(power)` holds."""
+    power that is zero: the inverse of 1 - u for a nilpotent u."""
     out = one
     p = one
     for _ in range(1, terms):
         p = p * u
-        if p.is_zero() or (cut is not None and cut(p)):
+        if p.is_zero():
             break
         out = out + p
     return out

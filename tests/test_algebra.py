@@ -219,7 +219,7 @@ def test_degree_one_signature_is_plain_c():
 
 
 def test_dense_layout_matches_the_exact_oracle():
-    # exact products and inverses, then widened, against the dense float layout
+    # exact products and quotients, then widened, against the dense float layout
     rng = random.Random(11)
     sig = parse_signature("gens=eps,delta;degree=3;scalars=exact")
     layout = DenseLayout(sig.to_float(), [(1, 0), (0, 1)])
@@ -231,16 +231,16 @@ def test_dense_layout_matches_the_exact_oracle():
         a, b = random_element(rng, sig), random_element(rng, sig, unit=True)
         va, vb = exact_layout.vector(a), exact_layout.vector(b)
         assert exact_layout.element(exact_layout.mul(va, vb)) == sig.element(oracle_alg_mul(a.coeffs, b.coeffs, 3))
-        assert exact_layout.element(exact_layout.inverse(vb)) == b.inverse()
+        assert exact_layout.element(exact_layout.divide(va, vb)) == a * b.inverse()
         exact = sig.element(oracle_alg_mul(a.coeffs, b.coeffs, 3)).widen()
         got = layout.element(layout.mul(layout.vector(a.widen()), layout.vector(b.widen())))
         assert deviation(got, exact) <= 1e-13
-        inverse = layout.element(layout.inverse(layout.vector(b.widen())))
-        assert deviation(inverse, b.inverse().widen()) <= 1e-13 * b.inverse().max_abs()
+        quotient = layout.element(layout.divide(layout.vector(a.widen()), layout.vector(b.widen())))
+        assert deviation(quotient, (a * b.inverse()).widen()) <= 1e-13 * (a * b.inverse()).max_abs()
     with pytest.raises(NotAUnit):
-        layout.inverse(layout.vector(sig.gen("eps").widen()))
+        layout.divide(layout.vector(sig.one().widen()), layout.vector(sig.gen("eps").widen()))
     with pytest.raises(NotAUnit):
-        exact_layout.inverse(exact_layout.vector(sig.gen("eps")))
+        exact_layout.divide(exact_layout.vector(sig.one()), exact_layout.vector(sig.gen("eps")))
 
 
 def test_dense_layout_spans_only_reachable_monomials():

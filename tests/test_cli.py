@@ -291,6 +291,16 @@ def test_sum_above_the_degree_cap_is_rejected_before_it_is_expanded():
     assert "degree up to 4096" in proc.stderr and "(a sum may reach degree 64)" in proc.stderr
 
 
+def test_sum_with_a_nilpotent_term_above_the_degree_cap_is_rejected():
+    # eps * (...)^4096 has a zero reduction, so its degree shows only as it is built
+    argv = ["--path", "circle(1/3,1/4)", "--algebra", "gens=eps;degree=2;scalars=exact", "--steps", "8"]
+    proc = run_cli_process("integrate", "--f", "eps*(x-1/3+eps)^4096+1", *argv, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "(a sum may reach degree 64)" in proc.stderr
+    assert run_cli_process("integrate", "--f", "eps*(x-1/3+eps)^64+1", *argv, timeout=30).returncode == 0
+
+
 def test_truncation_below_a_valuation_names_the_needed_trunc(capsys):
     argv = ["verify", "weil", "--f", "x^20", "--g", "(1-x)", "--algebra", "gens=eps;degree=2;scalars=exact"]
     code, _, err = run_cli(capsys, *argv)

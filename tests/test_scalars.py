@@ -114,14 +114,8 @@ def test_unit_binomial_inverse_with_positive_exponent():
         binomial = LaurentSeries(SIG3, {0: SIG3.one(), j: -a}, trunc)
         expected = {j * k: a ** k for k in range(math.ceil(trunc / j))}
         expected[0] = SIG3.one()
-        assert binomial.inverse().coeffs == expected
-        inv = geometric(
-            LaurentSeries(SIG3, {j: a}, trunc),
-            LaurentSeries.one(SIG3, trunc),
-            trunc,
-            cut=lambda p: p.lower_bound >= trunc,
-        )
-        assert inv.coeffs == expected and inv.trunc == trunc
+        inv = binomial.inverse()
+        assert inv.coeffs == expected
         assert below(oracle_series_mul(binomial.coeffs, inv.coeffs, SIG3), trunc) == {0: SIG3.one()}
 
 
@@ -141,14 +135,10 @@ def test_nilpotent_binomial_inverse_with_negative_exponent():
         assert direct == inv
 
 
-def test_geometric_stops_at_zero_power_and_at_cut():
+def test_geometric_stops_at_zero_power():
     eps = SIG4.gen("eps")
     # eps^4 = 0, so asking for more terms changes nothing
     assert geometric(eps, SIG4.one(), 50) == SIG4.one() + eps + eps * eps + eps * eps * eps
-    # powers of a finite-truncation series never vanish; the cut ends the sum
-    x = LaurentSeries.monomial(SIG4, 1, trunc=5)
-    s = geometric(x, LaurentSeries.one(SIG4, 5), 10_000, cut=lambda p: p.lower_bound >= 5)
-    assert s.support() == [0, 1, 2, 3, 4] and s.trunc == 5
 
 
 def test_poly_eval_on_elements_and_series():
@@ -185,7 +175,7 @@ def test_float_series_inverse_with_rounding_residue():
 
 
 def test_float_series_inverse_ignores_rounding_residue(monkeypatch):
-    # the x^0 residue of stage 1 must not lengthen the geometric sum: a
+    # a reciprocal that rounds (of 3+i) must not lengthen the inverse: a
     # leading coefficient 3+i costs as many series products as 2 does
     sig = parse_signature("gens=eps;degree=2;scalars=float")
     products = []
@@ -196,14 +186,36 @@ def test_float_series_inverse_ignores_rounding_residue(monkeypatch):
         products.clear()
         LaurentSeries(sig, {0: sig.scalar(lead), 1: sig.one(), 3: sig.gen("eps")}, 9).inverse()
         counts.append(len(products))
-    assert counts == [12, 12]
+    assert counts == [3, 3]
 
 
 def test_series_inverse_term_cap(monkeypatch):
-    # 1/(1+x) below x^T takes T terms of the stage-1 sum
-    monkeypatch.setattr(laurent, "_GEOM_CAP", 5)
+    # 1/(1+x) below x^T takes T terms of the stage-1 long division
+    monkeypatch.setattr(laurent, "_TERM_CAP", 5)
     triv = parse_signature("gens=;degree=1;scalars=exact")
     one_plus_x = {0: triv.one(), 1: triv.one()}
     assert LaurentSeries(triv, one_plus_x, 5).inverse().support() == [0, 1, 2, 3, 4]
     with pytest.raises(InsufficientTruncation):
         LaurentSeries(triv, one_plus_x, 6).inverse()
+
+
+# the inverse truncation orders at truncations 4..12, as the geometric-sum
+# inverse computed them before long division replaced it
+PINNED_INVERSE_TRUNCS = {
+    SIG2: [6, -1, 6, 5, 10, 9, 12, 7, 12],
+    SIG3: [5, 9, 8, 9, 1, 11, 5, 13, 16],
+}
+
+
+@pytest.mark.parametrize("sig", [SIG2, SIG3])
+def test_series_inverse_by_long_division_against_oracle(sig):
+    rng = random.Random(149)
+    truncs = []
+    for trunc in range(4, 13):
+        f = random_invertible_series(rng, sig, trunc)
+        g = f.inverse()
+        # below the product's truncation order, f * g is exactly 1
+        window = min(f.trunc + g.lower_bound, g.trunc + f.lower_bound)
+        assert below(oracle_series_mul(f.coeffs, g.coeffs, sig), window) == below({0: sig.one()}, window)
+        truncs.append(g.trunc)
+    assert truncs == PINNED_INVERSE_TRUNCS[sig]
