@@ -19,13 +19,22 @@ number of steps per path segment, so reports are reproducible bit for
 bit.  Its four stages are fused into one pass over the words in length
 order: stage s of w is (F + c_s k_{s-1})[v] times the letter's form
 value at that stage's sample, read from the stages of the parent v.
+A one-letter word's parent is () = 1, whose stages are 0, so its stages
+are its samples and its update is Simpson's rule, with no product.
+
+Each node is sampled once per transport.  By Chen's reversal law a leg
+that runs back over an earlier leg of the same path (a lasso's return,
+alpha^-1 in a commutator) has that leg's samples, in reverse order and
+negated; it replays them with the step negated, which gives the same
+bits.  A leg keeps its samples only while its reverse is still to come.
 Forms are compiled once into dense coefficients: a dlog form samples
 `RationalFunctionA.dlog_eval` of its function's float twin, which costs
-a few complex Horner evaluations and at most one dense division per
-perturbation polynomial.  A form's `eval` returns a dense list over its
-own layout, which the transport scatters into its state's layout through
-index lists built once per call, so the step loop builds no algebra
-element.
+a few complex Horner evaluations, complex arithmetic for a perturbation
+polynomial with scalar coefficients, such as the (x - r) under a shifted
+factor, and one dense division for each other one.  A form's `eval`
+returns a dense list over its own layout, which the transport scatters
+into its state's layout through index lists built once per call, so the
+step loop builds no algebra element.
 """
 
 from __future__ import annotations
@@ -115,7 +124,7 @@ class DlogForm(DifferentialForm):
         self.signature = self.f.signature
         self.poles = tuple(complex(r) for r in f.roots())
         self.label = f"dlog({f})"
-        _, self.layout, _ = self.f.compiled_dlog
+        self.layout = self.f.compiled_dlog.layout
 
     def eval(self, z: complex) -> list:
         return self.f.dlog_eval(z)
@@ -279,33 +288,54 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     zero = [0j] * len(place)
     F = [layout.vector(sig.one())] + [zero] * len(links)
     steps = cfg.steps_per_segment
-    h = 1.0 / steps
-    half, sixth = h / 2, h / 6
-    for seg in path.segments:
+    segments = path.segments
+    back = {}  # leg back[i] runs back over leg i and replays its samples
+    for i, seg in enumerate(segments):
+        rev = seg.reversed()
+        later = [j for j in range(i + 1, len(segments)) if segments[j] == rev and j not in back.values()]
+        if later:
+            back[i] = later[0]
+    kept = {}  # the samples of a leg whose reverse is still to come, and its step
+    dt = 0.5 / steps  # nodes at the steps and their midpoints
+    for i, seg in enumerate(segments):
 
-        def omega_at(idx):
-            # idx counts half-steps along the segment
-            t = idx * (0.5 * h)
-            z = seg.point(t)
-            v = seg.velocity(t)
+        def omega_at(t):
+            z, v = seg.point(t), seg.velocity(t)
             out = [list(zero) for _ in samplers]
             for w, (sample, at) in zip(out, samplers):
-                for i, c in zip(at, sample(z)):
-                    w[i] = c * v
+                for k, c in zip(at, sample(z)):
+                    w[k] = c * v
             return out
 
-        w1 = omega_at(0)
-        for k in range(steps):
-            w0, w_half, w1 = w1, omega_at(2 * k + 1), omega_at(2 * k + 2)
-            # the four RK4 stages of each word from those of its parent
+        if i in kept:
+            # a leg's reverse has its nodes in reverse order with every value
+            # negated: the same, bit for bit, as stepping them with -h
+            nodes, h = kept.pop(i)
+            nodes.reverse()
+            h = -h
+        else:
+            nodes, h = map(omega_at, (k * dt for k in range(2 * steps + 1))), 1.0 / steps
+        if i in back:
+            nodes = list(nodes)
+            kept[back[i]] = nodes, h
+        nodes = iter(nodes)
+        half, sixth = h / 2, h / 6
+        w1 = next(nodes)
+        for _ in range(steps):
+            w0, w_half, w1 = w1, next(nodes), next(nodes)
+            # the four RK4 stages of each word from those of its parent;
+            # below () = 1, whose stages are 0, they are the samples themselves
             K1, K2, K3 = [zero] * len(F), [zero] * len(F), [zero] * len(F)
             G = list(F)
             for w, p, a in links:
-                x = F[p]
-                k1 = mul(x, w0[a])
-                k2 = mul([u + y * half for u, y in zip(x, K1[p])], w_half[a])
-                k3 = mul([u + y * half for u, y in zip(x, K2[p])], w_half[a])
-                k4 = mul([u + y * h for u, y in zip(x, K3[p])], w1[a])
+                if p:
+                    x = F[p]
+                    k1 = mul(x, w0[a])
+                    k2 = mul([u + y * half for u, y in zip(x, K1[p])], w_half[a])
+                    k3 = mul([u + y * half for u, y in zip(x, K2[p])], w_half[a])
+                    k4 = mul([u + y * h for u, y in zip(x, K3[p])], w1[a])
+                else:
+                    k1, k2, k3, k4 = w0[a], w_half[a], w_half[a], w1[a]
                 K1[w], K2[w], K3[w] = k1, k2, k3
                 G[w] = [
                     f + (b1 + b2 * 2.0 + b3 * 2.0 + b4) * sixth

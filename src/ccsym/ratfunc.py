@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import zip_longest
 from math import comb
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
@@ -102,6 +103,23 @@ def poly_reduction(p: list) -> list:
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _horner(vectors: list, z) -> list:
+    """Horner evaluation of a polynomial whose coefficients are dense vectors."""
+    out = vectors[-1]
+    for c in reversed(vectors[:-1]):
+        out = [a * z + b for a, b in zip(out, c)]
+    return out
+
+
+class CompiledDlog(NamedTuple):
+    """f'/f of one function in its own scalars; see `compiled_dlog`."""
+
+    roots: list
+    layout: DenseLayout
+    scalar: list
+    nilpotent: list
 
 
 def _scalar_poly_divide_linear(p: list, r):
@@ -273,33 +291,35 @@ class RationalFunctionA:
         return out * num_v * den_v.inverse()
 
     @cached_property
-    def compiled_dlog(self):
+    def compiled_dlog(self) -> CompiledDlog:
         """f'/f compiled in this function's scalars: (root, multiplicity,
         exact root) per nonzero multiplicity, the dense layout of the
-        perturbation's monomials, and for each nonconstant perturbation
-        polynomial p the per-monomial coefficients of p and of p' (of -p'
-        for the denominator)."""
+        perturbation's monomials, and (p, q) for each nonconstant
+        perturbation polynomial p, with q = p' for the numerator and -p'
+        for the denominator, as scalars if p's coefficients all are, else
+        as dense vectors, both by degree in x."""
         sig = self.signature
         roots = [(sig.coerce_scalar(r), sig.coerce_scalar(m), r)
                  for r, m in self.base_factors if m]
         layout = DenseLayout(sig, {m for c in self.pert_num + self.pert_den for m in c.coeffs})
-
-        def per_monomial(poly):  # each monomial's coefficients, by degree in x
-            return list(zip(*map(layout.vector, poly)))
-
-        perts = [
-            (per_monomial(p), per_monomial(dp))
-            for p, dp in ((self.pert_num, poly_derivative(self.pert_num)),
-                          (self.pert_den, [-c for c in poly_derivative(self.pert_den)]))
-            if len(p) > 1
-        ]
-        return roots, layout, perts
+        scalar, nilpotent = [], []
+        for p, q in ((self.pert_num, poly_derivative(self.pert_num)),
+                     (self.pert_den, [-c for c in poly_derivative(self.pert_den)])):
+            if len(p) < 2:
+                continue
+            p, q = ([layout.vector(c) for c in poly] for poly in (p, q))
+            if any(c for v in p for c in v[1:]):
+                nilpotent.append((p, q))
+            else:
+                scalar.append(([v[0] for v in p], [v[0] for v in q]))
+        return CompiledDlog(roots, layout, scalar, nilpotent)
 
     def dlog_eval(self, z) -> list:
-        """Value of f'/f at z: sum m_i/(z - r_i) plus num'/num - den'/den, one
-        `DenseLayout.divide` each, dense over the `compiled_dlog` layout `_at` picks."""
-        f, zc = self._at(z)
-        roots, layout, perts = f.compiled_dlog
+        """Value of f'/f at z: sum m_i/(z - r_i) plus p'/p per perturbation
+        polynomial p (in complex arithmetic for a scalar p, else one
+        `DenseLayout.divide`), dense over the `compiled_dlog` layout `_at` picks."""
+        f, zc = (self, z) if type(z) is complex and self._float is self else self._at(z)
+        roots, layout, scalar, nilpotent = f.compiled_dlog
         zero = layout.zero
         out = [zero] * len(layout.monomials)
         for r, m, root in roots:
@@ -307,11 +327,16 @@ class RationalFunctionA:
             if not diff:
                 raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
             out[0] += m / diff
-        for p, dp in perts:
-            v = [poly_eval(c, zc, zero) for c in p]
+        for p, q in scalar:
+            v = poly_eval(p, zc, zero)
+            if not v:
+                raise NotInvertible("logarithmic derivative at a perturbation pole")
+            out[0] += poly_eval(q, zc, zero) / v
+        for p, q in nilpotent:
+            v = _horner(p, zc)
             if not v[0]:
                 raise NotInvertible("logarithmic derivative at a perturbation pole")
-            out = [a + b for a, b in zip(out, layout.divide([poly_eval(c, zc, zero) for c in dp], v))]
+            out = [a + b for a, b in zip(out, layout.divide(_horner(q, zc), v))]
         return out
 
     # -- local expansion ----------------------------------------------------------

@@ -43,7 +43,7 @@ def oracle_series_mul(coeffs_f: dict, coeffs_g: dict, sig: AlgebraSignature) -> 
 def dlog_value(f, z) -> AlgebraElement:
     """f'/f at z as an element: `dlog_eval`'s dense list over the layout
     of the function it samples there (f, or f's float twin)."""
-    return f._at(z)[0].compiled_dlog[1].element(f.dlog_eval(z))
+    return f._at(z)[0].compiled_dlog.layout.element(f.dlog_eval(z))
 
 
 # -- nested quadrature oracle for scalar 2-word integrals -----------------------

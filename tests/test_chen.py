@@ -370,3 +370,74 @@ def test_iterated_integral_computes_one_word_per_prefix():
     F = transport(forms, lasso(-1j, 0, 0.4), 3, CFG, [(1, 2, 3)])
     assert len(F.coeffs) == 4
     assert F.coeff((1, 2, 3)) == iterated_integral(forms, lasso(-1j, 0, 0.4), CFG)
+
+
+# -- sampling each node once ---------------------------------------------------------
+
+
+class _CountedPole(SimplePole):
+    """dz/(z - c), counting its samples."""
+
+    def __init__(self, signature, c):
+        super().__init__(signature, c)
+        self.calls = 0
+
+    def eval(self, z):
+        self.calls += 1
+        return super().eval(z)
+
+
+THETA0 = 0.1234  # (THETA0 + 2 pi) - 2 pi != THETA0 in floats
+ALPHA = Path([ArcSegment(0, 1.0, THETA0, 2 * math.pi)])
+BETA = Path([ArcSegment(2 * cmath.exp(1j * THETA0), 1.0, THETA0 + math.pi, 2 * math.pi)])
+
+
+@pytest.mark.parametrize(
+    "path,legs", [(lasso(-1j, 0, 0.4), 2), (commutator(ALPHA, BETA), 2)], ids=["lasso", "commutator"]
+)
+def test_a_return_leg_replays_its_outward_legs_samples(path, legs):
+    # the arc's reverse is matched as the earlier leg computes it, although
+    # reversing it twice does not give the arc back
+    assert ALPHA.segments[0].reversed().reversed() != ALPHA.segments[0]
+    forms = [_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)]
+    steps = 16
+    transport(forms, path, 2, QuadratureConfig(steps, 1e-8))
+    assert [form.calls for form in forms] == [legs * (2 * steps + 1)] * 2
+
+
+def test_a_replayed_return_leg_matches_a_sampled_one():
+    # the same arc back, once as the outward arc's reverse (replayed) and
+    # once with its start angle moved by 2 pi (sampled)
+    go = ArcSegment(0, 2.0, 0.0, math.pi / 2)
+    around = ArcSegment(1.5j, 0.5, math.pi / 2, 2 * math.pi)
+    back = ArcSegment(0, 2.0, math.pi / 2 + 2 * math.pi, -math.pi / 2)
+    assert back != go.reversed()
+    sig = parse_signature("gens=eps;degree=2;scalars=exact")
+    forms = [DlogForm(parse_ratfunc("(x-3/2*i+eps)", sig)), SimplePole(sig, 0)]
+    cfg = QuadratureConfig(64, 1e-8)
+    replayed = transport(forms, Path([go, around, go.reversed()]), 2, cfg)
+    sampled = transport(forms, Path([go, around, back]), 2, cfg)
+    for w, c in sampled.coeffs.items():
+        assert deviation(replayed.coeff(w), c) <= 1e-12 * max(1.0, c.max_abs())
+
+
+def test_a_first_letter_is_simpsons_sum_of_the_samples():
+    # F[()] = 1, so the RK4 stages of a one-letter word are its samples at
+    # the step, the midpoint (twice) and the next step
+    sig = parse_signature("gens=eps,delta;degree=3;scalars=exact")
+    form = DlogForm(parse_ratfunc("(x-1/2+eps)*(x+1/3*i-delta)^-1", sig))
+    path = concat(segment(-1 - 1j, 1 - 1j), circle(0, 2 ** 0.5, -math.pi / 4))
+    steps = 64
+    total = [0j] * len(form.layout.monomials)
+    for seg in path.segments:
+        sixth = 1.0 / steps / 6
+        nodes = []
+        for k in range(2 * steps + 1):
+            t = k / (2 * steps)
+            v = seg.velocity(t)
+            nodes.append([c * v for c in form.eval(seg.point(t))])
+        for k in range(steps):
+            w0, w_half, w1 = nodes[2 * k : 2 * k + 3]
+            total = [f + (b1 + b2 * 2.0 + b2 * 2.0 + b4) * sixth for f, b1, b2, b4 in zip(total, w0, w_half, w1)]
+    F = transport([form], path, 1, QuadratureConfig(steps, 1e-8))
+    assert F.coeff((1,)) == form.layout.element(total)

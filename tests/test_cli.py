@@ -160,12 +160,20 @@ def test_non_finite_or_non_positive_tolerance_is_an_input_error(capsys, tol):
     assert "tolerance" in err
 
 
-def run_cli_process(*argv, timeout=None):
+def run_cli_process(*argv, timeout=None, module="ccsym.cli"):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ccsym.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "ccsym.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def test_python_dash_m_ccsym_runs_the_command_line():
+    ok = run_cli_process("verify", "weil", "--f", "(x)", "--g", "(1-x)", "--trunc", "8", module="ccsym", timeout=60)
+    assert ok.returncode == 0 and ok.stdout.startswith("[PASS] weil-reciprocity") and not ok.stderr
+    bad = run_cli_process("verify", "weil", "--f", "(x", "--g", "(1-x)", module="ccsym", timeout=60)
+    assert bad.returncode == 2 and not bad.stdout
+    assert bad.stderr.startswith("error:") and bad.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,15 @@ def test_ratfunc_sum_degree_is_capped_before_expanding():
         parse_ratfunc(above, SIG2)
 
 
+def test_sum_backstop_names_the_expanded_polynomials_degree():
+    # eps*x^100 reduces to 0, so the reduction of the sum is 1; what is too
+    # large is the x-degree of the polynomial the sum expands to
+    with pytest.raises(InputError, match=r"polynomial of x-degree 100 in 'eps\*x\^100\+1'") as info:
+        parse_ratfunc("eps*x^100+1", SIG2)
+    assert "reduction" not in str(info.value)
+    assert f"(a sum may reach degree {MAX_SUM_DEGREE})" in str(info.value)
+
+
 def test_ratfunc_rejects_nilpotent_leading():
     from ccsym.errors import NotInvertible
 

@@ -61,6 +61,21 @@ def test_dlog_matches_finite_differences():
         assert deviation(numeric, dlog_value(f, z)) < 1e-6
 
 
+@pytest.mark.parametrize("text", ["(x-1/3+eps)", "(x-1/3+eps)^-1", "(x-1+eps)*(x+2-eps)"])
+def test_float_dlog_eval_matches_the_widened_exact_value(text):
+    # a scalar perturbation polynomial, here every (x - r) under a shifted
+    # factor, is sampled in complex arithmetic, a nilpotent one by Horner
+    # over its coefficient vectors and one dense division
+    f = parse_ratfunc(text, SIG2)
+    compiled = f.widen().compiled_dlog
+    assert len(compiled.scalar) == len(compiled.nilpotent) == 1
+    points = [gaussian(Fraction(1, 2), Fraction(1, 3)), gaussian(-3, 1), gaussian(Fraction(-1, 4)), gaussian(0, 2)]
+    for z in points:
+        exact = dlog_value(f, z)
+        for g in (f, f.widen()):
+            assert deviation(dlog_value(g, complex(z)), exact) <= 1e-13 * max(1.0, exact.widen().max_abs())
+
+
 def test_support_examples():
     f = RF.monic_linear(TRIV, 0) * RF.monic_linear(TRIV, 1).inverse()
     g = RF.monic_linear(TRIV, 2)
