@@ -18,23 +18,16 @@ The stepper is a classical fourth-order Runge-Kutta update with a fixed
 number of steps per path segment, so reports are reproducible bit for
 bit.  Its four stages are fused into one pass over the words in length
 order: stage s of w is (F + c_s k_{s-1})[v] times the letter's form
-value at that stage's sample, read from the stages of the parent v.
-A one-letter word's parent is () = 1, whose stages are 0, so its stages
-are its samples and its update is Simpson's rule, with no product.
-
-Each node is sampled once per transport.  By Chen's reversal law a leg
-that runs back over an earlier leg of the same path (a lasso's return,
-alpha^-1 in a commutator) has that leg's samples, in reverse order and
-negated; it replays them with the step negated, which gives the same
-bits.  A leg keeps its samples only while its reverse is still to come.
-Forms are compiled once into dense coefficients: a dlog form samples
-`RationalFunctionA.dlog_eval` of its function's float twin, which costs
-a few complex Horner evaluations, complex arithmetic for a perturbation
-polynomial with scalar coefficients, such as the (x - r) under a shifted
-factor, and one dense division for each other one.  A form's `eval`
-returns a dense list over its own layout, which the transport scatters
-into its state's layout through index lists built once per call, so the
-step loop builds no algebra element.
+value at that stage's sample, read from the stages of the parent v; for
+a one-letter word v = () is 1, so its update is Simpson's rule.  Each
+node is sampled once: by Chen's reversal law, a leg that runs back over
+an earlier leg of the path replays that leg's samples in reverse order
+with the step negated.  A dlog form samples `RationalFunctionA.dlog_eval`
+of its function's float twin: complex Horner sums, with p'/p in complex
+arithmetic for a perturbation polynomial p with scalar coefficients and
+one dense division for any other.  A form's `eval` returns a dense list
+over its own layout, which the transport scatters into its state's
+layout through index lists built once per call.
 """
 
 from __future__ import annotations
@@ -323,8 +316,8 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
         w1 = next(nodes)
         for _ in range(steps):
             w0, w_half, w1 = w1, next(nodes), next(nodes)
-            # the four RK4 stages of each word from those of its parent;
-            # below () = 1, whose stages are 0, they are the samples themselves
+            # the four RK4 stages of each word from those of its parent; a
+            # one-letter word's parent () is 1, so its stages are its samples
             K1, K2, K3 = [zero] * len(F), [zero] * len(F), [zero] * len(F)
             G = list(F)
             for w, p, a in links:

@@ -294,10 +294,9 @@ class RationalFunctionA:
     def compiled_dlog(self) -> CompiledDlog:
         """f'/f compiled in this function's scalars: (root, multiplicity,
         exact root) per nonzero multiplicity, the dense layout of the
-        perturbation's monomials, and (p, q) for each nonconstant
-        perturbation polynomial p, with q = p' for the numerator and -p'
-        for the denominator, as scalars if p's coefficients all are, else
-        as dense vectors, both by degree in x."""
+        perturbation's monomials, and (p, p') per nonconstant perturbation
+        polynomial (-p' for the denominator) by x-degree, as scalars if all
+        of p's coefficients are, else as dense vectors."""
         sig = self.signature
         roots = [(sig.coerce_scalar(r), sig.coerce_scalar(m), r)
                  for r, m in self.base_factors if m]
@@ -315,9 +314,8 @@ class RationalFunctionA:
         return CompiledDlog(roots, layout, scalar, nilpotent)
 
     def dlog_eval(self, z) -> list:
-        """Value of f'/f at z: sum m_i/(z - r_i) plus p'/p per perturbation
-        polynomial p (in complex arithmetic for a scalar p, else one
-        `DenseLayout.divide`), dense over the `compiled_dlog` layout `_at` picks."""
+        """Value of f'/f at z: sum m_i/(z - r_i) plus p'/p per perturbation polynomial p
+        (one `DenseLayout.divide` if p is nilpotent), dense over the layout `_at` picks."""
         f, zc = (self, z) if type(z) is complex and self._float is self else self._at(z)
         roots, layout, scalar, nilpotent = f.compiled_dlog
         zero = layout.zero
