@@ -19,15 +19,13 @@ number of steps per path segment, so reports are reproducible bit for
 bit.  Its four stages are fused into one pass over the words in length
 order: stage s of w is (F + c_s k_{s-1})[v] times the letter's form
 value at that stage's sample, read from the stages of the parent v; for
-a one-letter word v = () is 1, so its update is Simpson's rule.  Each
-node is sampled once: by Chen's reversal law, a leg that runs back over
-an earlier leg of the path replays that leg's samples in reverse order
-with the step negated.  A dlog form samples `RationalFunctionA.dlog_eval`
-of its function's float twin: complex Horner sums, with p'/p in complex
-arithmetic for a perturbation polynomial p with scalar coefficients and
-one dense division for any other.  A form's `eval` returns a dense list
-over its own layout, which the transport scatters into its state's
-layout through index lists built once per call.
+a one-letter word v = () is 1, so its update is Simpson's rule.  By
+Chen's reversal law, a leg that runs back over an earlier leg replays
+its samples in reverse order with the step negated, while the kept
+samples fit in `KEEP_SAMPLES` values.  A dlog form samples
+`RationalFunctionA.dlog_eval` of its function's float twin: complex
+Horner sums, with a complex p'/p for a perturbation polynomial p with
+scalar coefficients and one dense division for any other.
 """
 
 from __future__ import annotations
@@ -227,6 +225,7 @@ class TruncatedWordSeries:
 # -- transport -------------------------------------------------------------------
 
 POLE_CLEARANCE = 1e-6  # least distance between a path and a form's pole
+KEEP_SAMPLES = 1 << 16  # most form values a transport keeps for its return legs
 
 
 def _clearance_check(forms, path: Path):
@@ -285,10 +284,10 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     back = {}  # leg back[i] runs back over leg i and replays its samples
     for i, seg in enumerate(segments):
         rev = seg.reversed()
-        later = [j for j in range(i + 1, len(segments)) if segments[j] == rev and j not in back.values()]
-        if later:
+        if later := [j for j in range(i + 1, len(segments)) if segments[j] == rev and j not in back.values()]:
             back[i] = later[0]
     kept = {}  # the samples of a leg whose reverse is still to come, and its step
+    leg_size = (2 * steps + 1) * len(forms) * len(zero)  # the values a leg keeps
     dt = 0.5 / steps  # nodes at the steps and their midpoints
     for i, seg in enumerate(segments):
 
@@ -304,11 +303,10 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
             # a leg's reverse has its nodes in reverse order with every value
             # negated: the same, bit for bit, as stepping them with -h
             nodes, h = kept.pop(i)
-            nodes.reverse()
-            h = -h
+            nodes, h = reversed(nodes), -h
         else:
             nodes, h = map(omega_at, (k * dt for k in range(2 * steps + 1))), 1.0 / steps
-        if i in back:
+        if i in back and (len(kept) + 1) * leg_size <= KEEP_SAMPLES:
             nodes = list(nodes)
             kept[back[i]] = nodes, h
         nodes = iter(nodes)

@@ -319,7 +319,7 @@ class _PolyFraction:
 
     def __post_init__(self):  # a backstop for the sums `_reduction_spans` cannot bound
         if (degree := max(len(self.num), len(self.den)) - 1) > MAX_SUM_DEGREE:
-            raise _degree_error(degree, self.text, "sum with a polynomial of x-degree")
+            raise _degree_error(degree, self.text, what="sum with a polynomial of x-degree")
 
     def __neg__(self):
         return _PolyFraction(self.sig, [-c for c in self.num], self.den, self.text)
@@ -375,11 +375,10 @@ def _classify_poly(p: list, sig: AlgebraSignature, text: str) -> RationalFunctio
     raise _degree_error(len(red) - 1, text)
 
 
-def _degree_error(degree: int, text: str, what: str = "factor with reduction of degree") -> InputError:
+def _degree_error(degree: int, text: str, known=True, what="factor with reduction of degree") -> InputError:
     cap = f" (a sum may reach degree {MAX_SUM_DEGREE})" if degree > MAX_SUM_DEGREE else ""
-    return InputError(
-        f"{what} {degree} in {text!r}{cap}; write the input as a product of (x - root)^m factors"
-    )
+    return InputError(f"{what} {'' if known else 'up to '}{degree} in {text!r}{cap}; "
+                      "write the input as a product of (x - root)^m factors")
 
 
 def _reduction_spans(node, sig: AlgebraSignature, text: str):
@@ -431,7 +430,7 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctio
         num, den, known = _reduction_spans(node, exact, text)
         too_high = [hi for hi in (num, den) if hi > MAX_SUM_DEGREE]
         if too_high:
-            raise _degree_error(too_high[0], text, "factor with reduction of degree" + ("" if known else " up to"))
+            raise _degree_error(too_high[0], text, known)
         frac = _polyfrac(node, exact, text)
         f = _classify_poly(frac.num, exact, text) * _classify_poly(frac.den, exact, text).inverse()
         return f if exact == sig else f.widen()

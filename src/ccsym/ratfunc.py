@@ -266,6 +266,8 @@ class RationalFunctionA:
     def _at(self, z):
         """The function and point to evaluate: exact for an exact point on
         the exact backend, else widened to floats."""
+        if type(z) is complex:
+            return self._float, z
         exact_z = isinstance(z, (GaussianRational, int, Fraction))
         if exact_z and self.signature.backend is Backend.EXACT:
             return self, as_exact(z)
@@ -316,7 +318,7 @@ class RationalFunctionA:
     def dlog_eval(self, z) -> list:
         """Value of f'/f at z: sum m_i/(z - r_i) plus p'/p per perturbation polynomial p
         (one `DenseLayout.divide` if p is nilpotent), dense over the layout `_at` picks."""
-        f, zc = (self, z) if type(z) is complex and self._float is self else self._at(z)
+        f, zc = self._at(z)
         roots, layout, scalar, nilpotent = f.compiled_dlog
         zero = layout.zero
         out = [zero] * len(layout.monomials)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ccsym import chen
 from ccsym.algebra import AlgebraSignature, Backend, deviation, parse_signature
 from ccsym.chen import (
     BinomialLogForm,
@@ -403,6 +404,25 @@ def test_a_return_leg_replays_its_outward_legs_samples(path, legs):
     steps = 16
     transport(forms, path, 2, QuadratureConfig(steps, 1e-8))
     assert [form.calls for form in forms] == [legs * (2 * steps + 1)] * 2
+
+
+@pytest.mark.parametrize(
+    "path,kept,legs", [(lasso(-1j, 0, 0.4), 0, 3), (commutator(ALPHA, BETA), 1, 3)], ids=["lasso", "commutator"]
+)
+def test_legs_past_the_sample_budget_are_sampled_again(monkeypatch, path, kept, legs):
+    # a budget of `kept` legs' samples: a later outward leg keeps nothing,
+    # and its return leg samples its forms again
+    forms = [_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)]
+    steps = 16
+    cfg = QuadratureConfig(steps, 1e-8)
+    replayed = transport(forms, path, 2, cfg)
+    monkeypatch.setattr(chen, "KEEP_SAMPLES", (kept + 1) * 2 * (2 * steps + 1) - 1)
+    for form in forms:
+        form.calls = 0
+    sampled = transport(forms, path, 2, cfg)
+    assert [form.calls for form in forms] == [legs * (2 * steps + 1)] * 2
+    for w, c in sampled.coeffs.items():
+        assert deviation(replayed.coeff(w), c) <= 1e-12 * max(1.0, c.max_abs())
 
 
 def test_a_replayed_return_leg_matches_a_sampled_one():
