@@ -49,7 +49,6 @@ from .paths import Path, circle, commutator, concat, lasso, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support
 from .reports import CheckReport
 from .symbol import (
-    SymbolValue,
     cc_symbol,
     cc_symbol_series,
     scalar_multiple_symbol,

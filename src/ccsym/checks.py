@@ -230,11 +230,10 @@ def main_theorem_check(
 
     fac_f = factorize(f.expand_at(s, trunc))
     fac_g = factorize(g.expand_at(s, trunc))
-    symbol = cc_symbol(fac_f, fac_g)
     base_exact = as_exact(base) if not isinstance(base, complex) else base
     g_p = g.eval(base_exact) ** fac_f.nu
     f_p = f.eval(base_exact) ** fac_g.nu
-    rhs = (symbol.value * g_p * f_p.inverse()).widen()
+    rhs = (cc_symbol(fac_f, fac_g) * g_p * f_p.inverse()).widen()
 
     inputs = {
         "f": str(f),
@@ -263,7 +262,7 @@ def weil_reciprocity_check(f: RationalFunctionA, g: RationalFunctionA, trunc: in
     for s in support:
         fac_f = factorize(f.expand_at(s, trunc))
         fac_g = factorize(g.expand_at(s, trunc))
-        value = cc_symbol(fac_f, fac_g).value
+        value = cc_symbol(fac_f, fac_g)
         locals_[str(s)] = str(value)
         product = product * value
     one = f.signature.one()

@@ -6,26 +6,25 @@ A_1..A_n, truncated at word length L.  The word coefficients of the
 solution are exactly the iterated integrals, and the composition law
 F_{ab} = F_a F_b holds by construction.
 
-The coefficient of a word w = (v, a) obeys dF[w] = F[v] w_a, so it
-needs only its prefixes.  The state therefore holds the prefix closure
-of the words the caller reads: r + 1 words for an iterated integral of
-r forms instead of every word up to length r.  Each coefficient is a
-dense list over the monomials of A that the forms can reach, in
-(degree, exponents) order, multiplied through the product table of
-`algebra.DenseLayout`.
+The coefficient of a word w = (v, a) obeys dF[w] = F[v] w_a, so it needs
+only its prefixes.  The state therefore holds the prefix closure of the
+words the caller reads: r + 1 words for an iterated integral of r forms
+instead of every word up to length r.  Each coefficient is a dense list
+over the monomials of A that the forms can reach, in (degree, exponents)
+order, multiplied through the product table of `algebra.DenseLayout`.
 
-The stepper is a classical fourth-order Runge-Kutta update with a fixed
-number of steps per path segment, so reports are reproducible bit for
-bit.  Its four stages are fused into one pass over the words in length
-order: stage s of w is (F + c_s k_{s-1})[v] times the letter's form
-value at that stage's sample, read from the stages of the parent v; for
-a one-letter word v = () is 1, so its update is Simpson's rule.  By
-Chen's reversal law, a leg that runs back over an earlier leg replays
-its samples in reverse order with the step negated, while the kept
-samples fit in `KEEP_SAMPLES` values.  A dlog form samples
-`RationalFunctionA.dlog_eval` of its function's float twin: complex
-Horner sums, with a complex p'/p for a perturbation polynomial p with
-scalar coefficients and one dense division for any other.
+`transport` feeds a leg sampler to a stepper, one path segment at a
+time.  The sampler `_legs` yields each form's value times the velocity at
+the stepper's node parameters, and a direction, +1.  By Chen's reversal
+law a leg that runs back over an earlier leg replays that leg's samples
+in reverse order with the opposite direction instead (so the nodes must
+be symmetric under t -> 1 - t), while the kept samples fit in
+`KEEP_SAMPLES` values.  The stepper `_rk4` takes a fixed number of
+classical fourth-order Runge-Kutta steps per segment, so reports are
+reproducible bit for bit.  Its stages are fused into one pass over the
+words in length order: stage s of w is (F + c_s k_{s-1})[v] times the
+letter's sample at that stage's node, read from the stages of the parent
+v; for a one-letter word v = () is 1, so its update is Simpson's rule.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout, deviation
 from .errors import InputError, PoleOnPath, SignatureMismatch
@@ -158,15 +158,6 @@ class BinomialLogForm(DifferentialForm):
 # -- word series ----------------------------------------------------------------
 
 
-def _words_up_to(alphabet_size: int, max_len: int) -> list:
-    """Every word of length <= max_len in letters 1..alphabet_size, by length."""
-    words = level = [()]
-    for _ in range(max_len):
-        level = [w + (a,) for w in level for a in range(1, alphabet_size + 1)]
-        words = words + level
-    return words
-
-
 class TruncatedWordSeries:
     """Coefficients in A of a set of words (length <= max_len, letters
     1..n): `coeffs` maps each computed word to its coefficient."""
@@ -181,7 +172,7 @@ class TruncatedWordSeries:
 
     @classmethod
     def identity(cls, signature, alphabet_size: int, max_len: int):
-        coeffs = {w: signature.zero() for w in _words_up_to(alphabet_size, max_len)}
+        coeffs = {w: signature.zero() for w in _prefix_closure(None, alphabet_size, max_len)}
         coeffs[()] = signature.one()
         return cls(signature, alphabet_size, max_len, coeffs)
 
@@ -240,7 +231,9 @@ def _clearance_check(forms, path: Path):
 
 
 def _prefix_closure(words, alphabet_size: int, max_len: int) -> list:
-    """The given words and all their prefixes, by length; () first."""
+    """The given words (all of length max_len if None) and their prefixes, by length; () first."""
+    if words is None:
+        words = product(range(1, alphabet_size + 1), repeat=max_len)
     words = [tuple(w) for w in words]
     for w in words:
         if len(w) > max_len or any(not 1 <= a <= alphabet_size for a in w):
@@ -249,6 +242,68 @@ def _prefix_closure(words, alphabet_size: int, max_len: int) -> list:
             )
     closure = {w[:i] for w in words for i in range(len(w) + 1)} | {()}
     return sorted(closure, key=lambda w: (len(w), w))
+
+
+def _legs(forms, layout, segments, ts):
+    """Per segment: its samples at the nodes `ts`, symmetric under t -> 1 - t, and a direction."""
+    place = {m: i for i, m in enumerate(layout.monomials)}
+    # each form's sampler and where its layout's monomials sit in this one
+    samplers = [(form.eval, [place[m] for m in form.layout.monomials]) for form in forms]
+    zero = [0j] * len(place)
+    back = {}  # leg back[i] runs back over leg i and replays its samples
+    for i, seg in enumerate(segments):
+        rev = seg.reversed()
+        if later := [j for j in range(i + 1, len(segments)) if segments[j] == rev and j not in back.values()]:
+            back[i] = later[0]
+    kept = {}  # the samples of a leg whose reverse is still to come, and that reverse's direction
+    leg_size = len(ts) * len(forms) * len(zero)  # the values a leg keeps
+    for i, seg in enumerate(segments):
+
+        def omega_at(t):
+            z, v = seg.point(t), seg.velocity(t)
+            out = [list(zero) for _ in samplers]
+            for w, (sample, at) in zip(out, samplers):
+                for k, c in zip(at, sample(z)):
+                    w[k] = c * v
+            return out
+
+        if i in kept:
+            # a leg's reverse has its nodes in reverse order with every value
+            # negated: the same, bit for bit, as stepping them backwards
+            nodes, sign = kept.pop(i)
+            nodes = reversed(nodes)
+        else:
+            nodes, sign = map(omega_at, ts), 1
+        if i in back and (len(kept) + 1) * leg_size <= KEEP_SAMPLES:
+            nodes = list(nodes)
+            kept[back[i]] = nodes, -sign
+        yield nodes, sign
+
+
+def _rk4(F, links, mul, nodes, h):
+    """F advanced by RK4 steps of size h over a leg's samples at its steps and midpoints."""
+    half, sixth = h / 2, h / 6
+    K1, K2, K3 = {}, {}, {}  # the first three stages of each word at this step
+    nodes = iter(nodes)
+    w0 = next(nodes)
+    for w_half, w1 in zip(nodes, nodes):
+        G = list(F)
+        for w, p, a in links:
+            if p:
+                x = F[p]
+                k1 = mul(x, w0[a])
+                k2 = mul([u + y * half for u, y in zip(x, K1[p])], w_half[a])
+                k3 = mul([u + y * half for u, y in zip(x, K2[p])], w_half[a])
+                k4 = mul([u + y * h for u, y in zip(x, K3[p])], w1[a])
+            else:
+                k1, k2, k3, k4 = w0[a], w_half[a], w_half[a], w1[a]
+            K1[w], K2[w], K3[w] = k1, k2, k3
+            G[w] = [
+                f + (b1 + b2 * 2.0 + b3 * 2.0 + b4) * sixth
+                for f, b1, b2, b3, b4 in zip(F[w], k1, k2, k3, k4)
+            ]
+        F, w0 = G, w1
+    return F
 
 
 def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None) -> TruncatedWordSeries:
@@ -266,75 +321,20 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     if sig.backend is not Backend.FLOAT:
         raise InputError("transport runs on the float backend")
     n = len(forms)
-    state = _words_up_to(n, max_len) if words is None else _prefix_closure(words, n, max_len)
+    state = _prefix_closure(words, n, max_len)
     _clearance_check(forms, path)
 
     index = {w: i for i, w in enumerate(state)}
     # (word, parent = word minus its last letter, last letter) by length
     links = [(i, index[w[:-1]], w[-1] - 1) for i, w in enumerate(state) if w]
     layout = DenseLayout(sig, [m for form in forms for m in form.layout.monomials])
-    mul = layout.mul
-    place = {m: i for i, m in enumerate(layout.monomials)}
-    # each form's sampler and where its layout's monomials sit in this one
-    samplers = [(form.eval, [place[m] for m in form.layout.monomials]) for form in forms]
-    zero = [0j] * len(place)
-    F = [layout.vector(sig.one())] + [zero] * len(links)
+    F = [layout.vector(sig.one())] + [[0j] * len(layout.monomials)] * len(links)
     steps = cfg.steps_per_segment
-    segments = path.segments
-    back = {}  # leg back[i] runs back over leg i and replays its samples
-    for i, seg in enumerate(segments):
-        rev = seg.reversed()
-        if later := [j for j in range(i + 1, len(segments)) if segments[j] == rev and j not in back.values()]:
-            back[i] = later[0]
-    kept = {}  # the samples of a leg whose reverse is still to come, and its step
-    leg_size = (2 * steps + 1) * len(forms) * len(zero)  # the values a leg keeps
-    dt = 0.5 / steps  # nodes at the steps and their midpoints
-    for i, seg in enumerate(segments):
-
-        def omega_at(t):
-            z, v = seg.point(t), seg.velocity(t)
-            out = [list(zero) for _ in samplers]
-            for w, (sample, at) in zip(out, samplers):
-                for k, c in zip(at, sample(z)):
-                    w[k] = c * v
-            return out
-
-        if i in kept:
-            # a leg's reverse has its nodes in reverse order with every value
-            # negated: the same, bit for bit, as stepping them with -h
-            nodes, h = kept.pop(i)
-            nodes, h = reversed(nodes), -h
-        else:
-            nodes, h = map(omega_at, (k * dt for k in range(2 * steps + 1))), 1.0 / steps
-        if i in back and (len(kept) + 1) * leg_size <= KEEP_SAMPLES:
-            nodes = list(nodes)
-            kept[back[i]] = nodes, h
-        nodes = iter(nodes)
-        half, sixth = h / 2, h / 6
-        w1 = next(nodes)
-        for _ in range(steps):
-            w0, w_half, w1 = w1, next(nodes), next(nodes)
-            # the four RK4 stages of each word from those of its parent; a
-            # one-letter word's parent () is 1, so its stages are its samples
-            K1, K2, K3 = [zero] * len(F), [zero] * len(F), [zero] * len(F)
-            G = list(F)
-            for w, p, a in links:
-                if p:
-                    x = F[p]
-                    k1 = mul(x, w0[a])
-                    k2 = mul([u + y * half for u, y in zip(x, K1[p])], w_half[a])
-                    k3 = mul([u + y * half for u, y in zip(x, K2[p])], w_half[a])
-                    k4 = mul([u + y * h for u, y in zip(x, K3[p])], w1[a])
-                else:
-                    k1, k2, k3, k4 = w0[a], w_half[a], w_half[a], w1[a]
-                K1[w], K2[w], K3[w] = k1, k2, k3
-                G[w] = [
-                    f + (b1 + b2 * 2.0 + b3 * 2.0 + b4) * sixth
-                    for f, b1, b2, b3, b4 in zip(F[w], k1, k2, k3, k4)
-                ]
-            F = G
-    coeffs = {w: layout.element(F[i]) for i, w in enumerate(state)}
-    return TruncatedWordSeries(sig, n, max_len, coeffs)
+    dt = 0.5 / steps  # RK4's nodes: the steps and their midpoints
+    ts = array("d", (k * dt for k in range(2 * steps + 1)))  # 8 bytes a node
+    for nodes, sign in _legs(forms, layout, path.segments, ts):
+        F = _rk4(F, links, layout.mul, nodes, sign / steps)
+    return TruncatedWordSeries(sig, n, max_len, {w: layout.element(f) for w, f in zip(state, F)})
 
 
 def iterated_integral(forms_word, path: Path, cfg: QuadratureConfig) -> AlgebraElement:

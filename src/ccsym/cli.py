@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import checks
@@ -33,7 +34,7 @@ COMMON = {
 
 # inclusive resource caps, checked before any work
 CAPS = {"--steps": (1, 65536), "--trunc": (1, 256), "--r": (1, 64), "--algebra degree": (1, 64),
-        **dict.fromkeys(("--n", "--j", "--k"), (-64, 64))}
+        "--algebra monomials": (1, 256), **dict.fromkeys(("--n", "--j", "--k"), (-64, 64))}
 
 TARGETS = {
     "lemma": "local integral identities (ids 3.2-3.6)",
@@ -130,9 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_caps(args, sig):
-    """Reject an integer flag, or an algebra degree, outside its cap."""
+    """Reject an integer flag, or an algebra's degree or monomial count, outside its cap."""
     values = {f"--{name}": value for name, value in vars(args).items()}
     values["--algebra degree"] = sig.truncation_degree
+    # the degree is checked first; past its cap the count alone could take seconds
+    degree = min(sig.truncation_degree, CAPS["--algebra degree"][1])
+    values["--algebra monomials"] = math.comb(sig.ngens + degree - 1, sig.ngens)
     for name, (lo, hi) in CAPS.items():
         if values.get(name) is not None and not lo <= values[name] <= hi:
             raise InputError(f"{name} must lie in {lo}..{hi}, got {values[name]}")
@@ -178,7 +182,7 @@ def run(argv) -> int:
         if args.command == "tame":
             print(tame_symbol(f, g))
         else:
-            value = cc_symbol_series(f, g).value
+            value = cc_symbol_series(f, g)
             print(json.dumps(element_to_json(value)) if args.json else value)
         return 0
 

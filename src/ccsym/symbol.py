@@ -16,36 +16,10 @@ the reciprocity suite pin that reading down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebra import AlgebraElement
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from .laurent import CanonicalFactorization, LaurentSeries, factorize
-
-
-@dataclass
-class SymbolValue:
-    """A unit of A, the value of a symbol pairing."""
-
-    value: AlgebraElement
-
-    def __post_init__(self):
-        if not self.value.is_unit():
-            raise NotInvertible("symbol value must be a unit")
-
-    def inverse(self) -> "SymbolValue":
-        return SymbolValue(self.value.inverse())
-
-    def __mul__(self, other: "SymbolValue") -> "SymbolValue":
-        return SymbolValue(self.value * other.value)
-
-    def __eq__(self, other):
-        if isinstance(other, SymbolValue):
-            return self.value == other.value
-        return self.value == other
-
-    def __str__(self):
-        return str(self.value)
 
 
 def _require_complete(fac: CanonicalFactorization, partner_neg_depth: int, who: str):
@@ -59,7 +33,7 @@ def _require_complete(fac: CanonicalFactorization, partner_neg_depth: int, who: 
         )
 
 
-def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> SymbolValue:
+def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> AlgebraElement:
     """Evaluate the symbol from two canonical factorizations."""
     if fac_f.signature != fac_g.signature:
         raise SignatureMismatch("factorizations over different signatures")
@@ -90,10 +64,10 @@ def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> S
     value = numerator * denominator.inverse()
     if (fac_f.nu * fac_g.nu) % 2:
         value = -value
-    return SymbolValue(value)
+    return value
 
 
-def cc_symbol_series(f: LaurentSeries, g: LaurentSeries) -> SymbolValue:
+def cc_symbol_series(f: LaurentSeries, g: LaurentSeries) -> AlgebraElement:
     """Factorize both series, then evaluate the symbol."""
     return cc_symbol(factorize(f), factorize(g))
 
@@ -116,7 +90,7 @@ def tame_symbol(f: LaurentSeries, g: LaurentSeries):
     return value
 
 
-def steinberg_value(f: LaurentSeries) -> SymbolValue:
+def steinberg_value(f: LaurentSeries) -> AlgebraElement:
     """<f, 1 - f>; equals 1 whenever both arguments are invertible."""
     g = LaurentSeries.one(f.signature) - f
     try:
@@ -126,7 +100,7 @@ def steinberg_value(f: LaurentSeries) -> SymbolValue:
     return cc_symbol_series(f, g)
 
 
-def scalar_multiple_symbol(f: LaurentSeries, c) -> SymbolValue:
+def scalar_multiple_symbol(f: LaurentSeries, c) -> AlgebraElement:
     """<f, c*f> for a unit constant c.
 
     Provided as an evaluator only; the standard exact identity asserted

@@ -198,17 +198,17 @@ def test_criterion_8_exact_property_suite():
             _random_series(rng, SIG2),
         )
         assert (
-            cc_symbol_series(f, g * h).value
-            == cc_symbol_series(f, g).value * cc_symbol_series(f, h).value
+            cc_symbol_series(f, g * h)
+            == cc_symbol_series(f, g) * cc_symbol_series(f, h)
         )
 
     for _ in range(counts):
         f, g = _random_series(rng, SIG2), _random_series(rng, SIG2)
-        assert cc_symbol_series(f, g).value * cc_symbol_series(g, f).value == SIG2.one()
+        assert cc_symbol_series(f, g) * cc_symbol_series(g, f) == SIG2.one()
 
     for _ in range(counts):
         f = _random_series(rng, SIG2)
-        assert cc_symbol_series(f, -f).value == SIG2.one()
+        assert cc_symbol_series(f, -f) == SIG2.one()
 
     done = 0
     attempts = 0
@@ -220,12 +220,12 @@ def test_criterion_8_exact_property_suite():
             (LaurentSeries.one(SIG2) - f).valuation()
         except Exception:
             continue
-        assert steinberg_value(f).value == SIG2.one()
+        assert steinberg_value(f) == SIG2.one()
         done += 1
 
     for _ in range(counts):
         f, g = _random_series(rng, TRIV), _random_series(rng, TRIV)
-        assert cc_symbol_series(f, g).value.reduce() == tame_symbol(f, g)
+        assert cc_symbol_series(f, g).reduce() == tame_symbol(f, g)
 
     for _ in range(counts):
         f = _random_series(rng, SIG2, trunc=14)

@@ -425,6 +425,24 @@ def test_legs_past_the_sample_budget_are_sampled_again(monkeypatch, path, kept, 
         assert deviation(replayed.coeff(w), c) <= 1e-12 * max(1.0, c.max_abs())
 
 
+@pytest.mark.parametrize("seg,legs", [(LineSegment(-1j, 1 - 0.5j), 1), (ALPHA.segments[0], 2)], ids=["line", "arc"])
+def test_a_replayed_leg_is_replayed_again(monkeypatch, seg, legs):
+    # out, back, out and back: a line segment's reverse reverses back
+    # exactly, so the second outward leg replays the replayed return leg;
+    # the arc's does not, so the arc is sampled again for its second round
+    path = Path([seg, seg.reversed()] * 2)
+    forms = [_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)]
+    steps = 16
+    cfg = QuadratureConfig(steps, 1e-8)
+    replayed = transport(forms, path, 2, cfg)
+    assert [form.calls for form in forms] == [legs * (2 * steps + 1)] * 2
+    monkeypatch.setattr(chen, "KEEP_SAMPLES", 0)
+    sampled = transport(forms, path, 2, cfg)
+    assert [form.calls for form in forms] == [(legs + 4) * (2 * steps + 1)] * 2
+    for w, c in sampled.coeffs.items():
+        assert deviation(replayed.coeff(w), c) <= 1e-12 * max(1.0, c.max_abs())
+
+
 def test_a_replayed_return_leg_matches_a_sampled_one():
     # the same arc back, once as the outward arc's reverse (replayed) and
     # once with its start angle moved by 2 pi (sampled)

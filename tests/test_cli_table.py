@@ -6,6 +6,7 @@ import contextlib
 import io
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,9 @@ def cap_argv(flag, value):
         return ["integrate", "--f=x", "--path=circle(0,1/2)", f"--steps={value}"]
     if flag == "--algebra degree":
         return ["verify", "weil", "--f=x", "--g=(1-x)", f"--algebra=gens=eps;degree={value}"]
+    if flag == "--algebra monomials":  # value - 1 generators at degree 2; none at degree 0
+        gens = ",".join(f"e{i}" for i in range(value - 1))
+        return ["verify", "weil", "--f=x", "--g=(1-x)", f"--algebra=gens={gens};degree={min(value, 2)}"]
     lemma = {"--r": ["--id=3.2"], "--n": ["--id=3.4", "--a=1/5"], "--j": ["--id=3.5", "--k=1", "--a=1/5", "--b=1/5"],
              "--k": ["--id=3.5", "--j=1", "--a=1/5", "--b=1/5"]}[flag]
     return ["verify", "lemma", *lemma, f"{flag}={value}", "--steps=1"]
@@ -62,8 +66,35 @@ def test_caps_are_inclusive_and_checked_before_any_work(flag):
     for value in (lo - 1, hi + 1):
         code, out, err = run_main(cap_argv(flag, value))
         assert_one_error_line(code, err)
-        if flag != "--algebra degree" or value > lo:  # degree 0 fails in the signature itself
+        # degree 0 fails in the signature itself, and no algebra has 0 monomials
+        if flag not in ("--algebra degree", "--algebra monomials") or value > lo:
             assert out == "" and f"{flag} must lie in {lo}..{hi}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma", "--id=3.4", "--n=1", "--a=a+b+c+d", "--steps=1"],
+        ["verify", "main-theorem", "--f=(x+a)", "--g=(1-x)", "--point=0", "--base=-1/2", "--radius=1/4"],
+        ["symbol", "--f=x", "--g=(1-x)"],
+    ],
+    ids=["lemma", "main-theorem", "symbol"],
+)
+def test_algebras_with_too_many_monomials_are_rejected_before_any_work(argv):
+    # C(4 + 63, 4) = 766 480 monomials; building their product table alone took minutes
+    code, out, err = run_main(argv + ["--algebra=gens=a,b,c,d;degree=64"])
+    assert_one_error_line(code, err)
+    assert out == "" and "--algebra monomials must lie in 1..256, got 766480" in err
+
+
+def test_a_degree_past_its_cap_is_rejected_before_the_monomials_are_counted():
+    # C(g + N - 1, g) for these g and N took about 24 s to compute
+    gens = ",".join(f"g{i}" for i in range(100000))
+    started = time.perf_counter()
+    code, out, err = run_main(["symbol", "--f=x", "--g=x", f"--algebra=gens={gens};degree=1{'0' * 100}"])
+    assert time.perf_counter() - started < 5
+    assert_one_error_line(code, err)
+    assert out == "" and "--algebra degree must lie in 1..64" in err
 
 
 def test_trunc_zero_names_the_flag():

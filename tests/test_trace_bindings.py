@@ -1,0 +1,31 @@
+"""The names in ccsym that `bench/tracing.py` binds.
+
+The traced benchmark run (`bench/run.py --trace 1`) wraps the public
+module-level functions of ccsym and reads the arguments and the result
+of `chen.transport` by name; a refactor that renames or moves one of
+these would break that run and nothing else.
+"""
+
+import inspect
+
+from ccsym import chen, laurent, symbol
+from ccsym.algebra import AlgebraSignature, Backend
+from ccsym.chen import QuadratureConfig, SimplePole
+from ccsym.paths import circle
+from ccsym.ratfunc import RationalFunctionA
+
+
+def test_transport_takes_a_path_and_a_config_by_name_and_returns_coefficients():
+    forms, path, cfg = [SimplePole(AlgebraSignature((), 1, Backend.FLOAT), 0)], circle(0, 0.5), QuadratureConfig(4)
+    bound = inspect.signature(chen.transport).bind(forms, path, 1, cfg)
+    assert bound.arguments["path"].segments == path.segments
+    assert bound.arguments["cfg"].steps_per_segment == 4
+    assert isinstance(chen.transport(*bound.args).coeffs, dict)
+
+
+def test_the_wrapped_functions_and_methods_exist():
+    for name in ("dlog_eval", "eval", "expand_at"):
+        assert inspect.isfunction(vars(RationalFunctionA)[name])
+    for module, name in ((chen, "transport"), (laurent, "factorize"), (symbol, "cc_symbol")):
+        fn = vars(module)[name]
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__
