@@ -51,6 +51,7 @@ from .reports import CheckReport
 from .symbol import (
     cc_symbol,
     cc_symbol_series,
+    local_symbols,
     scalar_multiple_symbol,
     steinberg_value,
     tame_symbol,

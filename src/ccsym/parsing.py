@@ -294,10 +294,13 @@ def eval_series(node, sig: AlgebraSignature, trunc, text: str = "") -> LaurentSe
             return LaurentSeries.monomial(sig, 1)
         return LaurentSeries(sig, {0: eval_element(node, sig, text)})
 
-    def pow_(base, n):
-        return base.truncate(trunc) ** n if n < 0 else base ** n
+    def cut(base):  # a one-term series inverts exactly: cutting it would lose orders
+        return base if len(base.coeffs) == 1 else base.truncate(trunc)
 
-    return _fold(node, leaf, lambda a, b: a * b.truncate(trunc).inverse(), pow_)
+    def pow_(base, n):
+        return cut(base) ** n if n < 0 else base ** n
+
+    return _fold(node, leaf, lambda a, b: a * cut(b).inverse(), pow_)
 
 
 def parse_series(text: str, sig: AlgebraSignature, trunc=INF) -> LaurentSeries:

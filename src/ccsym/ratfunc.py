@@ -232,6 +232,11 @@ class RationalFunctionA:
     def roots(self) -> list:
         return [root for root, _ in self.base_factors]
 
+    def order_at(self, s: SpherePoint) -> int:
+        """The valuation of the expansion at s: the net multiplicity of s,
+        or minus the total degree at infinity."""
+        return -self.total_degree if s.is_infinite else dict(self.base_factors).get(s.value, 0)
+
     def involves_infinity(self) -> bool:
         return self.total_degree != 0 or self.pert_excess > 0
 
@@ -349,7 +354,7 @@ class RationalFunctionA:
         with the measured shortfall until the requested order is covered.
         A truncation at or below the valuation there leaves no term.
         """
-        nu = -self.total_degree if s.is_infinite else dict(self.base_factors).get(s.value, 0)
+        nu = self.order_at(s)
         if trunc <= nu:
             raise InsufficientTruncation(
                 f"the expansion at {s} starts at x^{nu}, at or above the truncation "
@@ -357,27 +362,31 @@ class RationalFunctionA:
             )
         slack = 4
         for _ in range(5):
-            out = self._expand_window(s, trunc + slack)
-            if out.trunc >= trunc:
-                return out.truncate(trunc)
-            slack += (trunc - out.trunc) + 4
+            out = self._expand_window(s, trunc - nu + slack)
+            if out.trunc + nu >= trunc:
+                return out.shift(nu).truncate(trunc)
+            slack += (trunc - nu - out.trunc) + 4
         raise InsufficientTruncation(
-            f"local expansion at {s} only determined below x^{out.trunc}"
+            f"local expansion at {s} only determined below x^{out.trunc + nu}"
         )
 
     def _expand_window(self, s: SpherePoint, w: int) -> LaurentSeries:
+        """x^-nu times the expansion at s, working below x^w.  Each base
+        factor enters by its unit part, so no factor is cut at or below its
+        lowest term however negative nu is; the factor (x - s) at s is the
+        uniformizer itself and enters through nu alone."""
         sig = self.signature
-        if s.is_infinite:
+        if s.is_infinite:  # in the uniformizer t = 1/x, x - r = t^-1 (1 - r t)
             x_local = LaurentSeries(sig, {-1: sig.one()})
         else:
             x_local = LaurentSeries(sig, {0: sig.scalar(s.value), 1: sig.one()})
 
         out = LaurentSeries(sig, {0: self.scale}, w)
         for root, mult in self.base_factors:
-            if mult == 0:
+            if mult == 0 or root == s.value:
                 continue
-            factor = (x_local - LaurentSeries(sig, {0: sig.scalar(root)})).truncate(w)
-            out = out * factor ** mult
+            unit = (sig.one(), sig.scalar(-root)) if s.is_infinite else (sig.scalar(s.value - root), sig.one())
+            out = out * LaurentSeries(sig, dict(enumerate(unit)), w) ** mult
         num_s = poly_eval(self.pert_num, x_local, LaurentSeries.zero(sig)).truncate(w)
         den_s = poly_eval(self.pert_den, x_local, LaurentSeries.zero(sig)).truncate(w)
         return out * num_s * den_s.inverse()

@@ -1,7 +1,7 @@
 """The Contou-Carrere symbol and its tame specialization.
 
-Given the canonical factorizations of two invertible series f, g the
-symbol is the unit
+Given the canonical factorizations f = a0 x^nu f_- f_+ and
+g = b0 x^mu g_- g_+ of two invertible series, the symbol is the unit
 
     <f, g> = (-1)^(nu_f nu_g) * a0^nu_g / b0^nu_f
              * prod_{j,k>=1} (1 - a_j^(k/d) b_{-k}^(j/d))^d
@@ -10,16 +10,36 @@ symbol is the unit
 Both double products are finite: the negative-index factors are
 nilpotent, so any factor with j/d >= N (truncation degree) equals 1.
 The subscript gcd is read as an exponent; exact bimultiplicativity and
-the reciprocity suite pin that reading down.
+the reciprocity suite pin that reading down.  `cc_symbol` evaluates it.
+
+Over a Q-algebra the same unit has a residue form (Contou-Carrere,
+C. R. Acad. Sci. Paris 318, 1994; Anderson and Pablos Romo, Comm.
+Algebra 32, 2004).  With h = x^-nu f, the quotient h'/h has no x^-1
+term: its exponents >= 0 are dlog f_+ and its exponents <= -2 are
+dlog f_-, whose termwise integrals are log f_+ and log f_-.  Then
+
+    <f, g> = (-1)^(nu mu) a0^mu b0^-nu
+             * exp(Res(log f_+ dlog g_-) - Res(log g_+ dlog f_-)),
+    a0 = [x^0] (h exp(-log f_-)),
+
+two finite sums, since f_- and g_- have nilpotent coefficients.  It
+reads f only below x^(nu + w) for a window w that grows until both
+negative halves, and log f_+ up to the depth of dlog g_- (and the same
+with f and g swapped), are determined; so `cc_symbol_series` and
+`local_symbols` invert and expand only that window, with no
+factorization.  `cc_symbol`, the double product, is the independent
+oracle the tests hold the residue form to.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import partial
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, exp
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
-from .laurent import CanonicalFactorization, LaurentSeries, factorize
+from .laurent import CanonicalFactorization, LaurentSeries
 
 
 def _require_complete(fac: CanonicalFactorization, partner_neg_depth: int, who: str):
@@ -67,9 +87,126 @@ def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> A
     return value
 
 
+_WINDOW = 4  # the first window, in orders above the valuation
+_SEARCH = 256  # how far past the truncation a search for the one needed goes
+
+
+def _derivative(s: LaurentSeries) -> LaurentSeries:
+    return LaurentSeries(s.signature, {e - 1: c * e for e, c in s.coeffs.items() if e}, s.trunc - 1)
+
+
+def _logs(f: LaurentSeries, nu: int):
+    """(h'/h, l, a0) for h = x^-nu f = p (1 - u), p the part of h from x^0
+    on: l = log(1 - u) is a finite sum, its exponents < 0 are log f_-,
+    and a0 = p(0) exp(l(0)).  The part of h below x^0 is known exactly,
+    so only u = (p - h)/p and its powers erode the truncation."""
+    h = f.shift(-nu)
+    sig = h.signature
+    p = LaurentSeries(sig, {e: c for e, c in h.coeffs.items() if e >= 0}, h.trunc)
+    p_inv = p.inverse()
+    u = (p - h) * p_inv  # minus (h - p)/p: log(1 - u) = -sum of u^k / k
+    # u's coefficients lie in m^order, as (h - p)'s do, so u^k = 0 once k order >= N
+    order = min((sum(m) for c in (h - p).coeffs.values() for m in c.num), default=sig.truncation_degree)
+    log, term = -u, u
+    for k in range(2, -(-sig.truncation_degree // order)):
+        term = term * u
+        log = log - term.scale(sig.scalar(Fraction(1, k)))
+    a0 = p.coeff(0) * exp(log.coeff(0)) if log.trunc > 0 else None
+    return _derivative(p) * p_inv + _derivative(log), log, a0
+
+
+def _residue(d: LaurentSeries, log: LaurentSeries) -> AlgebraElement:
+    """-Res(log g_+ dlog f_-) from d = dlog g and log = log f_-: the sum
+    over n >= 1 of [x^(n-1)] d [x^-n] log, as n [x^n] log g_+ is
+    [x^(n-1)] dlog g and [x^(-n-1)] dlog f_- is -n [x^-n] log f_-."""
+    return sum((d.coeff(-e - 1) * c for e, c in log.coeffs.items() if e < 0), d.signature.zero())
+
+
+def _residue_symbol(f: LaurentSeries, nu: int, g: LaurentSeries, mu: int):
+    """(<f, g>, [k_f, k_g]) from f and g known below their truncation
+    orders, or (None, [k_f, k_g]) when f or g is known k > 0 orders too
+    short."""
+    (df, log_f, a0), (dg, log_g, b0) = _logs(f, nu), _logs(g, mu)
+    # log f_- down to x^-n reads dlog g up to x^(n-1); a log known at x^0 (x^1 for a0) has its negative half
+    depth_f, depth_g = (max((-e for e in log.coeffs if e < 0), default=-1) for log in (log_f, log_g))
+    short = [max(depth_g - df.trunc, (1 if mu else 0) - log_f.trunc),
+             max(depth_f - dg.trunc, (1 if nu else 0) - log_g.trunc)]
+    if max(short) > 0:
+        return None, short
+    value = exp(_residue(dg, log_f) - _residue(df, log_g))
+    value = value * a0 ** mu if mu else value
+    value = value * b0 ** -nu if nu else value
+    return (-value if nu * mu % 2 else value), short
+
+
+def _windowed(args):
+    """(<f, g>, 0), or (None, T) when the truncations fall short and T is
+    the least that could suffice, from two (expand, nu, limit): expand(t)
+    is f or g known below x^t, for nu < t <= limit.  The windows start at
+    nu + 4 and grow by what the residues report missing."""
+    if any(limit <= nu for _, nu, limit in args):
+        return None, max(nu for _, nu, _ in args) + 1
+    ts = [min(limit, nu + _WINDOW) for _, nu, limit in args]
+    while True:
+        value, short = _residue_symbol(*(x for (expand, nu, _), t in zip(args, ts) for x in (expand(t), nu)))
+        if max(short) <= 0:
+            return value, 0
+        grown = [t + max(k, 0) for t, k in zip(ts, short)]
+        capped = [min(limit, t) for (_, _, limit), t in zip(args, grown)]
+        if capped == ts:
+            return None, max(grown)
+        ts = capped
+
+
 def cc_symbol_series(f: LaurentSeries, g: LaurentSeries) -> AlgebraElement:
-    """Factorize both series, then evaluate the symbol."""
-    return cc_symbol(factorize(f), factorize(g))
+    """The symbol of two series by the residue form, from the windows of
+    their coefficients that it reads."""
+    if f.signature != g.signature:
+        raise SignatureMismatch("series over different signatures")
+    value, need = _windowed([(s.truncate, s.valuation(), s.trunc) for s in (f, g)])
+    if need:
+        raise InsufficientTruncation(
+            f"series known below x^{min(f.trunc, g.trunc)} are too short for the symbol; "
+            f"it needs them below x^{need} at least (--trunc {need})"
+        )
+    return value
+
+
+def _least_trunc(expansions, trunc: int, need: int) -> int:
+    """The least truncation order above trunc at which the windows of the
+    expansions (expand, nu) suffice, given that below `need` they do not:
+    search upwards from need, then bisect."""
+    def short(t):
+        return _windowed([(expand, nu, t) for expand, nu in expansions])[1]
+
+    lo = max(trunc, *(nu for _, nu in expansions))
+    hi, cap = max(need, lo + 1), lo + _SEARCH
+    while (further := short(hi)):
+        if hi > cap:
+            raise InsufficientTruncation(f"the local symbols need --trunc above {hi}")
+        lo, hi = hi, further
+    while hi - lo > 1:  # success only grows with the truncation order
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if short(mid) else (lo, mid)
+    return hi
+
+
+def local_symbols(f, g, points, trunc: int) -> list:
+    """<f, g> at each of the points for two rational functions, by the
+    residue form on their expansions there (`expand_at`) below
+    x^min(trunc, nu + w).  If trunc is too small at some point, the error
+    names the least --trunc that suffices at all of them."""
+    values, need = [], 0
+    for s in points:
+        expansions = [(partial(r.expand_at, s), r.order_at(s)) for r in (f, g)]
+        value, short = _windowed([(expand, nu, trunc) for expand, nu in expansions])
+        values.append(value)
+        need = max(need, _least_trunc(expansions, trunc, short) if short else 0)
+    if need:
+        raise InsufficientTruncation(
+            f"truncation order {trunc} too small for the local symbols; they need --trunc at least {need}"
+        )
+    return values
 
 
 def tame_symbol(f: LaurentSeries, g: LaurentSeries):

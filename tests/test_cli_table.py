@@ -103,6 +103,36 @@ def test_trunc_zero_names_the_flag():
     assert "--trunc" in err
 
 
+EPS3 = "--algebra=gens=eps;degree=3;scalars=exact"
+EPS2 = "--algebra=gens=eps;degree=2;scalars=exact"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "weil", EPS3, "--f=(x-1+eps)^3*(x-2)^-1", "--g=(x+eps)^-2*(x-1)", "--trunc=2"],
+        ["verify", "weil", EPS2, "--f=x^20", "--g=(1-x)", "--trunc=16"],
+        ["symbol", EPS2, "--f=eps*x^-5+1", "--g=1-x", "--trunc=4"],
+        ["symbol", EPS2, "--f=eps/x^5+1", "--g=1-x", "--trunc=4"],
+    ],
+)
+def test_a_short_truncation_names_the_trunc_that_suffices(argv):
+    code, out, err = run_main(argv)
+    assert_one_error_line(code, err)
+    needed = re.search(r"--trunc (?:at least )?(\d+)", err)
+    assert out == "" and needed, err
+    assert run_main(argv[:-1] + [f"--trunc={needed.group(1)}"])[0] == 0
+
+
+def test_factorize_of_a_unit_with_a_deep_nilpotent_term_needs_only_the_truncation():
+    # eps*x^-5 once parsed as eps*x^-5+O(x^-3), and 1+eps*x^-5 as no unit at all
+    code, _, err = run_main(["factorize", EPS2, "--f=eps*x^-5+1", "--trunc=4"])
+    assert_one_error_line(code, err)
+    assert "truncation order 4 too small" in err
+    code, out, _ = run_main(["factorize", EPS2, "--f=eps*x^-5+1", "--trunc=30"])
+    assert code == 0 and out.strip() == "1*(1+eps*x^-5)"
+
+
 # -- no silently dropped input ----------------------------------------------------
 
 

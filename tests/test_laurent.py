@@ -38,6 +38,15 @@ def test_mul_nilpotent_cancellation():
     assert (f * g).coeffs == {2: SIG2.one()}
 
 
+def test_exact_products_equal_the_sum_of_pair_products():
+    # coefficients accumulate on Gaussian integers over one lcm denominator
+    rng = random.Random(7)
+    for sig in (SIG2, SIG3):
+        for _ in range(30):
+            f, g = (random_invertible_series(rng, sig, math.inf, max_terms=5) for _ in range(2))
+            assert (f * g).coeffs == oracle_series_mul(f.coeffs, g.coeffs, sig)
+
+
 def test_mul_truncation_bookkeeping():
     f = LaurentSeries(SIG2, {-1: SIG2.one()}, trunc=5)  # x^-1 known below x^5
     g = LaurentSeries(SIG2, {2: SIG2.one()}, trunc=7)

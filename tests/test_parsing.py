@@ -64,6 +64,16 @@ def test_series_division_uses_truncation():
         parse_series("1/(1-x)", TRIV)  # no finite truncation given
 
 
+@pytest.mark.parametrize(
+    "text, coeff, exponent",
+    [("x^-5", 1, -5), ("1/x^5", 1, -5), ("(1+eps)^-1*x^-2", "1-eps", -2)],
+)
+def test_negative_powers_of_one_term_series_keep_the_truncation(text, coeff, exponent):
+    # a one-term series inverts exactly: x^-1 at trunc 12 once parsed as x^-1+O(x^10)
+    s = parse_series(text, SIG2, trunc=4)
+    assert s == LaurentSeries(SIG2, {exponent: parse_element(str(coeff), SIG2)}, 4)
+
+
 def test_series_factorize_pipeline():
     fac = factorize(parse_series("x+eps", SIG2, trunc=8))
     assert fac.nu == 1

@@ -1,24 +1,29 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ccsym.algebra import parse_signature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from ccsym.laurent import LaurentSeries, factorize
+from ccsym.ratfunc import RationalFunctionA as RF, rf_support
 from ccsym.scalars import gaussian
 from ccsym.symbol import (
     cc_symbol,
     cc_symbol_series,
+    local_symbols,
     scalar_multiple_symbol,
     steinberg_value,
     tame_symbol,
 )
 
-from conftest import random_invertible_series
+from conftest import random_element, random_invertible_series
 
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
 SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
+SIG3 = parse_signature("gens=eps,delta;degree=3;scalars=exact")
 
 
 def x_over(sig, trunc=12):
@@ -175,3 +180,88 @@ def test_truncation_stability():
         v2 = cc_symbol_series(f.truncate(31), g.truncate(31))
         v3 = cc_symbol_series(f, g)
         assert v1 == v2 == v3
+
+
+# -- the residue form against the double product ---------------------------------
+
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def double_product(f, g):
+    """cc_symbol over both factorizations, or None when they are too short."""
+    try:
+        return cc_symbol(factorize(f), factorize(g))
+    except InsufficientTruncation:
+        return None
+
+
+def with_random_tail(rng, f):
+    """f with random terms above its truncation, known 30 orders further:
+    a symbol that f determines cannot depend on them."""
+    tail = {f.trunc + k: random_element(rng, f.signature) for k in range(3)}
+    return LaurentSeries(f.signature, {**tail, **f.coeffs}, f.trunc + 30)
+
+
+@PROPERTY
+@given(st.sampled_from([SIG2, SIG3]), st.integers(1, 14), st.integers(0, 2**32))
+def test_residue_form_equals_the_double_product_on_series(sig, trunc, seed):
+    rng = random.Random(seed)
+    f, g = (random_invertible_series(rng, sig, trunc) for _ in range(2))
+    if not all(any(c.is_unit() for c in s.coeffs.values()) for s in (f, g)):
+        return  # the unit term fell past the truncation
+    expected = double_product(f, g)
+    try:
+        value = cc_symbol_series(f, g)
+    except InsufficientTruncation:
+        # the residue form reads no more than the double product does
+        assert expected is None
+        return
+    if expected is None:  # only the residue form is determined: widen the inputs
+        expected = double_product(with_random_tail(rng, f), with_random_tail(rng, g))
+    assert value == expected
+
+
+ROOTS = [gaussian(0), gaussian(1), gaussian(-1), gaussian(2), gaussian(0, 1), gaussian(Fraction(1, 2), -1)]
+
+
+def random_ratfunc(rng, sig):
+    f = RF.constant(sig, random_element(rng, sig, unit=True))
+    for _ in range(rng.randint(1, 3)):
+        shift = random_element(rng, sig, unit=False)
+        f = f * RF.monic_linear(sig, rng.choice(ROOTS), shift=shift) ** rng.choice([-2, -1, 1, 2, 3])
+    return f
+
+
+def local_double_product(f, g, s, trunc):
+    try:
+        return double_product(f.expand_at(s, trunc), g.expand_at(s, trunc))
+    except InsufficientTruncation:  # trunc at or below a valuation
+        return None
+
+
+def named_trunc(exc) -> int:
+    return int(re.search(r"--trunc at least (\d+)", str(exc)).group(1))
+
+
+@settings(PROPERTY, max_examples=15)
+@given(st.sampled_from([SIG2, SIG3]), st.integers(1, 12), st.integers(0, 2**32))
+def test_residue_form_equals_the_double_product_at_every_local_pair(sig, trunc, seed):
+    rng = random.Random(seed)
+    f, g = random_ratfunc(rng, sig), random_ratfunc(rng, sig)
+    support = rf_support(f, g)
+    for s in support:
+        expected = local_double_product(f, g, s, trunc)
+        try:
+            [value] = local_symbols(f, g, [s], trunc)
+        except InsufficientTruncation as exc:
+            assert expected is None  # the residue form reads no more than the double product does
+            with pytest.raises(InsufficientTruncation):  # the --trunc named is the least that suffices
+                local_symbols(f, g, [s], named_trunc(exc) - 1)
+            [value] = local_symbols(f, g, [s], named_trunc(exc))
+        assert expected is None or value == expected
+        deep = max(trunc, f.order_at(s), g.order_at(s)) + 12
+        assert value == local_double_product(f, g, s, deep)
+    try:
+        local_symbols(f, g, support, trunc)
+    except InsufficientTruncation as exc:  # the --trunc named suffices at every point
+        local_symbols(f, g, support, named_trunc(exc))

@@ -26,6 +26,9 @@ def test_transport_takes_a_path_and_a_config_by_name_and_returns_coefficients():
 def test_the_wrapped_functions_and_methods_exist():
     for name in ("dlog_eval", "eval", "expand_at"):
         assert inspect.isfunction(vars(RationalFunctionA)[name])
-    for module, name in ((chen, "transport"), (laurent, "factorize"), (symbol, "cc_symbol")):
+    # `verify weil` and `main-theorem` evaluate through local_symbols, `symbol` through cc_symbol_series
+    bound = ((chen, "transport"), (laurent, "factorize"), (symbol, "cc_symbol"),
+             (symbol, "cc_symbol_series"), (symbol, "local_symbols"))
+    for module, name in bound:
         fn = vars(module)[name]
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__
