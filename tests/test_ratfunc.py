@@ -5,6 +5,7 @@ import pytest
 
 from ccsym.algebra import deviation, parse_signature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
+from ccsym.laurent import LaurentSeries
 from ccsym.parsing import parse_ratfunc
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint, rf_support
 from ccsym.scalars import gaussian, power
@@ -263,3 +264,5 @@ def test_truncation_at_or_below_the_valuation_names_the_needed_truncation():
     assert f.expand_at(SpherePoint.finite(0), 21).valuation() == 20
     with pytest.raises(InsufficientTruncation, match="at least -16"):
         f.expand_at(SpherePoint.infinity(), -17)
+    # a window that ends below x^0 keeps the scale and the unit parts of the factors
+    assert f.expand_at(SpherePoint.infinity(), -16) == LaurentSeries.monomial(SIG2, -17, trunc=-16)
