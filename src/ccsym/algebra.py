@@ -14,7 +14,8 @@ fmpq_poly), so equality is structural; floats over 1 on the float
 backend, whose products round as complex ones do.  Only building,
 normalising and converting an element read the backend, and a float
 residue's reciprocal, which takes complex division to stay in range.
-`DenseLayout` holds elements as dense lists for the numeric engine, with
+`AlgebraElement.dot`, a sum of products normalised once, is the one
+product behind element, series and polynomial products.  `DenseLayout` holds elements as dense lists for the numeric engine, with
 monomials in degree order, so that dividing is one forward substitution.
 """
 
@@ -248,24 +249,32 @@ class AlgebraElement:
     def __neg__(self):
         return AlgebraElement._normal(self.signature, {m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
+    @classmethod
+    def dot(cls, signature: AlgebraSignature, pairs: list) -> "AlgebraElement":
+        """The sum of c1 * c2 over the (c1, c2) pairs, the one product of
+        ccsym: each pair's convolution scaled from c1.den * c2.den to the
+        lcm of those, summed on the numerators and normalised once."""
+        n, den, out = signature.truncation_degree, lcm(*(c1.den * c2.den for c1, c2 in pairs)), {}
+        for c1, c2 in pairs:
+            k = den // (c1.den * c2.den)  # 1 on the float backend, so a * k is a
+            for m1, (a, b) in c1.num.items():
+                d1, a, b = sum(m1), a * k, b * k
+                for m2, (c, d) in c2.num.items():
+                    if d1 + sum(m2) < n:
+                        mono = tuple(map(add, m1, m2))
+                        s = out.get(mono, (0, 0))
+                        # one rounding per product part, as complex multiplication
+                        re, im = s[0] + (a * c - b * d), s[1] + (a * d + b * c)
+                        if re or im:
+                            out[mono] = (re, im)
+                        else:
+                            out.pop(mono, None)
+        return cls._normal(signature, out, den)
+
     def __mul__(self, other):
         other = self._as_element(other)
         self._check(other)
-        n = self.signature.truncation_degree
-        out = {}
-        for m1, (a, b) in self.num.items():
-            d1 = sum(m1)
-            for m2, (c, d) in other.num.items():
-                if d1 + sum(m2) < n:
-                    mono = tuple(map(add, m1, m2))
-                    s = out.get(mono, (0, 0))
-                    # one rounding per product part, as complex multiplication
-                    re, im = s[0] + (a * c - b * d), s[1] + (a * d + b * c)
-                    if re or im:
-                        out[mono] = (re, im)
-                    else:
-                        out.pop(mono, None)
-        return AlgebraElement._normal(self.signature, out, self.den * other.den)
+        return AlgebraElement.dot(self.signature, ((self, other),))
 
     def __rmul__(self, other):
         return self.__mul__(other)

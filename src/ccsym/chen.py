@@ -203,7 +203,7 @@ class TruncatedWordSeries:
         for w in a:
             splits = [(w[:i], w[i:]) for i in range(len(w) + 1)]
             if all(u in a and v in b for u, v in splits):
-                out[w] = sum((a[u] * b[v] for u, v in splits), self.signature.zero())
+                out[w] = AlgebraElement.dot(self.signature, [(a[u], b[v]) for u, v in splits])
         return TruncatedWordSeries(self.signature, self.alphabet_size, self.max_len, out)
 
     def deviation(self, other) -> float:

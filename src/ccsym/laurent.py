@@ -137,20 +137,13 @@ class LaurentSeries:
             return self.scale(self.signature.scalar(other))
         self._check(other)
         trunc = min(self.trunc + other.lower_bound, other.trunc + self.lower_bound)
-        if self.signature.backend is not Backend.FLOAT:
-            return LaurentSeries(self.signature, _exact_product(self, other, trunc), trunc)
-        out = {}
+        pairs = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e >= trunc:
-                    continue
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return LaurentSeries(self.signature, out, trunc)
+                if e1 + e2 < trunc:
+                    pairs.setdefault(e1 + e2, []).append((c1, c2))
+        sig = self.signature
+        return LaurentSeries(sig, {e: AlgebraElement.dot(sig, group) for e, group in pairs.items()}, trunc)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -189,8 +182,7 @@ class LaurentSeries:
             )
         g = [lead.inverse()]
         for k in range(1, terms):
-            s = sum((c * g[k - i] for i, c in red if i <= k), sig.zero())
-            g.append(-s * g[0])
+            g.append(-AlgebraElement.dot(sig, [(c, g[k - i]) for i, c in red if i <= k]) * g[0])
         g0 = LaurentSeries(sig, {k - nu: c for k, c in enumerate(g)}, self.trunc - 2 * nu)
         # stage 2: m-adic correction; e has nilpotent coefficients so the
         # geometric series is a finite sum
@@ -250,38 +242,6 @@ class LaurentSeries:
         if math.isinf(self.trunc):
             return body
         return f"{body}+O(x^{self.trunc})"
-
-
-def _exact_product(f: LaurentSeries, g: LaurentSeries, trunc) -> dict:
-    """The coefficients below x^trunc of f * g over exact scalars.  Each
-    one sums the Gaussian-integer convolutions of its pairs (c1, c2), each
-    scaled from c1.den * c2.den to the lcm of those, and is brought to
-    lowest terms once: equal by == to summing the pair products, without
-    a normalised element per pair product and per partial sum."""
-    sig = f.signature
-    n = sig.truncation_degree
-    pairs = {}
-    for e1, c1 in f.coeffs.items():
-        for e2, c2 in g.coeffs.items():
-            if e1 + e2 < trunc:
-                pairs.setdefault(e1 + e2, []).append((c1, c2))
-    out = {}
-    for e, group in pairs.items():
-        den = math.lcm(*(c1.den * c2.den for c1, c2 in group))
-        acc = {}
-        for c1, c2 in group:
-            k = den // (c1.den * c2.den)
-            for m1, (a, b) in c1.num.items():
-                d1, a, b = sum(m1), a * k, b * k
-                for m2, (c, d) in c2.num.items():
-                    if d1 + sum(m2) < n:
-                        mono = tuple(map(operator.add, m1, m2))
-                        re, im = acc.get(mono, (0, 0))
-                        acc[mono] = (re + a * c - b * d, im + a * d + b * c)
-        acc = {m: c for m, c in acc.items() if c[0] or c[1]}
-        if acc:
-            out[e] = AlgebraElement._normal(sig, acc, den)
-    return out
 
 
 def format_coeff(c: AlgebraElement) -> str:

@@ -84,13 +84,11 @@ def poly_add(p: list, q: list, sig: AlgebraSignature) -> list:
 def poly_mul(p: list, q: list, sig: AlgebraSignature) -> list:
     if not p or not q:
         return []
-    out = [sig.zero()] * (len(p) + len(q) - 1)
+    groups = [[] for _ in range(len(p) + len(q) - 1)]
     for i, a in enumerate(p):
-        if a.is_zero():
-            continue
         for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return poly_trim(out)
+            groups[i + j].append((a, b))
+    return poly_trim([AlgebraElement.dot(sig, group) for group in groups])
 
 
 def poly_derivative(p: list) -> list:

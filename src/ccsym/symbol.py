@@ -119,7 +119,7 @@ def _residue(d: LaurentSeries, log: LaurentSeries) -> AlgebraElement:
     """-Res(log g_+ dlog f_-) from d = dlog g and log = log f_-: the sum
     over n >= 1 of [x^(n-1)] d [x^-n] log, as n [x^n] log g_+ is
     [x^(n-1)] dlog g and [x^(-n-1)] dlog f_- is -n [x^-n] log f_-."""
-    return sum((d.coeff(-e - 1) * c for e, c in log.coeffs.items() if e < 0), d.signature.zero())
+    return AlgebraElement.dot(d.signature, [(d.coeff(-e - 1), c) for e, c in log.coeffs.items() if e < 0])
 
 
 def _residue_symbol(f: LaurentSeries, nu: int, g: LaurentSeries, mu: int):
