@@ -9,6 +9,7 @@ identities.  Exit status: 0 on success/pass, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,7 +88,10 @@ def _target_params(target: str) -> dict:
     return params
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then shared
+    by every call in the process; not to be changed."""
     parser = argparse.ArgumentParser(
         prog="ccsym",
         description="Contou-Carrere symbols and their iterated-integral verification",
@@ -182,7 +186,7 @@ def run(argv) -> int:
         if args.command == "tame":
             print(tame_symbol(f, g))
         else:
-            value = cc_symbol_series(f, g)
+            value = cc_symbol_series(f, g, args.trunc)
             print(json.dumps(element_to_json(value)) if args.json else value)
         return 0
 

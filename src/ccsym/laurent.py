@@ -77,7 +77,10 @@ class LaurentSeries:
         return self.coeffs.get(e, self.signature.zero())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        """Zero at every exponent: a series known to be zero only below
+        its truncation order is not, as its products show when they
+        lower that order."""
+        return not self.coeffs and self.trunc == INF
 
     def support(self):
         return sorted(self.coeffs)
@@ -187,7 +190,7 @@ class LaurentSeries:
         # stage 2: m-adic correction; e has nilpotent coefficients so the
         # geometric series is a finite sum
         e = LaurentSeries.one(sig) - self * g0
-        return g0 * geometric(e, LaurentSeries.one(sig, e.trunc), sig.truncation_degree)
+        return g0 * geometric(e, LaurentSeries.one(sig), sig.truncation_degree)
 
     def __pow__(self, n: int) -> "LaurentSeries":
         return power(self, n, LaurentSeries.one(self.signature))

@@ -140,12 +140,13 @@ def _residue_symbol(f: LaurentSeries, nu: int, g: LaurentSeries, mu: int):
 
 
 def _windowed(args):
-    """(<f, g>, 0), or (None, T) when the truncations fall short and T is
-    the least that could suffice, from two (expand, nu, limit): expand(t)
-    is f or g known below x^t, for nu < t <= limit.  The windows start at
-    nu + 4 and grow by what the residues report missing."""
+    """(<f, g>, 0), or (None, k) when the truncations fall short and k > 0
+    is the fewest orders that the limits must all rise by to suffice, from
+    two (expand, nu, limit): expand(t) is f or g known below x^t, for
+    nu < t <= limit.  The windows start at nu + 4 and grow by what the
+    residues report missing."""
     if any(limit <= nu for _, nu, limit in args):
-        return None, max(nu for _, nu, _ in args) + 1
+        return None, max(nu + 1 - limit for _, nu, limit in args)
     ts = [min(limit, nu + _WINDOW) for _, nu, limit in args]
     while True:
         value, short = _residue_symbol(*(x for (expand, nu, _), t in zip(args, ts) for x in (expand(t), nu)))
@@ -154,37 +155,40 @@ def _windowed(args):
         grown = [t + max(k, 0) for t, k in zip(ts, short)]
         capped = [min(limit, t) for (_, _, limit), t in zip(args, grown)]
         if capped == ts:
-            return None, max(grown)
+            return None, max(t - limit for (_, _, limit), t in zip(args, grown))
         ts = capped
 
 
-def cc_symbol_series(f: LaurentSeries, g: LaurentSeries) -> AlgebraElement:
+def cc_symbol_series(f: LaurentSeries, g: LaurentSeries, trunc=None) -> AlgebraElement:
     """The symbol of two series by the residue form, from the windows of
-    their coefficients that it reads."""
+    their coefficients that it reads.  When f and g are known too short,
+    the error names the orders missing and, for series expanded with
+    truncation order `trunc` (the CLI's --trunc), trunc raised by them."""
     if f.signature != g.signature:
         raise SignatureMismatch("series over different signatures")
-    value, need = _windowed([(s.truncate, s.valuation(), s.trunc) for s in (f, g)])
-    if need:
+    value, missing = _windowed([(s.truncate, s.valuation(), s.trunc) for s in (f, g)])
+    if missing:
         raise InsufficientTruncation(
-            f"series known below x^{min(f.trunc, g.trunc)} are too short for the symbol; "
-            f"it needs them below x^{need} at least (--trunc {need})"
+            f"series known below x^{f.trunc} and x^{g.trunc} are too short for the symbol; "
+            f"it needs {missing} more order{'s' if missing > 1 else ''}"
+            + ("" if trunc is None else f" (--trunc {trunc + missing})")
         )
     return value
 
 
-def _least_trunc(expansions, trunc: int, need: int) -> int:
+def _least_trunc(expansions, trunc: int, missing: int) -> int:
     """The least truncation order above trunc at which the windows of the
-    expansions (expand, nu) suffice, given that below `need` they do not:
-    search upwards from need, then bisect."""
+    expansions (expand, nu) suffice, given that below trunc + missing they
+    do not: search upwards from there, then bisect."""
     def short(t):
         return _windowed([(expand, nu, t) for expand, nu in expansions])[1]
 
     lo = max(trunc, *(nu for _, nu in expansions))
-    hi, cap = max(need, lo + 1), lo + _SEARCH
-    while (further := short(hi)):
+    hi, cap = max(trunc + missing, lo + 1), lo + _SEARCH
+    while (missing := short(hi)):
         if hi > cap:
             raise InsufficientTruncation(f"the local symbols need --trunc above {hi}")
-        lo, hi = hi, further
+        lo, hi = hi, hi + missing
     while hi - lo > 1:  # success only grows with the truncation order
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if short(mid) else (lo, mid)

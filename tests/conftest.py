@@ -30,11 +30,12 @@ def oracle_alg_mul(coeffs_a: dict, coeffs_b: dict, degree: int) -> dict:
 
 
 def oracle_series_mul(coeffs_f: dict, coeffs_g: dict, sig: AlgebraSignature) -> dict:
-    """Naive Cauchy product of {exponent: AlgebraElement} maps."""
+    """Naive Cauchy product of {exponent: AlgebraElement} maps over exact
+    scalars, each pair product by `oracle_alg_mul` on the coefficient maps."""
     out = {}
     for e1, c1 in coeffs_f.items():
         for e2, c2 in coeffs_g.items():
-            prod = c1 * c2
+            prod = sig.element(oracle_alg_mul(c1.coeffs, c2.coeffs, sig.truncation_degree))
             key = e1 + e2
             out[key] = out.get(key, sig.zero()) + prod
     return {e: c for e, c in out.items() if not c.is_zero()}

@@ -114,6 +114,8 @@ EPS2 = "--algebra=gens=eps;degree=2;scalars=exact"
         ["verify", "weil", EPS2, "--f=x^20", "--g=(1-x)", "--trunc=16"],
         ["symbol", EPS2, "--f=eps*x^-5+1", "--g=1-x", "--trunc=4"],
         ["symbol", EPS2, "--f=eps/x^5+1", "--g=1-x", "--trunc=4"],
+        # the division leaves f known below x^4 only: the hint names --trunc, not x^6
+        ["symbol", EPS3, "--f=1/(x^2-eps)", "--g=1-x", "--trunc=12"],
     ],
 )
 def test_a_short_truncation_names_the_trunc_that_suffices(argv):
@@ -122,6 +124,14 @@ def test_a_short_truncation_names_the_trunc_that_suffices(argv):
     needed = re.search(r"--trunc (?:at least )?(\d+)", err)
     assert out == "" and needed, err
     assert run_main(argv[:-1] + [f"--trunc={needed.group(1)}"])[0] == 0
+
+
+def test_a_series_inverted_below_x0_keeps_its_leading_one():
+    # 1/(x-eps) known below x^3 is inverted with its m-adic correction known below x^0 only
+    argv = ["symbol", EPS2, "--f=1/(x-eps)", "--g=1-x"]
+    code, out, err = run_main(argv + ["--trunc=3"])
+    assert code == 0, err
+    assert out.strip() == "1-eps" == run_main(argv + ["--trunc=20"])[1].strip()
 
 
 def test_factorize_of_a_unit_with_a_deep_nilpotent_term_needs_only_the_truncation():

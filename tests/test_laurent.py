@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from ccsym.algebra import parse_signature
+from ccsym.algebra import deviation, parse_signature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from ccsym.laurent import CanonicalFactorization, LaurentSeries, factorize, reconstruct
+from ccsym.ratfunc import poly_mul, poly_trim
 
 from conftest import oracle_series_mul, random_invertible_series
 
@@ -39,12 +40,21 @@ def test_mul_nilpotent_cancellation():
 
 
 def test_exact_products_equal_the_sum_of_pair_products():
-    # coefficients accumulate on Gaussian integers over one lcm denominator
+    # coefficients accumulate on Gaussian integers over one lcm denominator;
+    # float series round once per coefficient, and polynomials share the sum
     rng = random.Random(7)
     for sig in (SIG2, SIG3):
         for _ in range(30):
             f, g = (random_invertible_series(rng, sig, math.inf, max_terms=5) for _ in range(2))
-            assert (f * g).coeffs == oracle_series_mul(f.coeffs, g.coeffs, sig)
+            expected = oracle_series_mul(f.coeffs, g.coeffs, sig)
+            assert (f * g).coeffs == expected
+            wide, exact = f.widen() * g.widen(), LaurentSeries(sig, expected).widen()
+            scale = max(c.max_abs() for c in exact.coeffs.values())
+            for e in wide.coeffs.keys() | exact.coeffs.keys():
+                assert deviation(wide.coeff(e), exact.coeff(e)) <= 1e-13 * scale
+            # the exponents lie in -4..5: coefficient lists from x^-4 on
+            p, q = ([s.coeffs.get(e, sig.zero()) for e in range(-4, 6)] for s in (f, g))
+            assert poly_mul(p, q, sig) == poly_trim([expected.get(k - 8, sig.zero()) for k in range(19)])
 
 
 def test_mul_truncation_bookkeeping():

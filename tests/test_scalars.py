@@ -199,11 +199,35 @@ def test_series_inverse_term_cap(monkeypatch):
         LaurentSeries(triv, one_plus_x, 6).inverse()
 
 
-# the inverse truncation orders at truncations 4..12, as the geometric-sum
-# inverse computed them before long division replaced it
+def widened_inverse_agrees(f: LaurentSeries, rng: random.Random) -> bool:
+    """Whether f's inverse agrees, below its truncation order, with the
+    inverse of f known six orders further (a random tail from rng), and
+    that inverse is known at least as far."""
+    sig = f.signature
+    tail = {f.trunc + k: random_element(rng, sig) for k in range(6)}
+    g, wide = f.inverse(), LaurentSeries(sig, {**f.coeffs, **tail}, f.trunc + 6).inverse()
+    return wide.trunc >= g.trunc and g.agrees_with(wide)
+
+
+@pytest.mark.parametrize("text", ["gens=eps;degree=3", "gens=eps,delta;degree=3", "gens=eps;degree=4"])
+def test_series_inverse_claims_only_coefficients_a_wider_series_confirms(text):
+    # the m-adic correction's powers start from an untruncated 1, since its
+    # truncation order can be at most 0, and a power zero only below its
+    # truncation order still counts: its successors lower that order
+    sig = parse_signature(text)
+    for seed in range(5):
+        rng = random.Random(seed)
+        for trunc in range(2, 11):
+            f = random_invertible_series(rng, sig, trunc)
+            if any(c.is_unit() for c in f.coeffs.values()):  # the unit lead may lie past trunc
+                assert widened_inverse_agrees(f, rng), (seed, trunc, f)
+
+
+# the inverse truncation orders at truncations 4..12; each inverse agrees
+# with the inverse of its series known six orders further
 PINNED_INVERSE_TRUNCS = {
-    SIG2: [6, -1, 6, 5, 10, 9, 12, 7, 12],
-    SIG3: [5, 9, 8, 9, 1, 11, 5, 13, 16],
+    SIG2: [7, 1, 6, 5, 11, 9, 12, 7, 12],
+    SIG3: [6, 9, 8, 9, 2, 11, 6, 13, 16],
 }
 
 
@@ -217,5 +241,6 @@ def test_series_inverse_by_long_division_against_oracle(sig):
         # below the product's truncation order, f * g is exactly 1
         window = min(f.trunc + g.lower_bound, g.trunc + f.lower_bound)
         assert below(oracle_series_mul(f.coeffs, g.coeffs, sig), window) == below({0: sig.one()}, window)
+        assert widened_inverse_agrees(f, random.Random(trunc))
         truncs.append(g.trunc)
     assert truncs == PINNED_INVERSE_TRUNCS[sig]

@@ -3,13 +3,14 @@
 The traced benchmark run (`bench/run.py --trace 1`) wraps the public
 module-level functions of ccsym and reads the arguments and the result
 of `chen.transport` by name; a refactor that renames or moves one of
-these would break that run and nothing else.
+these would break that run and nothing else.  Products take
+microseconds and get no span, so the product kernel stays a method.
 """
 
 import inspect
 
-from ccsym import chen, laurent, symbol
-from ccsym.algebra import AlgebraSignature, Backend
+from ccsym import algebra, chen, laurent, symbol
+from ccsym.algebra import AlgebraElement, AlgebraSignature, Backend
 from ccsym.chen import QuadratureConfig, SimplePole
 from ccsym.paths import circle
 from ccsym.ratfunc import RationalFunctionA
@@ -32,3 +33,10 @@ def test_the_wrapped_functions_and_methods_exist():
     for module, name in bound:
         fn = vars(module)[name]
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+def test_the_product_kernel_is_no_module_level_function():
+    # a module-level public function would get a span around every product
+    kernel = AlgebraElement.dot
+    assert inspect.ismethod(kernel) and kernel.__self__ is AlgebraElement
+    assert not any(obj is kernel.__func__ for obj in vars(algebra).values())
