@@ -15,8 +15,9 @@ backend, whose products round as complex ones do.  Only building,
 normalising and converting an element read the backend, and a float
 residue's reciprocal, which takes complex division to stay in range.
 `AlgebraElement.dot`, a sum of products normalised once, is the one
-product behind element, series and polynomial products.  `DenseLayout` holds elements as dense lists for the numeric engine, with
-monomials in degree order, so that dividing is one forward substitution.
+product behind element, series and polynomial products.  `DenseLayout`
+holds elements as dense lists for the numeric engine, with monomials in
+degree order, so that dividing is one forward substitution.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ class AlgebraElement:
         lcm of those, summed on the numerators and normalised once."""
         n, den, out = signature.truncation_degree, lcm(*(c1.den * c2.den for c1, c2 in pairs)), {}
         for c1, c2 in pairs:
-            k = den // (c1.den * c2.den)  # 1 on the float backend, so a * k is a
+            k = den // (c1.den * c2.den)  # 1 on the float backend, where a * k is a exactly
             for m1, (a, b) in c1.num.items():
                 d1, a, b = sum(m1), a * k, b * k
                 for m2, (c, d) in c2.num.items():
@@ -274,7 +275,7 @@ class AlgebraElement:
     def __mul__(self, other):
         other = self._as_element(other)
         self._check(other)
-        return AlgebraElement.dot(self.signature, ((self, other),))
+        return AlgebraElement.dot(self.signature, [(self, other)])
 
     def __rmul__(self, other):
         return self.__mul__(other)
