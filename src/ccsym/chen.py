@@ -15,7 +15,8 @@ order, multiplied through the product table of `algebra.DenseLayout`.
 
 `transport` feeds a leg sampler to a stepper, one path segment at a
 time.  The sampler `_legs` yields each form's value times the velocity at
-the stepper's node parameters, and a direction, +1.  By Chen's reversal
+the stepper's node parameters, from the form's `sampler` one block of
+`BLOCK` nodes at a time, and a direction, +1.  By Chen's reversal
 law a leg that runs back over an earlier leg replays that leg's samples
 in reverse order with the opposite direction instead (so the nodes must
 be symmetric under t -> 1 - t), while the kept samples fit in
@@ -63,8 +64,8 @@ class DifferentialForm:
 
     `eval(z)` is the form's coefficient of dz at z as a dense list over
     the form's own `layout`, the monomials of A its values can reach;
-    the transport scatters it into its state's layout.  `value(z)` is
-    the same coefficient as an element."""
+    the transport reads it through `sampler`, over its state's layout.
+    `value(z)` is the same coefficient as an element."""
 
     signature: AlgebraSignature
     poles: tuple
@@ -76,6 +77,20 @@ class DifferentialForm:
 
     def value(self, z: complex) -> AlgebraElement:
         return self.layout.element(self.eval(z))
+
+    def sampler(self, layout: DenseLayout):
+        """`sample(zs, vs)`: per node z with velocity v, v times the form
+        at z as a dense list over `layout`, which holds the form's own
+        monomials.  This default scatters `eval` node by node."""
+        at = [layout.monomials.index(m) for m in self.layout.monomials]
+
+        def scatter(z, v):
+            w = [layout.zero] * len(layout.monomials)
+            for k, c in zip(at, self.eval(z)):
+                w[k] = c * v
+            return w
+
+        return lambda zs, vs: map(scatter, zs, vs)
 
     def __str__(self):
         return self.label
@@ -107,8 +122,8 @@ class SimplePole(DifferentialForm):
 
 
 class DlogForm(DifferentialForm):
-    """df/f for a rational function with coefficients in A, sampled by
-    `RationalFunctionA.dlog_eval` of its float twin."""
+    """df/f for a rational function with coefficients in A, sampled on the
+    partial fractions its float twin compiles (`RationalFunctionA.compiled_dlog`)."""
 
     def __init__(self, f: RationalFunctionA):
         self.f = f.widen()
@@ -119,6 +134,9 @@ class DlogForm(DifferentialForm):
 
     def eval(self, z: complex) -> list:
         return self.f.dlog_eval(z)
+
+    def sampler(self, layout: DenseLayout):
+        return self.f.compiled_dlog.sampler(layout.monomials)
 
 
 class BinomialLogForm(DifferentialForm):
@@ -217,6 +235,7 @@ class TruncatedWordSeries:
 
 POLE_CLEARANCE = 1e-6  # least distance between a path and a form's pole
 KEEP_SAMPLES = 1 << 16  # most form values a transport keeps for its return legs
+BLOCK = 64  # nodes a leg samples at a time
 
 
 def _clearance_check(forms, path: Path):
@@ -246,34 +265,25 @@ def _prefix_closure(words, alphabet_size: int, max_len: int) -> list:
 
 def _legs(forms, layout, segments, ts):
     """Per segment: its samples at the nodes `ts`, symmetric under t -> 1 - t, and a direction."""
-    place = {m: i for i, m in enumerate(layout.monomials)}
-    # each form's sampler and where its layout's monomials sit in this one
-    samplers = [(form.eval, [place[m] for m in form.layout.monomials]) for form in forms]
-    zero = [0j] * len(place)
+    samplers = [form.sampler(layout) for form in forms]
     back = {}  # leg back[i] runs back over leg i and replays its samples
     for i, seg in enumerate(segments):
         rev = seg.reversed()
         if later := [j for j in range(i + 1, len(segments)) if segments[j] == rev and j not in back.values()]:
             back[i] = later[0]
     kept = {}  # the samples of a leg whose reverse is still to come, and that reverse's direction
-    leg_size = len(ts) * len(forms) * len(zero)  # the values a leg keeps
+    leg_size = len(ts) * len(forms) * len(layout.monomials)  # the values a leg keeps
     for i, seg in enumerate(segments):
-
-        def omega_at(t):
-            z, v = seg.point(t), seg.velocity(t)
-            out = [list(zero) for _ in samplers]
-            for w, (sample, at) in zip(out, samplers):
-                for k, c in zip(at, sample(z)):
-                    w[k] = c * v
-            return out
-
         if i in kept:
             # a leg's reverse has its nodes in reverse order with every value
             # negated: the same, bit for bit, as stepping them backwards
             nodes, sign = kept.pop(i)
             nodes = reversed(nodes)
         else:
-            nodes, sign = map(omega_at, ts), 1
+            # sampled a block of nodes at a time: each form's value times the velocity
+            blocks = (ts[k:k + BLOCK] for k in range(0, len(ts), BLOCK))
+            nodes = (w for zs, vs in map(seg.nodes, blocks) for w in zip(*[sample(zs, vs) for sample in samplers]))
+            sign = 1
         if i in back and (len(kept) + 1) * leg_size <= KEEP_SAMPLES:
             nodes = list(nodes)
             kept[back[i]] = nodes, -sign
@@ -354,14 +364,9 @@ def line_integral(form, path: Path, cfg: QuadratureConfig) -> AlgebraElement:
 def shuffles(m: int, n: int):
     """Interleavings of (1..m) with (m+1..m+n) preserving both orders."""
     out = []
-    for positions in combinations(range(m + n), m):
-        word = [0] * (m + n)
-        first = iter(range(m))
-        second = iter(range(m, m + n))
-        pos_set = set(positions)
-        for idx in range(m + n):
-            word[idx] = next(first) if idx in pos_set else next(second)
-        out.append(tuple(word))
+    for positions in map(set, combinations(range(m + n), m)):
+        first, second = iter(range(m)), iter(range(m, m + n))
+        out.append(tuple(next(first) if idx in positions else next(second) for idx in range(m + n)))
     return out
 
 
@@ -377,9 +382,7 @@ def chen_identity_check(kind: str, cfg: QuadratureConfig, **inputs) -> CheckRepo
         shuffled = [tuple(i + 1 for i in tau) for tau in shuffles(m, n)]
         F = transport(forms, path, m + n, cfg, [first, second, *shuffled])
         lhs = F.coeff(first) * F.coeff(second)
-        rhs = F.signature.zero()
-        for w in shuffled:
-            rhs = rhs + F.coeff(w)
+        rhs = sum((F.coeff(w) for w in shuffled), F.signature.zero())
     elif kind == "reversal":
         word, path = list(inputs["word"]), inputs["path"]
         r = len(word)
@@ -395,9 +398,7 @@ def chen_identity_check(kind: str, cfg: QuadratureConfig, **inputs) -> CheckRepo
         F1 = transport(word, path1, r, cfg, prefixes)
         F2 = transport(word, path2, r, cfg, suffixes)
         lhs = iterated_integral(word, path1 + path2, cfg)
-        rhs = F1.signature.zero()
-        for prefix, suffix in zip(prefixes, suffixes):
-            rhs = rhs + F1.coeff(prefix) * F2.coeff(suffix)
+        rhs = sum((F1.coeff(p) * F2.coeff(s) for p, s in zip(prefixes, suffixes)), F1.signature.zero())
     elif kind == "homotopy":
         word, path_a, path_b = list(inputs["word"]), inputs["path_a"], inputs["path_b"]
         lhs = iterated_integral(word, path_a, cfg)

@@ -17,11 +17,11 @@ import sys
 from . import checks
 from .algebra import element_to_json, parse_signature
 from .chen import DlogForm, QuadratureConfig, iterated_integral, line_integral
-from .errors import CcsymError, InputError
+from .errors import CcsymError, InputError, InsufficientTruncation
 from .laurent import factorize
 from .parsing import parse_element, parse_path, parse_ratfunc, parse_scalar, parse_series
 from .ratfunc import SpherePoint
-from .symbol import cc_symbol_series, tame_symbol
+from .symbol import cc_symbol_series, least_trunc, tame_symbol
 
 DEFAULT_ALGEBRA = "gens=;degree=1;scalars=exact"
 
@@ -191,8 +191,7 @@ def run(argv) -> int:
         return 0
 
     if args.command == "factorize":
-        f = parse_series(args.f, sig, args.trunc)
-        fac = factorize(f)
+        fac = _factorize(args.f, sig, args.trunc)
         if args.json:
             payload = {
                 "nu": fac.nu,
@@ -226,6 +225,21 @@ def run(argv) -> int:
         kwargs["trunc"] = args.trunc
     result = getattr(checks, check.function)(**kwargs)
     return _emit_reports(result if isinstance(result, list) else [result], args.json)
+
+
+def _factorize(text: str, sig, trunc: int):
+    """The factorization of the series known below x^trunc; when that is too short, the error
+    names the least --trunc that suffices, searched by doubling the step from trunc."""
+    def attempt(t):
+        try:
+            return factorize(parse_series(text, sig, t))
+        except InsufficientTruncation:
+            return None
+
+    if (fac := attempt(trunc)) is None:
+        need = least_trunc(lambda t: t - trunc if attempt(t) is None else 0, trunc, trunc + 1, "factorize needs")
+        raise InsufficientTruncation(f"truncation order {trunc} too small to factorize; it needs --trunc at least {need}")
+    return fac
 
 
 def main(argv=None) -> int:

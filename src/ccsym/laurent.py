@@ -94,6 +94,9 @@ class LaurentSeries:
             self.signature, {e + k: c for e, c in self.coeffs.items()}, self.trunc + k
         )
 
+    def derivative(self) -> "LaurentSeries":
+        return LaurentSeries(self.signature, {e - 1: c * e for e, c in self.coeffs.items() if e}, self.trunc - 1)
+
     def scale(self, a: AlgebraElement) -> "LaurentSeries":
         return LaurentSeries(
             self.signature, {e: c * a for e, c in self.coeffs.items()}, self.trunc

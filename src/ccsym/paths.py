@@ -32,6 +32,10 @@ class LineSegment:
     def velocity(self, t: float) -> complex:
         return self.end - self.start
 
+    def nodes(self, ts) -> tuple:
+        """(points, velocities) at the parameters ts, as `point` and `velocity` give them."""
+        return [self.point(t) for t in ts], [self.end - self.start] * len(ts)
+
     def reversed(self) -> "LineSegment":
         return LineSegment(self.end, self.start)
 
@@ -68,6 +72,11 @@ class ArcSegment:
 
     def velocity(self, t: float) -> complex:
         return 1j * self.sweep * self.radius * cmath.exp(1j * (self.theta0 + t * self.sweep))
+
+    def nodes(self, ts) -> tuple:
+        """(points, velocities) at the parameters ts, as `point` and `velocity` give them, one exp a node."""
+        es = [cmath.exp(1j * (self.theta0 + t * self.sweep)) for t in ts]
+        return [self.center + self.radius * e for e in es], [1j * self.sweep * self.radius * e for e in es]
 
     def reversed(self) -> "ArcSegment":
         return ArcSegment(self.center, self.radius, self.theta0 + self.sweep, -self.sweep)
@@ -140,10 +149,7 @@ def circle(center: complex, radius: float, base_angle: float = 0.0, clockwise: b
 
 
 def concat(*paths: Path) -> Path:
-    segs = []
-    for p in paths:
-        segs.extend(p.segments)
-    return Path(segs)
+    return Path([seg for p in paths for seg in p.segments])
 
 
 def commutator(alpha: Path, beta: Path) -> Path:

@@ -16,19 +16,20 @@ Products merge the divisor.  A power multiplies the multiplicities and
 raises the perturbation by a binomial sum that ends below the truncation
 degree N of A, so its degree does not grow with the exponent.
 
-`dlog_eval`, the f'/f every numeric check samples, runs on data compiled
-once per function in its own scalars: exact at exact points on the
-exact backend, else on the function's cached float twin.  It returns a
-dense coefficient list over the layout compiled with that data.
+f'/f, which every numeric check samples, is compiled once per function
+as partial fractions, exactly on the exact backend and widened for a
+float twin.  `dlog_eval` takes them at one point, and the sampler of
+`CompiledDlog` at a block of points, with the same arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout
@@ -91,10 +92,6 @@ def poly_mul(p: list, q: list, sig: AlgebraSignature) -> list:
     return poly_trim([AlgebraElement.dot(sig, group) for group in groups])
 
 
-def poly_derivative(p: list) -> list:
-    return poly_trim([c * i for i, c in enumerate(p)][1:])
-
-
 def poly_reduction(p: list) -> list:
     """Residue polynomial over Q(i); only meaningful on the exact backend."""
     out = [c.reduce() for c in p]
@@ -103,21 +100,43 @@ def poly_reduction(p: list) -> list:
     return out
 
 
-def _horner(vectors: list, z) -> list:
-    """Horner evaluation of a polynomial whose coefficients are dense vectors."""
-    out = vectors[-1]
-    for c in reversed(vectors[:-1]):
-        out = [a * z + b for a, b in zip(out, c)]
-    return out
-
-
 class CompiledDlog(NamedTuple):
-    """f'/f of one function in its own scalars; see `compiled_dlog`."""
+    """f'/f of one function as partial fractions in its own scalars; see `compiled_dlog`."""
 
-    roots: list
-    layout: DenseLayout
-    scalar: list
-    nilpotent: list
+    poles: tuple  # (root in these scalars, exact root, ((j, C_j), ...) by j) per pole
+    polynomial: tuple  # ((k, p_k), ...) by k, the part from infinity
+    layout: DenseLayout  # holds every C_j and p_k
+
+    def sampler(self, monomials):
+        """`sample(zs, vs)`: per node z with velocity v, v times f'/f at z over `monomials`
+        (zero where it has no term).  A node takes the powers of u = 1/(z - r) per pole, and
+        of z, once; each monomial then sums its terms c u^j, poles first, times v."""
+        zero, one = self.layout.zero, self.layout.one
+        poles = [(r, root, terms[-1][0]) for r, root, terms in self.poles]
+        top = self.polynomial[-1][0] if self.polynomial else 0
+        # u^j of a pole sits at its start + j - 1 among a node's powers, z^k at the last start + k
+        starts = list(accumulate((n for *_, n in poles), initial=0))
+        flat = [(at + j - 1, c) for at, (*_, terms) in zip(starts, self.poles) for j, c in terms]
+        flat += [(starts[-1] + k, c) for k, c in self.polynomial]
+        rows = [[(i, c.coeffs[m]) for i, c in flat if m in c.coeffs] for m in monomials]
+
+        def sample(zs, vs):
+            for z, v in zip(zs, vs):
+                powers = []
+                for r, root, n in poles:
+                    if not (d := z - r):
+                        raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
+                    powers += accumulate(repeat(one / d, n), mul)
+                powers += accumulate(repeat(z, top), mul, initial=one)
+                values = []
+                for row in rows:
+                    total = zero
+                    for i, c in row:
+                        total += c * powers[i]
+                    values.append(total * v if row else zero)
+                yield values
+
+        return sample
 
 
 def _scalar_poly_divide_linear(p: list, r):
@@ -141,6 +160,7 @@ class RationalFunctionA:
     scale: AlgebraElement = None
     pert_num: tuple = None  # tuple of AlgebraElement, degree-indexed
     pert_den: tuple = None
+    exact: "RationalFunctionA" = field(default=None, compare=False, repr=False)  # a twin's exact function
 
     def __post_init__(self):
         sig = self.signature
@@ -262,7 +282,7 @@ class RationalFunctionA:
         if self.signature.backend is Backend.FLOAT:
             return self
         num, den = ([c.widen() for c in p] for p in (self.pert_num, self.pert_den))
-        return RationalFunctionA(self.signature.to_float(), self.base_factors, self.scale.widen(), num, den)
+        return RationalFunctionA(self.signature.to_float(), self.base_factors, self.scale.widen(), num, den, self)
 
     _float = cached_property(widen)  # the twin `_at` samples on, built once
 
@@ -297,50 +317,38 @@ class RationalFunctionA:
 
     @cached_property
     def compiled_dlog(self) -> CompiledDlog:
-        """f'/f compiled in this function's scalars: (root, multiplicity,
-        exact root) per nonzero multiplicity, the dense layout of the
-        perturbation's monomials, and (p, p') per nonconstant perturbation
-        polynomial (-p' for the denominator) by x-degree, as scalars if all
-        of p's coefficients are, else as dense vectors."""
+        """f'/f as partial fractions in this function's scalars: per root r with a principal
+        part, its C_j in sum_j C_j (x - r)^-j, and the p_k of the polynomial part sum_k p_k x^k
+        that an unbalanced perturbation puts at infinity.  They are read off h'/h for the local
+        expansion h at each point; a float twin widens its exact function's."""
+        (self.exact or self).validate_poles()
         sig = self.signature
-        roots = [(sig.coerce_scalar(r), sig.coerce_scalar(m), r)
-                 for r, m in self.base_factors if m]
-        layout = DenseLayout(sig, {m for c in self.pert_num + self.pert_den for m in c.coeffs})
-        scalar, nilpotent = [], []
-        for p, q in ((self.pert_num, poly_derivative(self.pert_num)),
-                     (self.pert_den, [-c for c in poly_derivative(self.pert_den)])):
-            if len(p) < 2:
-                continue
-            p, q = ([layout.vector(c) for c in poly] for poly in (p, q))
-            if any(c for v in p for c in v[1:]):
-                nilpotent.append((p, q))
-            else:
-                scalar.append(([v[0] for v in p], [v[0] for v in q]))
-        return CompiledDlog(roots, layout, scalar, nilpotent)
+        poles = tuple((sig.coerce_scalar(root), root, terms) for root in self.roots()
+                      if (terms := self._dlog_terms(SpherePoint(root), 0)))
+        polynomial = self._dlog_terms(SpherePoint.infinity(), 1) if self.pert_excess > 0 else ()
+        monomials = {m for *_, terms in (*poles, (polynomial,)) for _, c in terms for m in c.coeffs}
+        return CompiledDlog(poles, polynomial, DenseLayout(sig, monomials))
+
+    def _dlog_terms(self, s: SpherePoint, top: int) -> tuple:
+        """(-e, c) by -e for the terms c t^e with e < top of f'/f at s in the
+        uniformizer t: h'/h, or -t^2 h'/h at infinity, where d/dx = -t^2 d/dt."""
+        if self.exact is not None:
+            return tuple((j, c.widen()) for j, c in self.exact._dlog_terms(s, top))
+        trunc = self.order_at(s) + 1
+        while True:
+            h = self.expand_at(s, trunc)
+            d = h.derivative() * h.inverse()
+            d = -d.shift(2) if s.is_infinite else d
+            if d.trunc >= top:
+                return tuple(sorted((-e, c) for e, c in d.coeffs.items() if e < top))
+            trunc += top - d.trunc
 
     def dlog_eval(self, z) -> list:
-        """Value of f'/f at z: sum m_i/(z - r_i) plus p'/p per perturbation polynomial p
-        (one `DenseLayout.divide` if p is nilpotent), dense over the layout `_at` picks."""
+        """Value of f'/f at z, dense over the layout of the data `_at` picks:
+        the partial fractions' sampler on one node with velocity 1."""
         f, zc = self._at(z)
-        roots, layout, scalar, nilpotent = f.compiled_dlog
-        zero = layout.zero
-        out = [zero] * len(layout.monomials)
-        for r, m, root in roots:
-            diff = zc - r
-            if not diff:
-                raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
-            out[0] += m / diff
-        for p, q in scalar:
-            v = poly_eval(p, zc, zero)
-            if not v:
-                raise NotInvertible("logarithmic derivative at a perturbation pole")
-            out[0] += poly_eval(q, zc, zero) / v
-        for p, q in nilpotent:
-            v = _horner(p, zc)
-            if not v[0]:
-                raise NotInvertible("logarithmic derivative at a perturbation pole")
-            out = [a + b for a, b in zip(out, layout.divide(_horner(q, zc), v))]
-        return out
+        compiled = f.compiled_dlog
+        return next(compiled.sampler(compiled.layout.monomials)([zc], [compiled.layout.one]))
 
     # -- local expansion ----------------------------------------------------------
 
@@ -386,7 +394,8 @@ class RationalFunctionA:
             unit = (sig.one(), sig.scalar(-root)) if s.is_infinite else (sig.scalar(s.value - root), sig.one())
             out = out * LaurentSeries(sig, dict(enumerate(unit)), w) ** mult
         num_s = poly_eval(self.pert_num, x_local, LaurentSeries.zero(sig)).truncate(w)
-        den_s = poly_eval(self.pert_den, x_local, LaurentSeries.zero(sig)).truncate(w)
+        # den's reduction vanishes at s to an order below its length, and den_s keeps that unit term
+        den_s = poly_eval(self.pert_den, x_local, LaurentSeries.zero(sig)).truncate(max(w, len(self.pert_den)))
         return out * num_s * den_s.inverse()
 
     def __str__(self):

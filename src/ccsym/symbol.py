@@ -91,10 +91,6 @@ _WINDOW = 4  # the first window, in orders above the valuation
 _SEARCH = 256  # how far past the truncation a search for the one needed goes
 
 
-def _derivative(s: LaurentSeries) -> LaurentSeries:
-    return LaurentSeries(s.signature, {e - 1: c * e for e, c in s.coeffs.items() if e}, s.trunc - 1)
-
-
 def _logs(f: LaurentSeries, nu: int):
     """(h'/h, l, a0) for h = x^-nu f = p (1 - u), p the part of h from x^0
     on: l = log(1 - u) is a finite sum, its exponents < 0 are log f_-,
@@ -112,7 +108,7 @@ def _logs(f: LaurentSeries, nu: int):
         term = term * u
         log = log - term.scale(sig.scalar(Fraction(1, k)))
     a0 = p.coeff(0) * exp(log.coeff(0)) if log.trunc > 0 else None
-    return _derivative(p) * p_inv + _derivative(log), log, a0
+    return p.derivative() * p_inv + log.derivative(), log, a0
 
 
 def _residue(d: LaurentSeries, log: LaurentSeries) -> AlgebraElement:
@@ -176,18 +172,15 @@ def cc_symbol_series(f: LaurentSeries, g: LaurentSeries, trunc=None) -> AlgebraE
     return value
 
 
-def _least_trunc(expansions, trunc: int, missing: int) -> int:
-    """The least truncation order above trunc at which the windows of the
-    expansions (expand, nu) suffice, given that below trunc + missing they
-    do not: search upwards from there, then bisect."""
-    def short(t):
-        return _windowed([(expand, nu, t) for expand, nu in expansions])[1]
-
-    lo = max(trunc, *(nu for _, nu in expansions))
-    hi, cap = max(trunc + missing, lo + 1), lo + _SEARCH
+def least_trunc(short, lo: int, hi: int, what: str) -> int:
+    """The least truncation order above lo at which short(t), the orders t
+    falls short by, is 0, given that it is not at lo or below hi: search
+    upwards from hi by what short reports, then bisect.  `what` names who
+    needs it in the error past the search."""
+    cap = lo + _SEARCH
     while (missing := short(hi)):
         if hi > cap:
-            raise InsufficientTruncation(f"the local symbols need --trunc above {hi}")
+            raise InsufficientTruncation(f"{what} --trunc above {hi}")
         lo, hi = hi, hi + missing
     while hi - lo > 1:  # success only grows with the truncation order
         mid = (lo + hi) // 2
@@ -205,7 +198,10 @@ def local_symbols(f, g, points, trunc: int) -> list:
         expansions = [(partial(r.expand_at, s), r.order_at(s)) for r in (f, g)]
         value, short = _windowed([(expand, nu, trunc) for expand, nu in expansions])
         values.append(value)
-        need = max(need, _least_trunc(expansions, trunc, short) if short else 0)
+        if short:
+            lo = max(trunc, *(nu for _, nu in expansions))
+            need = max(need, least_trunc(lambda t: _windowed([(e, nu, t) for e, nu in expansions])[1],
+                                         lo, max(trunc + short, lo + 1), "the local symbols need"))
     if need:
         raise InsufficientTruncation(
             f"truncation order {trunc} too small for the local symbols; they need --trunc at least {need}"

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ccsym import chen
-from ccsym.algebra import AlgebraSignature, Backend, deviation, parse_signature
+from ccsym.algebra import AlgebraSignature, Backend, DenseLayout, deviation, parse_signature
 from ccsym.chen import (
     BinomialLogForm,
     DlogForm,
@@ -479,3 +479,47 @@ def test_a_first_letter_is_simpsons_sum_of_the_samples():
             total = [f + (b1 + b2 * 2.0 + b2 * 2.0 + b4) * sixth for f, b1, b2, b4 in zip(total, w0, w_half, w1)]
     F = transport([form], path, 1, QuadratureConfig(steps, 1e-8))
     assert F.coeff((1,)) == form.layout.element(total)
+
+
+# -- sampling a block of nodes at a time ---------------------------------------------
+
+BLOCK_CASES = [
+    ("gens=eps,delta;degree=3;scalars=exact", "(x-1/2+eps)*(x+1/3*i-delta)^-1*(x-3/2-eps*delta)^2"),
+    ("gens=eps;degree=3;scalars=exact", "(x-1+eps)*(x-1)^-1"),  # a pole carrier
+    ("gens=eps;degree=3;scalars=exact", "(1+eps*x^3)*(x-2)"),  # a polynomial part from infinity
+    ("gens=eps,delta;degree=3;scalars=float", "(x-1/2+eps)*(x+1/3*i-delta)^-1*(x-3/2-eps*delta)^2"),
+]
+SEGMENTS = [LineSegment(-2 - 1j, 2 - 0.5j), ArcSegment(0.25, 2.5, 0.3, 5.0)]
+
+
+@pytest.mark.parametrize("steps", [1, 31, 64])
+@pytest.mark.parametrize("seg", SEGMENTS, ids=["line", "arc"])
+@pytest.mark.parametrize("sig_text,f_text", BLOCK_CASES, ids=["poles", "carrier", "polynomial", "float"])
+def test_block_samples_are_the_per_node_samples(sig_text, f_text, seg, steps):
+    # bit for bit: the stepper's first letter reads these as Simpson's rule does
+    form = DlogForm(parse_ratfunc(f_text, parse_signature(sig_text)))
+    layout = DenseLayout(form.signature, form.layout.monomials)
+    ts = [k * (0.5 / steps) for k in range(2 * steps + 1)]
+    [(nodes, sign)] = chen._legs([form], layout, [seg], ts)
+    expected = [[c * seg.velocity(t) for c in form.eval(seg.point(t))] for t in ts]
+    assert [w[0] for w in nodes] == expected and sign == 1
+
+
+def test_an_unkept_leg_samples_at_most_one_block_ahead():
+    form = _CountedPole(TRIV, 0.5)
+    ts = [k / 400 for k in range(401)]
+    [(nodes, _)] = chen._legs([form], DenseLayout(TRIV), [LineSegment(-1j, 1 - 1j)], ts)
+    for consumed, _ in enumerate(nodes, 1):
+        assert consumed <= form.calls <= consumed + chen.BLOCK
+    assert form.calls == len(ts)
+
+
+def test_a_dlog_transport_takes_the_block_path(monkeypatch):
+    def refuse(self, z):
+        raise AssertionError("a DlogForm transport sampled node by node")
+
+    sig = parse_signature("gens=eps;degree=2;scalars=exact")
+    forms = [DlogForm(parse_ratfunc("(x-1/2+eps)*(x+2)^-1", sig)), SimplePole(sig, 3)]
+    monkeypatch.setattr(RF, "dlog_eval", refuse)
+    F = transport(forms, lasso(-1j, 0.5, 0.25), 2, QuadratureConfig(16, 1e-8))
+    assert abs(F.coeff((1,)).coeffs[(0,)] - TPI) < 1e-6

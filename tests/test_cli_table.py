@@ -116,6 +116,9 @@ EPS2 = "--algebra=gens=eps;degree=2;scalars=exact"
         ["symbol", EPS2, "--f=eps/x^5+1", "--g=1-x", "--trunc=4"],
         # the division leaves f known below x^4 only: the hint names --trunc, not x^6
         ["symbol", EPS3, "--f=1/(x^2-eps)", "--g=1-x", "--trunc=12"],
+        # the division leaves the series known below x^6: the error names --trunc 9, not the 6
+        ["factorize", "--algebra=gens=eps,delta;degree=3;scalars=exact",
+         "--f=(1-eps*x^-1-delta*x^-2)*(3+x)^-1", "--trunc=8"],
     ],
 )
 def test_a_short_truncation_names_the_trunc_that_suffices(argv):

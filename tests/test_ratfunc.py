@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ccsym.algebra import deviation, parse_signature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
@@ -64,17 +65,55 @@ def test_dlog_matches_finite_differences():
 
 @pytest.mark.parametrize("text", ["(x-1/3+eps)", "(x-1/3+eps)^-1", "(x-1+eps)*(x+2-eps)"])
 def test_float_dlog_eval_matches_the_widened_exact_value(text):
-    # a scalar perturbation polynomial, here every (x - r) under a shifted
-    # factor, is sampled in complex arithmetic, a nilpotent one by Horner
-    # over its coefficient vectors and one dense division
+    # f'/f is compiled once, exactly, as partial fractions at the roots of
+    # f, which its float twin widens and samples in complex arithmetic
     f = parse_ratfunc(text, SIG2)
     compiled = f.widen().compiled_dlog
-    assert len(compiled.scalar) == len(compiled.nilpotent) == 1
+    assert [root for _, root, _ in compiled.poles] == f.roots()
     points = [gaussian(Fraction(1, 2), Fraction(1, 3)), gaussian(-3, 1), gaussian(Fraction(-1, 4)), gaussian(0, 2)]
     for z in points:
         exact = dlog_value(f, z)
         for g in (f, f.widen()):
             assert deviation(dlog_value(g, complex(z)), exact) <= 1e-13 * max(1.0, exact.widen().max_abs())
+
+
+EPS_DELTA = parse_signature("gens=eps,delta;degree=3;scalars=exact")
+ROOTS = ["0", "1", "-1/2", "2*i", "1/3-1/2*i", "-3/2+i"]
+GENS = {SIG2: ["eps"], EPS_DELTA: ["eps", "delta", "eps*delta", "eps^2"]}
+
+
+@st.composite
+def functions_and_points(draw):
+    """A product of shifted, plain and carrier factors and of polynomial
+    parts from infinity, and an exact point off its roots."""
+    sig = draw(st.sampled_from([SIG2, EPS_DELTA]))
+    gen = st.sampled_from(GENS[sig])
+    coeff = st.sampled_from(["1", "-2", "1/3", "i"])
+    kinds = st.sampled_from(["shifted", "plain", "carrier", "polynomial"])
+    factors = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        r, a, g = draw(st.sampled_from(ROOTS)), draw(coeff), draw(gen)
+        if kind == "shifted":
+            factors.append(f"(x-({r})+({a})*{g})^{draw(st.sampled_from([-2, -1, 1, 2]))}")
+        elif kind == "plain":
+            factors.append(f"(x-({r}))^{draw(st.sampled_from([-1, 1, 3]))}")
+        elif kind == "carrier":
+            factors.append(f"(x-({r})+({a})*{g})*(x-({r}))^-1")
+        else:
+            factors.append(f"(1+({a})*{g}*x^{draw(st.integers(1, 3))})")
+    f = parse_ratfunc("*".join(factors), sig)
+    z = gaussian(Fraction(draw(st.integers(-5, 5)), 4), Fraction(draw(st.integers(-5, 5)), 3))
+    assume(z not in f.roots())
+    return f, z
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(functions_and_points())
+def test_partial_fractions_are_the_log_derivative_of_the_expansion(case):
+    # f(z + x) = a0 + a1 x + O(x^2) exactly, so f'/f(z) = a1/a0 over Q(i)
+    f, z = case
+    series = f.expand_at(SpherePoint.finite(z), 2)
+    assert dlog_value(f, z) == series.coeff(1) * series.coeff(0).inverse()
 
 
 def test_support_examples():
@@ -145,6 +184,15 @@ def test_expand_identity_with_shift():
     series = x_plus_eps().expand_at(SpherePoint.finite(0), 2)
     assert series.coeffs == {0: EPS, 1: SIG2.one()}
     assert series.valuation() == 1
+
+
+def test_an_expansion_just_above_the_valuation_keeps_the_denominators_unit_term():
+    # a product of five inverses: its perturbation's denominator vanishes at
+    # 1/3 to order 5, past the first window, which used to cut it there
+    f = power(parse_ratfunc("(x-1/3+eps)*(1+eps/(x-2))", SIG2), -5, RF.constant(SIG2, 1))
+    s = SpherePoint.finite(Fraction(1, 3))
+    nu = f.order_at(s)
+    assert f.expand_at(s, nu + 1) == f.expand_at(s, nu + 8).truncate(nu + 1)
 
 
 def test_degree_zero_divisor():
