@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import InputError, NotAUnit, NotNilpotent, SignatureMismatch
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, geometric, power
@@ -238,8 +238,7 @@ class AlgebraElement:
         out = {m: c for m, c in out.items() if c[0] or c[1]}
         return AlgebraElement._normal(self.signature, out, self.den * f1)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-self._as_element(other))
@@ -281,8 +280,7 @@ class AlgebraElement:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        other = self._as_element(other)
-        return self * other.inverse()
+        return self * self._as_element(other).inverse()
 
     def _as_element(self, value) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
@@ -374,11 +372,20 @@ class DenseLayout:
         return AlgebraElement(self.signature, {m: c for m, c in zip(self.monomials, v) if c})
 
     def mul(self, a: list, b: list) -> list:
-        out = [self.zero] * len(b)
-        for ai, row in zip(a, self.rows):
-            if ai:
+        """Node by node, the product of elements given as columns: per
+        monomial, one coefficient a node.  Its columns are lists or maps,
+        to be read once.  Each sum starts at zero and adds its terms in
+        the order of `rows`; a term is skipped only where a column of a
+        or b is zero at every node, and adding a zero product to a sum
+        that starts at zero leaves it the same, bit for bit, for finite
+        operands."""
+        out = [[self.zero] * len(b[0])] * len(b)
+        live = list(map(any, b))
+        for x, row in zip(a, self.rows):
+            if any(x):
                 for j, k in row:
-                    out[k] += ai * b[j]
+                    if live[j]:
+                        out[k] = map(add, out[k], map(mul, x, b[j]))
         return out
 
     def divide(self, a: list, b: list) -> list:
@@ -491,6 +498,6 @@ def element_to_json(a: AlgebraElement) -> dict:
     """Serialize as {monomial: [re, im]} with float entries."""
     out = {}
     for mono in sorted(a.coeffs, key=lambda m: (sum(m), m)):
-        c = complex(a.coeffs[mono]) if isinstance(a.coeffs[mono], GaussianRational) else a.coeffs[mono]
+        c = complex(a.coeffs[mono])
         out[format_monomial(a.signature, mono)] = [c.real, c.imag]
     return out

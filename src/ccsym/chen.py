@@ -14,18 +14,25 @@ over the monomials of A that the forms can reach, in (degree, exponents)
 order, multiplied through the product table of `algebra.DenseLayout`.
 
 `transport` feeds a leg sampler to a stepper, one path segment at a
-time.  The sampler `_legs` yields each form's value times the velocity at
-the stepper's node parameters, from the form's `sampler` one block of
-`BLOCK` nodes at a time, and a direction, +1.  By Chen's reversal
-law a leg that runs back over an earlier leg replays that leg's samples
-in reverse order with the opposite direction instead (so the nodes must
-be symmetric under t -> 1 - t), while the kept samples fit in
-`KEEP_SAMPLES` values.  The stepper `_rk4` takes a fixed number of
-classical fourth-order Runge-Kutta steps per segment, so reports are
-reproducible bit for bit.  Its stages are fused into one pass over the
-words in length order: stage s of w is (F + c_s k_{s-1})[v] times the
-letter's sample at that stage's node, read from the stages of the parent
-v; for a one-letter word v = () is 1, so its update is Simpson's rule.
+time.  The sampler `_legs` yields each leg as blocks of `BLOCK` RK4
+steps, and a direction, +1.  A block holds per form, per monomial, one
+column of the form's value times the velocity over the block's nodes,
+the steps and their midpoints, from the form's `sampler`; it starts at
+the last node of the block before, so no node is sampled twice.  By
+Chen's reversal law a leg that runs back over an earlier leg replays
+that leg's blocks in reverse order, each column reversed, with the
+opposite direction instead (so the nodes must be symmetric under
+t -> 1 - t), while the kept samples fit in `KEEP_SAMPLES` values.  The
+stepper `_rk4` takes a fixed number of classical fourth-order
+Runge-Kutta steps per segment, so reports are reproducible bit for bit.
+Per block it visits the words in length order and takes each word's
+four stages at all the block's steps at once: stage s of w is
+(F + c_s k_{s-1})[v] times the letter's sample at that stage's node, a
+column product (`DenseLayout.mul`) with the stage columns of the parent
+v, which only parents keep; for a one-letter word v = () is 1, so its
+update is Simpson's rule.  The word's states over the block are a
+running sum of its increments, with the float operations of one step at
+a time in the same order.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import reduce
+from itertools import accumulate, combinations, product, repeat
+from operator import add, mul
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout, deviation
 from .errors import InputError, PoleOnPath, SignatureMismatch
@@ -79,18 +88,23 @@ class DifferentialForm:
         return self.layout.element(self.eval(z))
 
     def sampler(self, layout: DenseLayout):
-        """`sample(zs, vs)`: per node z with velocity v, v times the form
-        at z as a dense list over `layout`, which holds the form's own
-        monomials.  This default scatters `eval` node by node."""
+        """`sample(zs, vs)`: v times the form at z, per node z with velocity
+        v, as columns: per monomial of `layout`, which holds the form's own,
+        one value a node.  This default fills them from `eval`."""
         at = [layout.monomials.index(m) for m in self.layout.monomials]
 
-        def scatter(z, v):
-            w = [layout.zero] * len(layout.monomials)
-            for k, c in zip(at, self.eval(z)):
-                w[k] = c * v
-            return w
+        def sample(zs, vs):
+            cols = [[layout.zero] * len(zs)] * len(layout.monomials)
+            for k, col in zip(at, zip(*map(self.eval, zs))):
+                cols[k] = list(map(mul, col, vs))
+            return cols
 
-        return lambda zs, vs: map(scatter, zs, vs)
+        return sample
+
+    @staticmethod
+    def _scalar_sampler(layout: DenseLayout, column):
+        """`sample(zs, vs)` for a form valued in the scalars: `column(zs, vs)` at 1, zero elsewhere."""
+        return lambda zs, vs: [column(zs, vs)] + [[layout.zero] * len(zs)] * (len(layout.monomials) - 1)
 
     def __str__(self):
         return self.label
@@ -106,6 +120,9 @@ class Dz(DifferentialForm):
     def eval(self, z: complex) -> list:
         return [self.layout.one]
 
+    def sampler(self, layout: DenseLayout):
+        return self._scalar_sampler(layout, lambda zs, vs: [layout.one * v for v in vs])
+
 
 class SimplePole(DifferentialForm):
     """dz/(z - c)."""
@@ -119,6 +136,9 @@ class SimplePole(DifferentialForm):
 
     def eval(self, z: complex) -> list:
         return [1.0 / (z - self.c)]
+
+    def sampler(self, layout: DenseLayout):
+        return self._scalar_sampler(layout, lambda zs, vs: [1.0 / (z - self.c) * v for z, v in zip(zs, vs)])
 
 
 class DlogForm(DifferentialForm):
@@ -235,7 +255,7 @@ class TruncatedWordSeries:
 
 POLE_CLEARANCE = 1e-6  # least distance between a path and a form's pole
 KEEP_SAMPLES = 1 << 16  # most form values a transport keeps for its return legs
-BLOCK = 64  # nodes a leg samples at a time
+BLOCK = 64  # RK4 steps a leg samples, and the stepper takes, at a time
 
 
 def _clearance_check(forms, path: Path):
@@ -263,56 +283,64 @@ def _prefix_closure(words, alphabet_size: int, max_len: int) -> list:
     return sorted(closure, key=lambda w: (len(w), w))
 
 
+def _blocks(samplers, seg, ts):
+    """A leg's samples at the nodes `ts`, BLOCK steps at a time: per form, its
+    columns over a block's nodes, the first of which ends the block before."""
+    zs, vs = seg.nodes(ts[:1])
+    block = [sample(zs, vs) for sample in samplers]
+    for k in range(1, len(ts), 2 * BLOCK):
+        zs, vs = seg.nodes(ts[k:k + 2 * BLOCK])
+        new = [sample(zs, vs) for sample in samplers]
+        block = [[[c[-1], *d] for c, d in zip(last, cols)] for last, cols in zip(block, new)]
+        yield block
+
+
 def _legs(forms, layout, segments, ts):
-    """Per segment: its samples at the nodes `ts`, symmetric under t -> 1 - t, and a direction."""
+    """Per segment: its blocks of samples at the nodes `ts`, symmetric under t -> 1 - t, and a direction."""
     samplers = [form.sampler(layout) for form in forms]
     back = {}  # leg back[i] runs back over leg i and replays its samples
     for i, seg in enumerate(segments):
         rev = seg.reversed()
         if later := [j for j in range(i + 1, len(segments)) if segments[j] == rev and j not in back.values()]:
             back[i] = later[0]
-    kept = {}  # the samples of a leg whose reverse is still to come, and that reverse's direction
+    kept = {}  # the blocks of a leg whose reverse is still to come, and that reverse's direction
     leg_size = len(ts) * len(forms) * len(layout.monomials)  # the values a leg keeps
     for i, seg in enumerate(segments):
         if i in kept:
             # a leg's reverse has its nodes in reverse order with every value
             # negated: the same, bit for bit, as stepping them backwards
-            nodes, sign = kept.pop(i)
-            nodes = reversed(nodes)
+            blocks, sign = kept.pop(i)
+            blocks = ([[c[::-1] for c in cols] for cols in block] for block in reversed(blocks))
         else:
-            # sampled a block of nodes at a time: each form's value times the velocity
-            blocks = (ts[k:k + BLOCK] for k in range(0, len(ts), BLOCK))
-            nodes = (w for zs, vs in map(seg.nodes, blocks) for w in zip(*[sample(zs, vs) for sample in samplers]))
-            sign = 1
+            blocks, sign = _blocks(samplers, seg, ts), 1
         if i in back and (len(kept) + 1) * leg_size <= KEEP_SAMPLES:
-            nodes = list(nodes)
-            kept[back[i]] = nodes, -sign
-        yield nodes, sign
+            blocks = list(blocks)
+            kept[back[i]] = blocks, -sign
+        yield blocks, sign
 
 
-def _rk4(F, links, mul, nodes, h):
-    """F advanced by RK4 steps of size h over a leg's samples at its steps and midpoints."""
-    half, sixth = h / 2, h / 6
-    K1, K2, K3 = {}, {}, {}  # the first three stages of each word at this step
-    nodes = iter(nodes)
-    w0 = next(nodes)
-    for w_half, w1 in zip(nodes, nodes):
-        G = list(F)
-        for w, p, a in links:
-            if p:
-                x = F[p]
-                k1 = mul(x, w0[a])
-                k2 = mul([u + y * half for u, y in zip(x, K1[p])], w_half[a])
-                k3 = mul([u + y * half for u, y in zip(x, K2[p])], w_half[a])
-                k4 = mul([u + y * h for u, y in zip(x, K3[p])], w1[a])
-            else:
-                k1, k2, k3, k4 = w0[a], w_half[a], w_half[a], w1[a]
-            K1[w], K2[w], K3[w] = k1, k2, k3
-            G[w] = [
-                f + (b1 + b2 * 2.0 + b3 * 2.0 + b4) * sixth
-                for f, b1, b2, b3, b4 in zip(F[w], k1, k2, k3, k4)
-            ]
-        F, w0 = G, w1
+def _rk4(F, links, mul_columns, block, h):
+    """F advanced by RK4 steps of size h over one block of a leg's samples at its steps and midpoints."""
+    F, half, sixth = list(F), h / 2, h / 6
+    halves, sixths, twos, hs = repeat(half), repeat(sixth), repeat(2.0), repeat(h)
+    # per form: its samples at the block's steps, their midpoints and their ends
+    W = [([c[:-1:2] for c in cols], [c[1::2] for c in cols], [c[2::2] for c in cols]) for cols in block]
+    X = {}  # per parent word: (F + c_s k_{s-1})[w] at each stage s, over the block's steps
+    for w, p, a, parent in links:
+        w0, w_half, w1 = W[a]
+        k1, k2, k3, k4 = map(mul_columns, X[p], (w0, w_half, w_half, w1)) if p else (w0, w_half, w_half, w1)
+        if p and parent:  # a product's columns are read once
+            k1, k2, k3 = ([list(c) for c in k] for k in (k1, k2, k3))
+        # per monomial: the word's increments over the block's steps
+        ds = [map(mul, map(add, map(add, map(add, b1, map(mul, b2, twos)), map(mul, b3, twos)), b4), sixths)
+              for b1, b2, b3, b4 in zip(k1, k2, k3, k4)]
+        if not parent:
+            F[w] = [reduce(add, d, f) for f, d in zip(F[w], ds)]
+            continue
+        states = [list(accumulate(d, add, initial=f)) for f, d in zip(F[w], ds)]
+        F[w] = [s[-1] for s in states]
+        x1 = [s[:-1] for s in states]
+        X[w] = x1, *([list(map(add, u, map(mul, y, c))) for u, y in zip(x1, k)] for k, c in ((k1, halves), (k2, halves), (k3, hs)))
     return F
 
 
@@ -335,15 +363,17 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     _clearance_check(forms, path)
 
     index = {w: i for i, w in enumerate(state)}
-    # (word, parent = word minus its last letter, last letter) by length
-    links = [(i, index[w[:-1]], w[-1] - 1) for i, w in enumerate(state) if w]
+    parents = {index[w[:-1]] for w in state if w}
+    # (word, parent = word minus its last letter, last letter, whether a parent) by length
+    links = [(i, index[w[:-1]], w[-1] - 1, i in parents) for i, w in enumerate(state) if w]
     layout = DenseLayout(sig, [m for form in forms for m in form.layout.monomials])
     F = [layout.vector(sig.one())] + [[0j] * len(layout.monomials)] * len(links)
     steps = cfg.steps_per_segment
     dt = 0.5 / steps  # RK4's nodes: the steps and their midpoints
     ts = array("d", (k * dt for k in range(2 * steps + 1)))  # 8 bytes a node
-    for nodes, sign in _legs(forms, layout, path.segments, ts):
-        F = _rk4(F, links, layout.mul, nodes, sign / steps)
+    for blocks, sign in _legs(forms, layout, path.segments, ts):
+        for block in blocks:
+            F = _rk4(F, links, layout.mul, block, sign / steps)
     return TruncatedWordSeries(sig, n, max_len, {w: layout.element(f) for w, f in zip(state, F)})
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import accumulate, repeat, zip_longest
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout
@@ -108,33 +108,37 @@ class CompiledDlog(NamedTuple):
     layout: DenseLayout  # holds every C_j and p_k
 
     def sampler(self, monomials):
-        """`sample(zs, vs)`: per node z with velocity v, v times f'/f at z over `monomials`
-        (zero where it has no term).  A node takes the powers of u = 1/(z - r) per pole, and
-        of z, once; each monomial then sums its terms c u^j, poles first, times v."""
+        """`sample(zs, vs)`: v times f'/f at z, per node z with velocity v, as columns: per
+        monomial of `monomials`, one value a node (zero where f'/f has no term).  A node takes
+        the powers of u = 1/(z - r) per pole, and of z, once; each monomial then sums its
+        terms c u^j, poles first, times v."""
         zero, one = self.layout.zero, self.layout.one
         poles = [(r, root, terms[-1][0]) for r, root, terms in self.poles]
         top = self.polynomial[-1][0] if self.polynomial else 0
-        # u^j of a pole sits at its start + j - 1 among a node's powers, z^k at the last start + k
+        # u^j of a pole sits at its start + j - 1 among the powers, z^k at the last start + k
         starts = list(accumulate((n for *_, n in poles), initial=0))
         flat = [(at + j - 1, c) for at, (*_, terms) in zip(starts, self.poles) for j, c in terms]
         flat += [(starts[-1] + k, c) for k, c in self.polynomial]
         rows = [[(i, c.coeffs[m]) for i, c in flat if m in c.coeffs] for m in monomials]
 
         def sample(zs, vs):
-            for z, v in zip(zs, vs):
-                powers = []
-                for r, root, n in poles:
-                    if not (d := z - r):
-                        raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
-                    powers += accumulate(repeat(one / d, n), mul)
-                powers += accumulate(repeat(z, top), mul, initial=one)
-                values = []
-                for row in rows:
-                    total = zero
-                    for i, c in row:
-                        total += c * powers[i]
-                    values.append(total * v if row else zero)
-                yield values
+            powers = []
+            for r, root, n in poles:
+                if not all(ds := [z - r for z in zs]):
+                    raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
+                powers.append(us := [one / d for d in ds])
+                for _ in range(1, n):
+                    powers.append(list(map(mul, powers[-1], us)))
+            powers.append([one] * len(zs))
+            for _ in range(top):
+                powers.append(list(map(mul, powers[-1], zs)))
+            columns = []
+            for row in rows:
+                total = [zero] * len(zs)
+                for i, c in row:
+                    total = map(add, total, map(mul, repeat(c), powers[i]))
+                columns.append(list(map(mul, total, vs)) if row else total)
+            return columns
 
         return sample
 
@@ -348,7 +352,7 @@ class RationalFunctionA:
         the partial fractions' sampler on one node with velocity 1."""
         f, zc = self._at(z)
         compiled = f.compiled_dlog
-        return next(compiled.sampler(compiled.layout.monomials)([zc], [compiled.layout.one]))
+        return [c[0] for c in compiled.sampler(compiled.layout.monomials)([zc], [compiled.layout.one])]
 
     # -- local expansion ----------------------------------------------------------
 

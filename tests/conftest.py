@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: dense
 convolution instead of the pruned-map product, cumulative trapezoid
-quadrature on the ordered simplex instead of word-series transport.
+quadrature on the ordered simplex instead of word-series transport, and
+an RK4 stepper that takes one node at a time on {monomial: scalar} maps
+instead of blocks of columns.
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ from ccsym.scalars import GaussianRational, gaussian
 # -- dense truncated-polynomial oracle ----------------------------------------
 
 
-def oracle_alg_mul(coeffs_a: dict, coeffs_b: dict, degree: int) -> dict:
-    """Naive convolution of exponent-tuple maps, dropping total degree >= N."""
+def oracle_alg_mul(coeffs_a: dict, coeffs_b: dict, degree: int, zero=gaussian(0)) -> dict:
+    """Naive convolution of exponent-tuple maps, dropping total degree >= N;
+    each sum starts from `zero`, the scalars' zero."""
     out = {}
     for m1, c1 in coeffs_a.items():
         for m2, c2 in coeffs_b.items():
             mono = tuple(x + y for x, y in zip(m1, m2))
             if sum(mono) >= degree:
                 continue
-            out[mono] = out.get(mono, gaussian(0)) + c1 * c2
+            out[mono] = out.get(mono, zero) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
 
@@ -74,6 +77,60 @@ def oracle_iterated_2(form1, form2, path, grid: int = 8192) -> complex:
     for k in range(1, grid + 1):
         total += 0.5 * h * (cum[k - 1] * f2[k - 1] + cum[k] * f2[k])
     return total
+
+
+# -- node-by-node RK4 oracle for the transport ----------------------------------
+
+
+def oracle_transport(forms, path, words, steps: int, replay: bool = True) -> dict:
+    """{word: {monomial: coefficient}} for the words and their prefixes:
+    `steps` classical RK4 steps per segment, node by node, with the float
+    operations of `chen.transport` in the same order and every product by
+    `oracle_alg_mul` on the nonzero coefficients.  With `replay`, a
+    segment that runs back over an earlier one steps that one's samples
+    in reverse order with the step negated, as the transport does."""
+    sig = forms[0].signature
+    monos = sorted(_all_monomials(sig), key=lambda m: (sum(m), m))
+    closure = sorted({w[:i] for w in words for i in range(len(w) + 1)}, key=lambda w: (len(w), w))
+    F = {w: dict.fromkeys(monos, 0j) for w in closure}
+    F[()][monos[0]] = complex(1)
+
+    def prod(x, y):
+        out = oracle_alg_mul({m: c for m, c in x.items() if c}, {m: c for m, c in y.items() if c},
+                             sig.truncation_degree, 0j)
+        return {m: out.get(m, 0j) for m in monos}
+
+    def sample(seg, t):
+        z, v = seg.point(t), seg.velocity(t)
+        return [{**dict.fromkeys(monos, 0j), **{m: c * v for m, c in zip(form.layout.monomials, form.eval(z))}}
+                for form in forms]
+
+    kept = {}
+    for seg in path.segments:
+        if replay and seg in kept:
+            nodes, h = kept.pop(seg)[::-1], -1 / steps
+        else:
+            nodes, h = [sample(seg, k * (0.5 / steps)) for k in range(2 * steps + 1)], 1 / steps
+            kept[seg.reversed()] = nodes
+        half, sixth = h / 2, h / 6
+        K = {}  # per word, its first three stages at this step
+        w0 = nodes[0]
+        for w_half, w1 in zip(nodes[1::2], nodes[2::2]):
+            G = dict(F)
+            for w in closure[1:]:
+                p, a = w[:-1], w[-1] - 1
+                if p:
+                    x = F[p]
+                    k1 = prod(x, w0[a])
+                    k2 = prod({m: x[m] + K[p][0][m] * half for m in monos}, w_half[a])
+                    k3 = prod({m: x[m] + K[p][1][m] * half for m in monos}, w_half[a])
+                    k4 = prod({m: x[m] + K[p][2][m] * h for m in monos}, w1[a])
+                else:
+                    k1, k2, k3, k4 = w0[a], w_half[a], w_half[a], w1[a]
+                K[w] = k1, k2, k3
+                G[w] = {m: F[w][m] + (k1[m] + k2[m] * 2.0 + k3[m] * 2.0 + k4[m]) * sixth for m in monos}
+            F, w0 = G, w1
+    return {w: {m: c for m, c in f.items() if c} for w, f in F.items()}
 
 
 # -- random generators ------------------------------------------------------------

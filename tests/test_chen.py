@@ -24,7 +24,7 @@ from ccsym.paths import ArcSegment, LineSegment, Path, circle, commutator, conca
 from ccsym.ratfunc import RationalFunctionA as RF
 from ccsym.ratfunc import SpherePoint
 
-from conftest import dlog_value, group_like_deviation, oracle_iterated_2
+from conftest import dlog_value, group_like_deviation, oracle_iterated_2, oracle_transport
 
 TRIV = AlgebraSignature((), 1, Backend.FLOAT)
 TPI = 2j * math.pi
@@ -377,15 +377,20 @@ def test_iterated_integral_computes_one_word_per_prefix():
 
 
 class _CountedPole(SimplePole):
-    """dz/(z - c), counting its samples."""
+    """dz/(z - c), counting the samples its sampler makes."""
 
     def __init__(self, signature, c):
         super().__init__(signature, c)
         self.calls = 0
 
-    def eval(self, z):
-        self.calls += 1
-        return super().eval(z)
+    def sampler(self, layout):
+        sample = super().sampler(layout)
+
+        def counted(zs, vs):
+            self.calls += len(zs)
+            return sample(zs, vs)
+
+        return counted
 
 
 THETA0 = 0.1234  # (THETA0 + 2 pi) - 2 pi != THETA0 in floats
@@ -500,17 +505,21 @@ def test_block_samples_are_the_per_node_samples(sig_text, f_text, seg, steps):
     form = DlogForm(parse_ratfunc(f_text, parse_signature(sig_text)))
     layout = DenseLayout(form.signature, form.layout.monomials)
     ts = [k * (0.5 / steps) for k in range(2 * steps + 1)]
-    [(nodes, sign)] = chen._legs([form], layout, [seg], ts)
+    [(blocks, sign)] = chen._legs([form], layout, [seg], ts)
     expected = [[c * seg.velocity(t) for c in form.eval(seg.point(t))] for t in ts]
-    assert [w[0] for w in nodes] == expected and sign == 1
+    # a block's first node is the last node of the block before
+    nodes = [node for k, [cols] in enumerate(blocks) for node in list(zip(*cols))[bool(k):]]
+    assert [list(w) for w in nodes] == expected and sign == 1
 
 
 def test_an_unkept_leg_samples_at_most_one_block_ahead():
     form = _CountedPole(TRIV, 0.5)
     ts = [k / 400 for k in range(401)]
-    [(nodes, _)] = chen._legs([form], DenseLayout(TRIV), [LineSegment(-1j, 1 - 1j)], ts)
-    for consumed, _ in enumerate(nodes, 1):
-        assert consumed <= form.calls <= consumed + chen.BLOCK
+    [(blocks, _)] = chen._legs([form], DenseLayout(TRIV), [LineSegment(-1j, 1 - 1j)], ts)
+    consumed = 1
+    for [[col]] in blocks:
+        consumed += len(col) - 1
+        assert consumed <= form.calls <= consumed + 2 * chen.BLOCK
     assert form.calls == len(ts)
 
 
@@ -523,3 +532,41 @@ def test_a_dlog_transport_takes_the_block_path(monkeypatch):
     monkeypatch.setattr(RF, "dlog_eval", refuse)
     F = transport(forms, lasso(-1j, 0.5, 0.25), 2, QuadratureConfig(16, 1e-8))
     assert abs(F.coeff((1,)).coeffs[(0,)] - TPI) < 1e-6
+
+
+def test_scalar_forms_take_the_block_path(monkeypatch):
+    def refuse(self, z):
+        raise AssertionError("a scalar form was sampled node by node")
+
+    monkeypatch.setattr(SimplePole, "eval", refuse)
+    monkeypatch.setattr(Dz, "eval", refuse)
+    F = transport([SimplePole(TRIV, 0.5), Dz(TRIV)], lasso(-1j, 0.5, 0.25), 2, QuadratureConfig(16, 1e-8))
+    assert abs(F.coeff((1,)).coeffs[()] - TPI) < 1e-6
+
+
+# -- stepping a block of steps at a time --------------------------------------------
+
+ORACLE_FORMS = {
+    "scalar": ("gens=;degree=1;scalars=float", lambda sig: [SimplePole(sig, 0.5), Dz(sig)]),
+    # the pole's values have no eps term: its words' eps columns are zero throughout
+    "eps": ("gens=eps;degree=2;scalars=exact",
+            lambda sig: [SimplePole(sig, 0.5), DlogForm(parse_ratfunc("(x-1/2+eps)*(x+2)^-1", sig))]),
+    "eps,delta": ("gens=eps,delta;degree=3;scalars=exact",
+                  lambda sig: [DlogForm(parse_ratfunc("(x-1/2+eps)", sig)),
+                               DlogForm(parse_ratfunc("(x-1/2-delta)*(x+2)^-1", sig))]),
+}
+
+
+@pytest.mark.parametrize("keep", [True, False], ids=["replayed", "unkept"])
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("algebra", list(ORACLE_FORMS))
+def test_the_block_stepper_is_the_node_by_node_stepper(monkeypatch, algebra, steps, keep):
+    # bit for bit, across block edges and on a lasso's replayed return leg
+    sig_text, make = ORACLE_FORMS[algebra]
+    forms = make(parse_signature(sig_text))
+    words = [(1, 2, 1), (2, 2)]
+    if not keep:
+        monkeypatch.setattr(chen, "KEEP_SAMPLES", 0)
+    F = transport(forms, lasso(-1j, 0.5, 0.25), 3, QuadratureConfig(steps, 1e-8), words)
+    expected = oracle_transport(forms, lasso(-1j, 0.5, 0.25), words, steps, replay=keep)
+    assert {w: c.coeffs for w, c in F.coeffs.items()} == expected
