@@ -372,13 +372,11 @@ class DenseLayout:
         return AlgebraElement(self.signature, {m: c for m, c in zip(self.monomials, v) if c})
 
     def mul(self, a: list, b: list) -> list:
-        """Node by node, the product of elements given as columns: per
-        monomial, one coefficient a node.  Its columns are lists or maps,
-        to be read once.  Each sum starts at zero and adds its terms in
-        the order of `rows`; a term is skipped only where a column of a
-        or b is zero at every node, and adding a zero product to a sum
-        that starts at zero leaves it the same, bit for bit, for finite
-        operands."""
+        """Node by node, the product of elements given as columns: per monomial,
+        one coefficient a node; its columns are lists or maps, read once.  A sum
+        starts at zero and adds its terms in `rows` order, skipping those whose
+        column of a or b is zero at every node: for finite operands, adding an
+        exact zero product to a sum that starts at zero changes no bit."""
         out = [[self.zero] * len(b[0])] * len(b)
         live = list(map(any, b))
         for x, row in zip(a, self.rows):

@@ -561,12 +561,15 @@ ORACLE_FORMS = {
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 129])
 @pytest.mark.parametrize("algebra", list(ORACLE_FORMS))
 def test_the_block_stepper_is_the_node_by_node_stepper(monkeypatch, algebra, steps, keep):
-    # bit for bit, across block edges and on a lasso's replayed return leg
+    # bit for bit, across block edges and on a lasso's replayed return leg;
+    # the lasso starts at 0, where the third form's values are 0 and nowhere else
     sig_text, make = ORACLE_FORMS[algebra]
-    forms = make(parse_signature(sig_text))
-    words = [(1, 2, 1), (2, 2)]
+    sig = parse_signature(sig_text)
+    a = sum((sig.gen(g) for g in sig.generators), sig.scalar(parse_scalar("1/5")))
+    forms = make(sig) + [BinomialLogForm(sig, a, 2)]
+    words = [(1, 2, 1), (2, 2), (1, 3)]
     if not keep:
         monkeypatch.setattr(chen, "KEEP_SAMPLES", 0)
-    F = transport(forms, lasso(-1j, 0.5, 0.25), 3, QuadratureConfig(steps, 1e-8), words)
-    expected = oracle_transport(forms, lasso(-1j, 0.5, 0.25), words, steps, replay=keep)
+    F = transport(forms, lasso(0, 0.5, 0.25), 3, QuadratureConfig(steps, 1e-8), words)
+    expected = oracle_transport(forms, lasso(0, 0.5, 0.25), words, steps, replay=keep)
     assert {w: c.coeffs for w, c in F.coeffs.items()} == expected
