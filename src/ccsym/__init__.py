@@ -13,11 +13,7 @@ from .algebra import (
     parse_signature,
 )
 from .chen import (
-    BinomialLogForm,
-    DlogForm,
-    Dz,
     QuadratureConfig,
-    SimplePole,
     TruncatedWordSeries,
     chen_identity_check,
     iterated_integral,
@@ -43,6 +39,7 @@ from .errors import (
     PoleOnPath,
     SignatureMismatch,
 )
+from .forms import BinomialLogForm, DlogForm, Dz, SimplePole
 from .laurent import CanonicalFactorization, LaurentSeries, factorize, reconstruct
 from .parsing import parse_element, parse_path, parse_ratfunc, parse_scalar, parse_series
 from .paths import Path, circle, commutator, concat, lasso, segment

@@ -15,9 +15,8 @@ backend, whose products round as complex ones do.  Only building,
 normalising and converting an element read the backend, and a float
 residue's reciprocal, which takes complex division to stay in range.
 `AlgebraElement.dot`, a sum of products normalised once, is the one
-product behind element, series and polynomial products.  `DenseLayout`
-holds elements as dense lists for the numeric engine, with monomials in
-degree order, so that dividing is one forward substitution.
+product behind element, series and polynomial products.  The numeric
+engine holds elements as dense columns instead (`forms.DenseLayout`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 
 from .errors import InputError, NotAUnit, NotNilpotent, SignatureMismatch
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, geometric, power
@@ -331,75 +330,6 @@ class AlgebraElement:
     def max_abs(self) -> float:
         """Largest coefficient modulus; used for float deviations."""
         return max((abs(complex(c)) for c in self.coeffs.values()), default=0.0)
-
-
-class DenseLayout:
-    """Elements as dense coefficient lists over the monomials that
-    products of the given ones can reach (with 1, below the truncation
-    degree), ordered by (degree, exponents), in the scalars of the given
-    signature.  A layout over the monomials that actually occur stays as
-    small as the sparse maps it replaces; `rows[i]` lists (j, k) with
-    monomials[i] * monomials[j] = monomials[k] in increasing j, so
-    rows[i][0] == (0, i) and every later k exceeds i."""
-
-    __slots__ = ("signature", "monomials", "rows", "zero", "one")
-
-    def __init__(self, signature: AlgebraSignature, monomials=()):
-        self.signature = signature
-        self.zero, self.one = signature.scalar_zero(), signature.scalar_one()
-        n = signature.truncation_degree
-        steps = {m for m in monomials if sum(m)}
-        reached = {signature.empty_monomial()}
-        frontier = list(reached)
-        while frontier:
-            frontier = [p for p in {tuple(map(sum, zip(m, s))) for m in frontier for s in steps}
-                        if sum(p) < n and p not in reached]
-            reached.update(frontier)
-        self.monomials = sorted(reached, key=lambda m: (sum(m), m))
-        index = {m: i for i, m in enumerate(self.monomials)}
-        self.rows = [
-            [(j, index[p]) for j, m2 in enumerate(self.monomials)
-             if (p := tuple(map(sum, zip(m1, m2)))) in index]
-            for m1 in self.monomials
-        ]
-
-    def vector(self, a: AlgebraElement) -> list:
-        """The coefficients of an element, which must lie in the layout."""
-        coeffs = a.coeffs
-        return [coeffs.get(m, self.zero) for m in self.monomials]
-
-    def element(self, v: list) -> AlgebraElement:
-        return AlgebraElement(self.signature, {m: c for m, c in zip(self.monomials, v) if c})
-
-    def mul(self, a: list, b: list) -> list:
-        """Node by node, the product of elements given as columns: per monomial,
-        one coefficient a node; its columns are lists or maps, read once.  A sum
-        starts at zero and adds its terms in `rows` order, skipping those whose
-        column of a or b is zero at every node: for finite operands, adding an
-        exact zero product to a sum that starts at zero changes no bit."""
-        out = [[self.zero] * len(b[0])] * len(b)
-        live = list(map(any, b))
-        for x, row in zip(a, self.rows):
-            if any(x):
-                for j, k in row:
-                    if live[j]:
-                        out[k] = map(add, out[k], map(mul, x, b[j]))
-        return out
-
-    def divide(self, a: list, b: list) -> list:
-        """a/b by forward substitution: the quotient's coefficient at k is
-        fixed once every lower-degree one is, since rows[k][0] == (0, k)
-        and the rest of rows[k] reaches only later monomials."""
-        if not b[0]:
-            raise NotAUnit("cannot divide by an element of the maximal ideal")
-        c_inv = self.one / b[0]
-        out = list(a)
-        for k, row in enumerate(self.rows):
-            if out[k]:
-                q = out[k] = out[k] * c_inv
-                for j, p in row[1:]:
-                    out[p] -= q * b[j]
-        return out
 
 
 def deviation(a: AlgebraElement, b: AlgebraElement) -> float:

@@ -14,17 +14,9 @@ import time
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, deviation, exp as alg_exp, log1m
-from .chen import (
-    BinomialLogForm,
-    DlogForm,
-    QuadratureConfig,
-    SimplePole,
-    chen_identity_check,
-    iterated_integral,
-    line_integral,
-    transport,
-)
+from .chen import QuadratureConfig, chen_identity_check, iterated_integral, line_integral, transport
 from .errors import InputError
+from .forms import BinomialLogForm, DlogForm, SimplePole
 from .paths import ArcSegment, Path, circle, commutator, concat, lasso, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support
 from .reports import CheckReport, make_report

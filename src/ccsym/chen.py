@@ -11,7 +11,7 @@ only its prefixes.  The state therefore holds the prefix closure of the
 words the caller reads: r + 1 words for an iterated integral of r forms
 instead of every word up to length r.  Each coefficient is a dense list
 over the monomials of A that the forms can reach, in (degree, exponents)
-order, multiplied through the product table of `algebra.DenseLayout`.
+order, multiplied through the product table of `forms.DenseLayout`.
 
 `transport` feeds a leg sampler to a stepper, one path segment at a
 time.  The sampler `_legs` yields each leg as blocks of `BLOCK` RK4
@@ -37,7 +37,6 @@ a time in the same order.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from array import array
@@ -46,10 +45,10 @@ from functools import reduce
 from itertools import accumulate, combinations, product, repeat
 from operator import add, mul
 
-from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout, deviation
+from .algebra import AlgebraElement, Backend, deviation
 from .errors import InputError, PoleOnPath, SignatureMismatch
+from .forms import DenseLayout, DifferentialForm  # noqa: F401 (the forms' base, as the traced benchmark binds it)
 from .paths import Path
-from .ratfunc import RationalFunctionA
 from .reports import CheckReport, make_report
 
 
@@ -63,134 +62,6 @@ class QuadratureConfig:
             raise InputError("steps_per_segment must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise InputError("tolerance must be a positive finite number")
-
-
-# -- differential form handles ------------------------------------------------
-
-
-class DifferentialForm:
-    """A 1-form handle: an evaluator plus its declared pole set.
-
-    `eval(z)` is the form's coefficient of dz at z as a dense list over
-    the form's own `layout`, the monomials of A its values can reach;
-    the transport reads it through `sampler`, over its state's layout.
-    `value(z)` is the same coefficient as an element."""
-
-    signature: AlgebraSignature
-    poles: tuple
-    label: str
-    layout: DenseLayout
-
-    def eval(self, z: complex) -> list:
-        raise NotImplementedError
-
-    def value(self, z: complex) -> AlgebraElement:
-        return self.layout.element(self.eval(z))
-
-    def sampler(self, layout: DenseLayout):
-        """`sample(zs, vs)`: v times the form at z, per node z with velocity
-        v, as columns: per monomial of `layout`, which holds the form's own,
-        one value a node.  This default fills them from `eval`."""
-        at = [layout.monomials.index(m) for m in self.layout.monomials]
-
-        def sample(zs, vs):
-            cols = [[layout.zero] * len(zs)] * len(layout.monomials)
-            for k, col in zip(at, zip(*map(self.eval, zs))):
-                cols[k] = list(map(mul, col, vs))
-            return cols
-
-        return sample
-
-    @staticmethod
-    def _scalar_sampler(layout: DenseLayout, column):
-        """`sample(zs, vs)` for a form valued in the scalars: `column(zs, vs)` at 1, zero elsewhere."""
-        return lambda zs, vs: [column(zs, vs)] + [[layout.zero] * len(zs)] * (len(layout.monomials) - 1)
-
-    def __str__(self):
-        return self.label
-
-
-class Dz(DifferentialForm):
-    def __init__(self, signature: AlgebraSignature):
-        self.signature = signature.to_float()
-        self.layout = DenseLayout(self.signature)
-        self.poles = ()
-        self.label = "dz"
-
-    def eval(self, z: complex) -> list:
-        return [self.layout.one]
-
-    def sampler(self, layout: DenseLayout):
-        return self._scalar_sampler(layout, lambda zs, vs: [layout.one * v for v in vs])
-
-
-class SimplePole(DifferentialForm):
-    """dz/(z - c)."""
-
-    def __init__(self, signature: AlgebraSignature, c: complex):
-        self.signature = signature.to_float()
-        self.layout = DenseLayout(self.signature)
-        self.c = complex(c)
-        self.poles = (self.c,)
-        self.label = f"dz/(z-{self.c})" if self.c else "dz/z"
-
-    def eval(self, z: complex) -> list:
-        return [1.0 / (z - self.c)]
-
-    def sampler(self, layout: DenseLayout):
-        return self._scalar_sampler(layout, lambda zs, vs: [1.0 / (z - self.c) * v for z, v in zip(zs, vs)])
-
-
-class DlogForm(DifferentialForm):
-    """df/f for a rational function with coefficients in A, sampled on the
-    partial fractions its float twin compiles (`RationalFunctionA.compiled_dlog`)."""
-
-    def __init__(self, f: RationalFunctionA):
-        self.f = f.widen()
-        self.signature = self.f.signature
-        self.poles = tuple(complex(r) for r in f.roots())
-        self.label = f"dlog({f})"
-        self.layout = self.f.compiled_dlog.layout
-
-    def eval(self, z: complex) -> list:
-        return self.f.dlog_eval(z)
-
-    def sampler(self, layout: DenseLayout):
-        return self.f.compiled_dlog.sampler(layout.monomials)
-
-
-class BinomialLogForm(DifferentialForm):
-    """d(1 - a z^n) / (1 - a z^n) for integer n and a in A."""
-
-    def __init__(self, signature: AlgebraSignature, a, n: int):
-        if n == 0:
-            raise InputError("binomial exponent must be nonzero")
-        self.signature = signature.to_float()
-        a_elt = a if isinstance(a, AlgebraElement) else signature.scalar(a)
-        self.a = a_elt.widen()
-        self.n = int(n)
-        poles = [] if n > 0 else [0j]
-        a_red = complex(self.a.reduce())
-        if a_red != 0:
-            # solutions of a z^n = 1
-            target = 1.0 / a_red if n > 0 else a_red
-            m = abs(n)
-            rho = abs(target) ** (1.0 / m)
-            phi = cmath.phase(target)
-            poles.extend(
-                rho * cmath.exp(1j * (phi + 2 * cmath.pi * k) / m) for k in range(m)
-            )
-        self.poles = tuple(poles)
-        self.label = f"dlog(1-a*z^{n})"
-        self.layout = DenseLayout(self.signature, self.a.coeffs)
-        self._a = self.layout.vector(self.a)
-
-    def eval(self, z: complex) -> list:
-        zn1 = z ** (self.n - 1)  # safe at z = 0 for n >= 1
-        zn = zn1 * z
-        denom = [-(c * zn) for c in self._a]
-        denom[0] += 1
-        return self.layout.divide([c * (-self.n * zn1) for c in self._a], denom)
 
 
 # -- word series ----------------------------------------------------------------

@@ -16,8 +16,9 @@ import sys
 
 from . import checks
 from .algebra import element_to_json, parse_signature
-from .chen import DlogForm, QuadratureConfig, iterated_integral, line_integral
+from .chen import QuadratureConfig, iterated_integral, line_integral
 from .errors import CcsymError, InputError, InsufficientTruncation
+from .forms import DlogForm
 from .laurent import factorize
 from .parsing import parse_element, parse_path, parse_ratfunc, parse_scalar, parse_series
 from .ratfunc import SpherePoint

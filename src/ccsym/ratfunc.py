@@ -32,8 +32,9 @@ from math import comb
 from operator import add, mul
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, AlgebraSignature, Backend, DenseLayout
+from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
+from .forms import DenseLayout
 from .laurent import LaurentSeries
 from .scalars import GaussianRational, as_exact, poly_eval
 

@@ -7,7 +7,7 @@ support +, -, *, /, integer powers and exact equality against zero.
 Exact algebra elements do not compute on these pairs: they keep
 Gaussian-integer numerators over one denominator (`algebra`).
 `GaussianRational` arithmetic runs on single scalars (parsed literals,
-roots, points, and the exact `DenseLayout`).  The ring-generic `power`,
+roots, points, the exact `forms.DenseLayout`).  The ring-generic `power`,
 `geometric` and `poly_eval` below serve every ring type in ccsym.
 """
 

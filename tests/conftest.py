@@ -50,6 +50,28 @@ def dlog_value(f, z) -> AlgebraElement:
     return f._at(z)[0].compiled_dlog.layout.element(f.dlog_eval(z))
 
 
+def oracle_binomial(form, z) -> list:
+    """d(1 - a z^n)/(1 - a z^n) at z as a dense list over the form's own
+    layout, node by node: -n a z^(n-1) divided by 1 - a z^n by forward
+    substitution in degree order, each product monomial looked up anew."""
+    monos = form.layout.monomials
+    index = {m: i for i, m in enumerate(monos)}
+    zn1 = z ** (form.n - 1)  # safe at z = 0 for n >= 1
+    zn = zn1 * z
+    den = [-(c * zn) for c in form._a]
+    den[0] += 1
+    out = [c * (-form.n * zn1) for c in form._a]
+    c_inv = complex(1) / den[0]
+    for k, mk in enumerate(monos):
+        if out[k]:
+            q = out[k] = out[k] * c_inv
+            for j, mj in enumerate(monos[1:], 1):
+                p = index.get(tuple(x + y for x, y in zip(mk, mj)))
+                if p is not None:
+                    out[p] -= q * den[j]
+    return out
+
+
 # -- nested quadrature oracle for scalar 2-word integrals -----------------------
 
 

@@ -9,7 +9,7 @@ import random
 import time
 
 from ccsym.algebra import parse_signature
-from ccsym.chen import QuadratureConfig, SimplePole, transport
+from ccsym.chen import QuadratureConfig, transport
 from ccsym.checks import (
     bilinear_reciprocity_check,
     identity_suite,
@@ -17,6 +17,7 @@ from ccsym.checks import (
     main_theorem_check,
     weil_reciprocity_check,
 )
+from ccsym.forms import SimplePole
 from ccsym.laurent import LaurentSeries, factorize, reconstruct
 from ccsym.paths import ArcSegment, Path
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint
@@ -87,7 +88,8 @@ def test_criterion_3_binomial_log():
 
     rep_nil = lemma_check("3.4", cfg, n=-1, a=EPS / 5, radius=0.5, signature=SIG2)
     # the nilpotent closed form: eps component is -2 pi i * (2/5)
-    from ccsym.chen import BinomialLogForm, iterated_integral
+    from ccsym.chen import iterated_integral
+    from ccsym.forms import BinomialLogForm
     from ccsym.paths import circle
 
     sigf = SIG2.to_float()

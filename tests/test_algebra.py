@@ -6,7 +6,6 @@ import pytest
 
 from ccsym.algebra import (
     Backend,
-    DenseLayout,
     deviation,
     element_to_json,
     exp,
@@ -15,6 +14,7 @@ from ccsym.algebra import (
     parse_signature,
 )
 from ccsym.errors import InputError, NotAUnit, NotNilpotent, SignatureMismatch
+from ccsym.forms import DenseLayout
 from ccsym.scalars import gaussian
 
 from conftest import oracle_alg_mul, random_element
@@ -218,9 +218,9 @@ def test_degree_one_signature_is_plain_c():
     assert two_gen.gen("eps").is_zero()
 
 
-def one_node(layout, a, b):
-    """The product of two dense lists, as one-node columns through the layout's column product."""
-    return [next(iter(col)) for col in layout.mul([[c] for c in a], [[c] for c in b])]
+def one_node(op, a, b):
+    """`op`, a layout's column product or quotient, on two dense lists as one-node columns."""
+    return [next(iter(col)) for col in op([[c] for c in a], [[c] for c in b])]
 
 
 def test_dense_layout_matches_the_exact_oracle():
@@ -235,17 +235,53 @@ def test_dense_layout_matches_the_exact_oracle():
     for _ in range(30):
         a, b = random_element(rng, sig), random_element(rng, sig, unit=True)
         va, vb = exact_layout.vector(a), exact_layout.vector(b)
-        assert exact_layout.element(one_node(exact_layout, va, vb)) == sig.element(oracle_alg_mul(a.coeffs, b.coeffs, 3))
-        assert exact_layout.element(exact_layout.divide(va, vb)) == a * b.inverse()
+        assert exact_layout.element(one_node(exact_layout.mul, va, vb)) == sig.element(oracle_alg_mul(a.coeffs, b.coeffs, 3))
+        assert exact_layout.element(one_node(exact_layout.divide, va, vb)) == a * b.inverse()
         exact = sig.element(oracle_alg_mul(a.coeffs, b.coeffs, 3)).widen()
-        got = layout.element(one_node(layout, layout.vector(a.widen()), layout.vector(b.widen())))
+        got = layout.element(one_node(layout.mul, layout.vector(a.widen()), layout.vector(b.widen())))
         assert deviation(got, exact) <= 1e-13
-        quotient = layout.element(layout.divide(layout.vector(a.widen()), layout.vector(b.widen())))
+        quotient = layout.element(one_node(layout.divide, layout.vector(a.widen()), layout.vector(b.widen())))
         assert deviation(quotient, (a * b.inverse()).widen()) <= 1e-13 * (a * b.inverse()).max_abs()
     with pytest.raises(NotAUnit):
-        layout.divide(layout.vector(sig.one().widen()), layout.vector(sig.gen("eps").widen()))
+        one_node(layout.divide, layout.vector(sig.one().widen()), layout.vector(sig.gen("eps").widen()))
     with pytest.raises(NotAUnit):
-        exact_layout.divide(exact_layout.vector(sig.one()), exact_layout.vector(sig.gen("eps")))
+        one_node(exact_layout.divide, exact_layout.vector(sig.one()), exact_layout.vector(sig.gen("eps")))
+
+
+def columns(layout, elements):
+    """Elements of the layout as its columns: per monomial, one coefficient an element."""
+    return [list(col) for col in zip(*map(layout.vector, elements))]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("units", [None, False], ids=["mixed", "maximal-ideal"])
+def test_a_column_quotient_is_the_one_node_quotient_at_every_node(backend, units):
+    # numerator columns zero at some nodes only (a zero numerator, sparse
+    # ones), and with `units` False a constant column zero at every node
+    rng = random.Random(13)
+    sig = parse_signature("gens=eps,delta;degree=3;scalars=exact")
+    layout = DenseLayout(sig if backend == "exact" else sig.to_float(), [(1, 0), (0, 1)])
+    cast = (lambda x: x) if backend == "exact" else (lambda x: x.widen())
+    nums = [random_element(rng, sig, unit=units) for _ in range(7)] + [sig.zero()]
+    dens = [random_element(rng, sig, unit=True) for _ in nums]
+    a = columns(layout, map(cast, nums))
+    assert any(not all(col) and any(col) for col in a) and any(map(any, a))
+    got = layout.divide(a, columns(layout, map(cast, dens)))
+    for k, (x, y) in enumerate(zip(nums, dens)):
+        node = [col[k] for col in got]
+        assert node == one_node(layout.divide, layout.vector(cast(x)), layout.vector(cast(y)))
+        if backend == "exact":
+            assert layout.element(node) == x * y.inverse()
+
+
+def test_a_column_quotient_needs_a_unit_at_every_node():
+    rng = random.Random(17)
+    sig = parse_signature("gens=eps,delta;degree=3;scalars=float")
+    layout = DenseLayout(sig, [(1, 0), (0, 1)])
+    dens = [random_element(rng, sig, unit=True).widen() for _ in range(5)]
+    dens[2] = sig.gen("eps") * 0.5 + sig.gen("delta")  # in the maximal ideal at one node only
+    with pytest.raises(NotAUnit):
+        layout.divide(columns(layout, [sig.one()] * 5), columns(layout, dens))
 
 
 def test_dense_layout_spans_only_reachable_monomials():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ccsym.algebra import parse_signature
-from ccsym.chen import QuadratureConfig, SimplePole
+from ccsym.chen import QuadratureConfig
 from ccsym.checks import (
     bilinear_reciprocity_check,
     commutator_quadratic_check,
@@ -15,6 +15,7 @@ from ccsym.checks import (
     weil_reciprocity_check,
 )
 from ccsym.errors import InputError
+from ccsym.forms import SimplePole
 from ccsym.paths import lasso
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint
 from ccsym.scalars import gaussian
@@ -86,7 +87,7 @@ def test_lemma_35_opposite_signs():
 
 
 def test_lemma_35_matches_low_order_oracle():
-    from ccsym.chen import BinomialLogForm
+    from ccsym.forms import BinomialLogForm
     from ccsym.paths import circle
 
     from conftest import oracle_iterated_2

@@ -4,13 +4,9 @@ import math
 import pytest
 
 from ccsym import chen
-from ccsym.algebra import AlgebraSignature, Backend, DenseLayout, deviation, parse_signature
+from ccsym.algebra import AlgebraSignature, Backend, deviation, parse_signature
 from ccsym.chen import (
-    BinomialLogForm,
-    DlogForm,
-    Dz,
     QuadratureConfig,
-    SimplePole,
     TruncatedWordSeries,
     chen_identity_check,
     iterated_integral,
@@ -18,13 +14,14 @@ from ccsym.chen import (
     shuffles,
     transport,
 )
-from ccsym.errors import InputError, NotInvertible, PathError, PoleOnPath
+from ccsym.errors import InputError, NotInvertible, PathError, PoleOnPath, SignatureMismatch
+from ccsym.forms import BinomialLogForm, DenseLayout, DifferentialForm, DlogForm, Dz, SimplePole
 from ccsym.parsing import parse_ratfunc, parse_scalar
 from ccsym.paths import ArcSegment, LineSegment, Path, circle, commutator, concat, lasso, segment
 from ccsym.ratfunc import RationalFunctionA as RF
 from ccsym.ratfunc import SpherePoint
 
-from conftest import dlog_value, group_like_deviation, oracle_iterated_2, oracle_transport
+from conftest import dlog_value, group_like_deviation, oracle_binomial, oracle_iterated_2, oracle_transport
 
 TRIV = AlgebraSignature((), 1, Backend.FLOAT)
 TPI = 2j * math.pi
@@ -315,6 +312,56 @@ def test_binomial_form_matches_direct_computation(n):
         assert deviation(form.value(z), expected) <= 1e-14 * max(1.0, expected.max_abs())
 
 
+BINOMIAL_NODES = {
+    # through z = 0, where -n a z^(n-1) is zero for n > 1 and 1 - a z^n is 1
+    "through-0": [complex(k / 8, -k / 16) for k in range(-8, 9)],
+    "off-0": [0.5 + 0.25j + 0.6 * cmath.exp(0.4j * k) for k in range(16)],
+}
+
+
+@pytest.mark.parametrize("n,nodes,gens", [(-2, "off-0", "eps,delta"), (-1, "off-0", "eps,delta"),
+                                          (1, "through-0", "eps,delta"), (3, "through-0", "eps,delta"),
+                                          (3, "off-0", "eps,delta"), (2, "through-0", "eps")])
+def test_binomial_samples_are_the_per_node_quotients(n, nodes, gens):
+    # by `==`, node by node: the column quotient computes the rows the
+    # per-node one skips only as zeros, so the two differ at most in the
+    # sign of a zero; with `gens` "eps" the form's own layout is a part of
+    # the transport's
+    sig = parse_signature("gens=eps,delta;degree=3;scalars=float")
+    eps, delta = sig.gen("eps"), sig.gen("delta")
+    a = eps * (0.3 - 0.2j) + delta * 0.7 + eps * delta * (1.5 + 0.5j) + delta * delta * -0.4
+    if gens == "eps":
+        a = eps * (0.3 - 0.2j) + eps * eps * 0.5
+    form = BinomialLogForm(sig, a, n)
+    layout = DenseLayout(sig, [(1, 0), (0, 1)])
+    at = [layout.monomials.index(m) for m in form.layout.monomials]
+    assert len(at) == (6 if gens == "eps,delta" else 3)
+    zs = BINOMIAL_NODES[nodes]
+    vs = [complex(1 + k % 3, k / 5 - 1) for k in range(len(zs))]
+    cols = form.sampler(layout)(zs, vs)
+    assert nodes == "off-0" or any(not all(cols[k]) and any(cols[k]) for k in at)
+    for k, (z, v) in enumerate(zip(zs, vs)):
+        expected = [layout.zero] * len(layout.monomials)
+        for i, c in zip(at, oracle_binomial(form, z)):
+            expected[i] = c * v
+        assert [col[k] for col in cols] == expected
+        assert form.eval(z) == oracle_binomial(form, z)
+
+
+def test_binomial_form_takes_a_nonzero_int_and_an_element_of_its_algebra():
+    sig = parse_signature("gens=eps,delta;degree=3;scalars=float")
+    for n in (0, 0.5, 2.0, "2"):
+        with pytest.raises(InputError):
+            BinomialLogForm(sig, 0.2, n)
+    for other in ("gens=eps;degree=2;scalars=float", "gens=eps,delta;degree=2;scalars=exact",
+                  "gens=delta,eps;degree=3;scalars=float"):
+        with pytest.raises(SignatureMismatch):
+            BinomialLogForm(sig, parse_signature(other).gen("eps") * parse_scalar("1/2"), 1)
+    exact = parse_signature("gens=eps,delta;degree=3;scalars=exact")
+    form = BinomialLogForm(sig, exact.gen("eps") * parse_scalar("1/2"), 1)
+    assert form.a == sig.gen("eps") * 0.5 and form.a.signature == sig
+
+
 def test_dlog_form_keeps_its_unit_checks():
     sig = parse_signature("gens=eps;degree=2;scalars=exact")
     form = DlogForm(parse_ratfunc("(x-1+eps)*(x+2)^-1", sig))
@@ -523,25 +570,19 @@ def test_an_unkept_leg_samples_at_most_one_block_ahead():
     assert form.calls == len(ts)
 
 
-def test_a_dlog_transport_takes_the_block_path(monkeypatch):
+def test_no_form_is_sampled_node_by_node(monkeypatch):
     def refuse(self, z):
-        raise AssertionError("a DlogForm transport sampled node by node")
+        raise AssertionError(f"{type(self).__name__} was sampled node by node")
 
-    sig = parse_signature("gens=eps;degree=2;scalars=exact")
-    forms = [DlogForm(parse_ratfunc("(x-1/2+eps)*(x+2)^-1", sig)), SimplePole(sig, 3)]
     monkeypatch.setattr(RF, "dlog_eval", refuse)
+    for cls in (DifferentialForm, Dz, SimplePole, DlogForm, BinomialLogForm):
+        monkeypatch.setattr(cls, "eval", refuse)
+    sig = parse_signature("gens=eps;degree=2;scalars=exact")
+    forms = [DlogForm(parse_ratfunc("(x-1/2+eps)*(x+2)^-1", sig)), SimplePole(sig, 0.5), Dz(sig),
+             BinomialLogForm(sig, sig.gen("eps") * parse_scalar("1/5"), 2)]
     F = transport(forms, lasso(-1j, 0.5, 0.25), 2, QuadratureConfig(16, 1e-8))
-    assert abs(F.coeff((1,)).coeffs[(0,)] - TPI) < 1e-6
-
-
-def test_scalar_forms_take_the_block_path(monkeypatch):
-    def refuse(self, z):
-        raise AssertionError("a scalar form was sampled node by node")
-
-    monkeypatch.setattr(SimplePole, "eval", refuse)
-    monkeypatch.setattr(Dz, "eval", refuse)
-    F = transport([SimplePole(TRIV, 0.5), Dz(TRIV)], lasso(-1j, 0.5, 0.25), 2, QuadratureConfig(16, 1e-8))
-    assert abs(F.coeff((1,)).coeffs[()] - TPI) < 1e-6
+    for w in (1,), (2,):
+        assert abs(F.coeff(w).coeffs[(0,)] - TPI) < 1e-6
 
 
 # -- stepping a block of steps at a time --------------------------------------------

@@ -3,15 +3,19 @@
 The traced benchmark run (`bench/run.py --trace 1`) wraps the public
 module-level functions of ccsym and reads the arguments and the result
 of `chen.transport` by name; a refactor that renames or moves one of
-these would break that run and nothing else.  Products take
-microseconds and get no span, so the product kernel stays a method.
+these would break that run and nothing else.  It finds the forms
+through `ccsym.chen.DifferentialForm` and puts a span on any `eval` a
+form class defines; forms sample only in columns, so none does.
+Products take microseconds and get no span, so the product kernel stays
+a method.
 """
 
 import inspect
 
 from ccsym import algebra, chen, laurent, symbol
 from ccsym.algebra import AlgebraElement, AlgebraSignature, Backend
-from ccsym.chen import QuadratureConfig, SimplePole
+from ccsym.chen import QuadratureConfig
+from ccsym.forms import BinomialLogForm, DlogForm, Dz, SimplePole
 from ccsym.paths import circle
 from ccsym.ratfunc import RationalFunctionA
 
@@ -40,3 +44,13 @@ def test_the_product_kernel_is_no_module_level_function():
     kernel = AlgebraElement.dot
     assert inspect.ismethod(kernel) and kernel.__self__ is AlgebraElement
     assert not any(obj is kernel.__func__ for obj in vars(algebra).values())
+
+
+def test_the_forms_derive_from_the_base_chen_exposes_and_define_no_eval():
+    assert all(cls.__bases__ == (chen.DifferentialForm,) for cls in (Dz, SimplePole, DlogForm, BinomialLogForm))
+    pending, forms = list(chen.DifferentialForm.__subclasses__()), []
+    while pending:
+        forms.append(cls := pending.pop())
+        pending.extend(cls.__subclasses__())
+    assert {Dz, SimplePole, DlogForm, BinomialLogForm} <= set(forms)
+    assert [cls for cls in forms if "eval" in vars(cls)] == []
