@@ -570,6 +570,28 @@ def test_an_unkept_leg_samples_at_most_one_block_ahead():
     assert form.calls == len(ts)
 
 
+def test_a_dlog_transport_takes_the_block_path(monkeypatch):
+    def refuse(self, z):
+        raise AssertionError("a DlogForm transport sampled node by node")
+
+    sig = parse_signature("gens=eps;degree=2;scalars=exact")
+    forms = [DlogForm(parse_ratfunc("(x-1/2+eps)*(x+2)^-1", sig)), SimplePole(sig, 3)]
+    monkeypatch.setattr(RF, "dlog_eval", refuse)
+    monkeypatch.setattr(DlogForm, "eval", refuse)
+    F = transport(forms, lasso(-1j, 0.5, 0.25), 2, QuadratureConfig(16, 1e-8))
+    assert abs(F.coeff((1,)).coeffs[(0,)] - TPI) < 1e-6
+
+
+def test_scalar_forms_take_the_block_path(monkeypatch):
+    def refuse(self, z):
+        raise AssertionError("a scalar form was sampled node by node")
+
+    monkeypatch.setattr(SimplePole, "eval", refuse)
+    monkeypatch.setattr(Dz, "eval", refuse)
+    F = transport([SimplePole(TRIV, 0.5), Dz(TRIV)], lasso(-1j, 0.5, 0.25), 2, QuadratureConfig(16, 1e-8))
+    assert abs(F.coeff((1,)).coeffs[()] - TPI) < 1e-6
+
+
 def test_no_form_is_sampled_node_by_node(monkeypatch):
     def refuse(self, z):
         raise AssertionError(f"{type(self).__name__} was sampled node by node")
