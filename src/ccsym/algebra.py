@@ -25,6 +25,7 @@ import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import add
@@ -82,6 +83,10 @@ class AlgebraSignature:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
+        return self._one
+
+    @cached_property
+    def _one(self) -> "AlgebraElement":  # built once: elements are immutable
         return AlgebraElement(self, {self.empty_monomial(): self.scalar_one()})
 
     def scalar(self, value) -> "AlgebraElement":
@@ -300,6 +305,8 @@ class AlgebraElement:
             c_inv = sig.scalar(1 / complex(p, q))
         else:  # c = (p + q i) / den, so 1/c = den (p - q i) / (p^2 + q^2)
             c_inv = AlgebraElement._normal(sig, {e: (self.den * p, -self.den * q)}, p * p + q * q)
+        if len(self.num) == 1:  # a scalar: no nilpotent part to correct
+            return c_inv
         one = sig.one()
         u = self * c_inv - one  # nilpotent; 1/(1+u) = sum of (-u)^k
         return geometric(-u, one, sig.truncation_degree) * c_inv

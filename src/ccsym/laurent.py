@@ -28,7 +28,9 @@ from .scalars import geometric, power
 
 INF = math.inf
 
-# the most terms a series inverse computes by long division
+# the most terms a series inverse computes by long division over A; a
+# divisor with a unit term above its lead takes one per exponent from the
+# valuation up to the truncation order, infinitely many at order inf
 _TERM_CAP = 10_000
 
 
@@ -173,27 +175,32 @@ class LaurentSeries:
         return min(units)
 
     def inverse(self) -> "LaurentSeries":
-        """Invert in A((x)): long division by the reduction, then a finite
-        m-adic correction by the geometric series of 1 - f*g0."""
-        nu, sig = self.valuation(), self.signature
-        # stage 1: the reduction is x^nu (lead + sum of c x^i over red), and
-        # 1/reduction = x^-nu (g_0 + g_1 x + ...) below x^(trunc - 2 nu)
-        lead = sig.scalar(self.coeffs[nu].reduce())
-        red = [(e - nu, sig.scalar(c.reduce())) for e, c in self.coeffs.items() if e > nu and c.is_unit()]
-        terms = self.trunc - nu if red else 1
-        if terms > _TERM_CAP:  # infinitely many at an infinite truncation
+        """Invert in A((x)): long division over A by d, the part of f from
+        x^nu on when a term above x^nu is a unit and else the lead c_nu x^nu
+        alone, then a finite geometric correction for the rest r = f - d.
+        1/d = g0 = x^-nu (g_0 + g_1 x + ...) below x^(trunc - 2 nu), each
+        g_k one dot product with d's coefficients scaled once by -1/c_nu;
+        r has nilpotent coefficients, so 1/f = g0 * sum of (-r g0)^k, and
+        g0 itself when r is empty."""
+        nu, sig, trunc = self.valuation(), self.signature, self.trunc
+        terms = trunc - nu if any(c.is_unit() for e, c in self.coeffs.items() if e > nu) else 1
+        if terms > _TERM_CAP:
             raise InsufficientTruncation(
-                f"inverting this series below x^{self.trunc} takes {terms} terms, "
+                "a series with more than one unit term needs a finite truncation order" if trunc == INF
+                else f"inverting this series below x^{trunc} takes {terms} terms, "
                 f"more than {_TERM_CAP}; truncate the series first"
             )
-        g = [lead.inverse()]
+        g = [self.coeffs[nu].inverse()]
+        scale = -g[0]
+        divisor = [(e - nu, c * scale) for e, c in self.coeffs.items() if nu < e < nu + terms]
         for k in range(1, terms):
-            g.append(-AlgebraElement.dot(sig, [(c, g[k - i]) for i, c in red if i <= k]) * g[0])
-        g0 = LaurentSeries(sig, {k - nu: c for k, c in enumerate(g)}, self.trunc - 2 * nu)
-        # stage 2: m-adic correction; e has nilpotent coefficients so the
-        # geometric series is a finite sum
-        e = LaurentSeries.one(sig) - self * g0
-        return g0 * geometric(e, LaurentSeries.one(sig), sig.truncation_degree)
+            g.append(AlgebraElement.dot(sig, [(c, g[k - i]) for i, c in divisor if i <= k]))
+        g0 = LaurentSeries(sig, {k - nu: c for k, c in enumerate(g)}, trunc - 2 * nu)
+        rest = {e: -c for e, c in self.coeffs.items() if e < nu or e >= nu + terms}
+        if not rest:
+            return g0
+        u = LaurentSeries(sig, rest, trunc) * g0
+        return g0 * geometric(u, LaurentSeries.one(sig), sig.truncation_degree)
 
     def __pow__(self, n: int) -> "LaurentSeries":
         return power(self, n, LaurentSeries.one(self.signature))

@@ -13,8 +13,10 @@ roots, points, the exact `forms.DenseLayout`).  The ring-generic `power`,
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .errors import InputError
 
@@ -121,11 +123,10 @@ def power(x, n: int, one):
 
 def geometric(u, one, terms: int):
     """1 + u + u^2 + ... + u^(terms-1), ending early before the first
-    power that is zero: the inverse of 1 - u for a nilpotent u."""
+    power that is zero: the inverse of 1 - u for a nilpotent u.  The
+    powers start from u itself, so no product is by `one`."""
     out = one
-    p = one
-    for _ in range(1, terms):
-        p = p * u
+    for p in accumulate(repeat(u, terms - 1), operator.mul):
         if p.is_zero():
             break
         out = out + p

@@ -1,10 +1,11 @@
 """Shared test helpers: independent oracles and random data generators.
 
 The oracles here deliberately avoid the code paths they check: dense
-convolution instead of the pruned-map product, cumulative trapezoid
-quadrature on the ordered simplex instead of word-series transport, and
-an RK4 stepper that takes one node at a time on {monomial: scalar} maps
-instead of blocks of columns.
+convolution instead of the pruned-map product, a series inverse in two
+stages (by the reduction, then m-adically) instead of one long division
+over A, cumulative trapezoid quadrature on the ordered simplex instead
+of word-series transport, and an RK4 stepper that takes one node at a
+time on {monomial: scalar} maps instead of blocks of columns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from ccsym.algebra import AlgebraElement, AlgebraSignature
 from ccsym.laurent import LaurentSeries
-from ccsym.scalars import GaussianRational, gaussian
+from ccsym.scalars import GaussianRational, gaussian, geometric
 
 # -- dense truncated-polynomial oracle ----------------------------------------
 
@@ -70,6 +71,27 @@ def oracle_binomial(form, z) -> list:
                 if p is not None:
                     out[p] -= q * den[j]
     return out
+
+
+# -- two-stage series inverse oracle ---------------------------------------------
+
+
+def oracle_series_inverse(f: LaurentSeries) -> LaurentSeries:
+    """f^-1 in two stages, for a finite truncation order or a single unit
+    term: long division by the reduction mod m, one scalar at a time, then
+    an m-adic correction g0 * sum of e^k for e = 1 - f g0, each e^k a full
+    series product, where `LaurentSeries.inverse` divides over A."""
+    nu, sig = f.valuation(), f.signature
+    # the reduction is x^nu (lead + sum of c x^i over red), and
+    # 1/reduction = x^-nu (g_0 + g_1 x + ...) below x^(trunc - 2 nu)
+    lead = sig.scalar(f.coeffs[nu].reduce())
+    red = [(e - nu, sig.scalar(c.reduce())) for e, c in f.coeffs.items() if e > nu and c.is_unit()]
+    g = [lead.inverse()]
+    for k in range(1, f.trunc - nu if red else 1):
+        g.append(-AlgebraElement.dot(sig, [(c, g[k - i]) for i, c in red if i <= k]) * g[0])
+    g0 = LaurentSeries(sig, {k - nu: c for k, c in enumerate(g)}, f.trunc - 2 * nu)
+    e = LaurentSeries.one(sig) - f * g0
+    return g0 * geometric(e, LaurentSeries.one(sig), sig.truncation_degree)
 
 
 # -- nested quadrature oracle for scalar 2-word integrals -----------------------

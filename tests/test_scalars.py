@@ -3,18 +3,20 @@
 
 import math
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
 
 from ccsym import laurent
-from ccsym.algebra import deviation, parse_signature
+from ccsym.algebra import AlgebraElement, deviation, parse_signature
 from ccsym.errors import InsufficientTruncation
 from ccsym.laurent import LaurentSeries
 from ccsym.scalars import GR_ONE, geometric, poly_eval, power
 
 from conftest import (
     oracle_alg_mul,
+    oracle_series_inverse,
     oracle_series_mul,
     random_element,
     random_gaussian,
@@ -141,6 +143,22 @@ def test_geometric_stops_at_zero_power():
     assert geometric(eps, SIG4.one(), 50) == SIG4.one() + eps + eps * eps + eps * eps * eps
 
 
+def test_geometric_never_multiplies_by_one(monkeypatch):
+    # the powers start from u: 1 + u + u^2 + u^3 takes the products u * u
+    # and u^2 * u, and the power that is zero one more
+    eps, one = SIG4.gen("eps"), SIG4.one()
+    eps2, eps3 = eps * eps, eps * eps * eps
+    operands = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__", lambda a, b: operands.append((a, b)) or mul(a, b))
+    geometric(eps, one, 4)
+    assert operands == [(eps, eps), (eps2, eps)]
+    operands.clear()
+    geometric(eps, one, 50)
+    assert operands == [(eps, eps), (eps2, eps), (eps3, eps)]
+    assert all(one not in pair for pair in operands)
+
+
 def test_poly_eval_on_elements_and_series():
     rng = random.Random(139)
     coeffs = [random_element(rng, SIG3) for _ in range(4)]
@@ -164,8 +182,8 @@ def test_non_integer_powers_are_rejected():
 
 
 def test_float_series_inverse_with_rounding_residue():
-    # (3+i) * (3+i)^-1 - 1 is a few ulps, not 0, so lb(t) = 0 and the
-    # stage-1 sum runs until the powers of that residue underflow to 0
+    # (3+i) * (3+i)^-1 - 1 is a few ulps, not 0: the long division over A
+    # must not let that residue grow over the orders below the truncation
     sig = parse_signature("gens=eps;degree=2;scalars=float")
     f = LaurentSeries(sig, {0: sig.scalar(3 + 1j), 1: sig.one(), 3: sig.gen("eps")}, 9)
     product = f * f.inverse()
@@ -174,29 +192,89 @@ def test_float_series_inverse_with_rounding_residue():
     assert max(deviation(product.coeff(e), sig.zero()) for e in range(1, 9)) < 1e-15
 
 
-def test_float_series_inverse_ignores_rounding_residue(monkeypatch):
-    # a reciprocal that rounds (of 3+i) must not lengthen the inverse: a
-    # leading coefficient 3+i costs as many series products as 2 does
-    sig = parse_signature("gens=eps;degree=2;scalars=float")
+def count_series_products(monkeypatch) -> list:
+    """A list that gains an entry at every `LaurentSeries.__mul__` call."""
     products = []
     mul = LaurentSeries.__mul__
     monkeypatch.setattr(LaurentSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    return products
+
+
+def test_float_series_inverse_ignores_rounding_residue(monkeypatch):
+    # a reciprocal that rounds (of 3+i) must not lengthen the correction
+    # for the sub-valuation tail: a leading coefficient 3+i costs as many
+    # series products as 2 does
+    sig = parse_signature("gens=eps;degree=2;scalars=float")
+    eps = sig.gen("eps")
+    products = count_series_products(monkeypatch)
     counts = []
     for lead in (2, 3 + 1j):
         products.clear()
-        LaurentSeries(sig, {0: sig.scalar(lead), 1: sig.one(), 3: sig.gen("eps")}, 9).inverse()
+        LaurentSeries(sig, {-1: eps, 0: sig.scalar(lead), 1: sig.one(), 3: eps}, 9).inverse()
         counts.append(len(products))
-    assert counts == [3, 3]
+    assert counts[0] == counts[1]
+
+
+def test_series_inverse_with_nothing_to_correct_takes_no_series_product(monkeypatch):
+    # with no term below the valuation and a unit above it, or with one
+    # term alone, the divisor is the whole series: long division is all
+    eps, scalar = SIG3.gen("eps"), SIG3.scalar
+    cases = [
+        LaurentSeries(SIG3, {0: scalar(2), 1: scalar(1), 3: eps}, 9),
+        LaurentSeries(SIG3, {1: scalar(3), 2: eps, 4: scalar(1)}, 12),
+        LaurentSeries(SIG3, {-2: eps + scalar(Fraction(1, 2))}, 9),
+        LaurentSeries(SIG3, {-2: eps + scalar(Fraction(1, 2))}),
+    ]
+    products = count_series_products(monkeypatch)
+    for f in cases:
+        f.inverse()
+    assert products == []
 
 
 def test_series_inverse_term_cap(monkeypatch):
-    # 1/(1+x) below x^T takes T terms of the stage-1 long division
+    # 1/(1+x) below x^T takes T terms of the long division over A
     monkeypatch.setattr(laurent, "_TERM_CAP", 5)
     triv = parse_signature("gens=;degree=1;scalars=exact")
     one_plus_x = {0: triv.one(), 1: triv.one()}
     assert LaurentSeries(triv, one_plus_x, 5).inverse().support() == [0, 1, 2, 3, 4]
     with pytest.raises(InsufficientTruncation):
         LaurentSeries(triv, one_plus_x, 6).inverse()
+
+
+def test_series_with_two_unit_terms_needs_a_finite_truncation():
+    triv = parse_signature("gens=;degree=1;scalars=exact")
+    with pytest.raises(InsufficientTruncation, match="more than one unit term needs a finite truncation order"):
+        LaurentSeries(triv, {0: triv.one(), 1: triv.one()}).inverse()
+
+
+@pytest.mark.parametrize("text", ["gens=eps;degree=2", "gens=eps;degree=3", "gens=eps,delta;degree=3"])
+def test_series_inverse_is_the_two_stage_inverse(text):
+    # equal coefficients and truncation orders: the random series, then
+    # each with its terms above the valuation cut to their nilpotent
+    # parts, which leaves the lead alone as the divisor, at its own
+    # truncation order and at inf
+    sig = parse_signature(text)
+    rng = random.Random(151)
+    tails = set()
+    for trunc in range(3, 15):
+        for _ in range(6):
+            f = random_invertible_series(rng, sig, trunc)
+            nu = f.valuation()
+            tails.add(f.lower_bound < nu)
+            nilpotent_above = {e: c if e <= nu else c.nilpotent_part() for e, c in f.coeffs.items()}
+            for g in (f, LaurentSeries(sig, nilpotent_above, trunc), LaurentSeries(sig, nilpotent_above)):
+                assert g.inverse() == oracle_series_inverse(g), g
+    assert tails == {True, False}
+
+
+def test_series_inverse_edge_cases_against_the_two_stage_inverse():
+    eps, one = SIG2.gen("eps"), SIG2.one()
+    one_plus_eps_x = LaurentSeries(SIG2, {0: one, 1: eps})  # nilpotent above nu, at inf
+    assert one_plus_eps_x.inverse() == LaurentSeries(SIG2, {0: one, 1: -eps}) == oracle_series_inverse(one_plus_eps_x)
+    # one term at a truncation order far past the term cap: no long division
+    half = LaurentSeries(SIG2, {-2: SIG2.scalar(Fraction(1, 2))}, 20_000)
+    assert half.inverse() == oracle_series_inverse(half)
+    assert str(half.inverse()) == "2*x^2+O(x^20004)"
 
 
 def widened_inverse_agrees(f: LaurentSeries, rng: random.Random) -> bool:
