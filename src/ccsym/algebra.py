@@ -26,9 +26,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import InputError, NotAUnit, NotNilpotent, SignatureMismatch
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, geometric, power
@@ -352,9 +352,8 @@ def log1m(a: AlgebraElement) -> AlgebraElement:
     if a.is_unit():
         raise NotNilpotent("log1m requires an element of the maximal ideal")
     out = a.signature.zero()
-    power = a.signature.one()
-    for k in range(1, a.signature.truncation_degree):
-        power = power * a
+    # the powers start from a itself, so no product is by one
+    for k, power in enumerate(accumulate(repeat(a, a.signature.truncation_degree - 1), mul), 1):
         if power.is_zero():
             break
         out = out - power.divided_by_int(k)
@@ -373,9 +372,9 @@ def exp(a: AlgebraElement) -> AlgebraElement:
         scale = cmath.exp(a.reduce())
         a = a.nilpotent_part()
     out = sig.one()
-    term = sig.one()
-    for n in range(1, sig.truncation_degree):
-        term = (term * a).divided_by_int(n)
+    # the terms a^n / n! start from a itself, so no product is by one
+    terms = accumulate(range(2, sig.truncation_degree), lambda term, n: (term * a).divided_by_int(n), initial=a)
+    for term in terms:
         if term.is_zero():
             break
         out = out + term

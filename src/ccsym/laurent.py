@@ -10,19 +10,21 @@ The canonical factorization writes an invertible series uniquely as
 
     f = a0 * x^nu * prod_{j<0} (1 - a_j x^j) * prod_{j>0} (1 - a_j x^j)
 
-with a0 a unit and a_j nilpotent for j < 0.  Uniqueness rests on the
-nilpotency filtration: the sub-nu tail of an invertible series has
-nilpotent coefficients, and peeling factors strictly deepens it.
+with a0 a unit and a_j nilpotent for j < 0.  `factorize` reads it off
+logarithmic derivatives: log prod (1 - a_j x^j) is the ghost map of the
+big Witt vector (a_j) (Hazewinkel, arXiv:0804.3888), and a triangular
+recursion over divisors inverts it with element products alone.  The
+negative factors come from h'/h for h = x^-nu f (`_logs`, shared with
+the residue form in `symbol`), the positive ones from dlog (h / f_-).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .algebra import AlgebraElement, AlgebraSignature, Backend
+from .algebra import AlgebraElement, AlgebraSignature, Backend, exp
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from .scalars import geometric, power
 
@@ -316,89 +318,83 @@ def _neg_product(sig: AlgebraSignature, factors: dict) -> LaurentSeries:
     return out
 
 
-def _binomial_inverse(sig: AlgebraSignature, j: int, a: AlgebraElement, terms: int, trunc=INF) -> LaurentSeries:
-    """(1 - a x^j)^{-1} = sum of a^k x^{jk} over k < terms."""
-    powers = itertools.accumulate(itertools.repeat(a, terms - 1), operator.mul, initial=sig.one())
-    return LaurentSeries(sig, {j * k: p for k, p in enumerate(powers)}, trunc)
+def _logs(f: LaurentSeries, nu: int):
+    """(h'/h, l, a0) for h = x^-nu f = p (1 - u), p the part of h from x^0
+    on: l = log(1 - u) is a finite sum, its exponents < 0 are log f_-,
+    and a0 = p(0) exp(l(0)).  The part of h below x^0 is known exactly,
+    so only u = (p - h)/p and its powers erode the truncation."""
+    h = f.shift(-nu)
+    sig = h.signature
+    p = LaurentSeries(sig, {e: c for e, c in h.coeffs.items() if e >= 0}, h.trunc)
+    p_inv = p.inverse()
+    u = (p - h) * p_inv  # minus (h - p)/p: log(1 - u) = -sum of u^k / k
+    # u's coefficients lie in m^order, as (h - p)'s do, so u^k = 0 once k order >= N
+    order = min((sum(m) for c in (h - p).coeffs.values() for m in c.num), default=sig.truncation_degree)
+    log, term = -u, u
+    for k in range(2, -(-sig.truncation_degree // order)):
+        term = term * u
+        log = log - term.scale(sig.scalar(Fraction(1, k)))
+    a0 = p.coeff(0) * exp(log.coeff(0)) if log.trunc > 0 else None
+    return p.derivative() * p_inv + log.derivative(), log, a0
+
+
+def _ghost_inverse(d: LaurentSeries, sign: int, top: int) -> dict:
+    """{sign e: a_(sign e)} for e = 1 .. top from d = dlog prod (1 - a_j x^j):
+    [x^(sign e - 1)] d is the sum over m | e of t_m^(e/m) = -sign m
+    a_(sign m)^(e/m), so t_e is that coefficient less the terms of the
+    proper divisors m of e, each kept running at one product a divisor."""
+    found, terms = {}, {}  # m -> a_(sign m), and t_m^k at the last multiple of m
+    for e in range(1, top + 1):
+        t = d.coeff(sign * e - 1)
+        for m, a in found.items():
+            if e % m == 0:
+                terms[m] = terms[m] * a
+                t = t - terms[m]
+        if not t.is_zero():
+            found[e], terms[e] = t.divided_by_int(-sign * e), t
+    return {sign * e: a for e, a in found.items()}
 
 
 def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
     """Canonical product decomposition of an invertible series.
 
-    Phase 1 clears the sub-nu tail: repeatedly peel a factor (1 - a x^j),
-    j < 0, chosen to kill the lowest offending coefficient.  Repeat visits
-    to the same j update the stored factor and re-divide, so the recorded
-    set stays in canonical one-factor-per-index form.  Each pass deepens
-    the tail in the m-adic filtration, and m^N = 0 forces termination.
-
-    Phase 2 matches positive factors bottom-up, which is triangular: after
-    choosing a_j the residual has no x^j term, and higher factors cannot
-    reintroduce one.
+    log prod (1 - a_j x^j) is the ghost map of the big Witt vector (a_j),
+    and `_ghost_inverse` inverts it in one triangular pass over divisors.
+    With h = x^-nu f = a0 f_- f_+ and D = nu - (lower bound of f), the
+    coefficients of h at x^-e, of log f_- and a_-e all lie in
+    m^ceil(e/D), so a_-e = 0 past e = (N-1) D.  A Witt coordinate can
+    outlast the ghost coordinates, as exp(-eps/x) = (1 - eps/x)(1 +
+    eps^2/(2x^2)) over eps;3 shows, but not that bound.  The negative
+    factors come from the exponents <= -2 of d = h'/h (`_logs`, shared
+    with the residue form), read on h cut or padded with zeros at
+    x^((N-1) D), which is as far as `_logs` needs to fix them.  Padding
+    changes r = h / f_- = a0 f_+ only from r's truncation order on, so
+    once r is known at x^0, which the check on trunc_order requires, the
+    f_- found is that of every extension of h.  The positive factors come
+    from dlog r, where the exact finite f_-^-1 costs only its own lower
+    bound of h's truncation.  The expanded f_- shifts information down by its lower
+    bound lam on the rebuild, so the reconstruction matches f below
+    x^(nu + r.trunc + lam).
     """
     T = f.trunc if trunc is None else min(trunc, f.trunc)
     if math.isinf(T):
         raise InputError("factorization needs a finite truncation order")
-    work = f.truncate(T)
-    nu = work.valuation()
-    sig = f.signature
-    n_deg = sig.truncation_degree
-
-    # Phase 1.  The residual is recomputed from `work` on every pass with
-    # the combined inverse of all peeled factors; the combined inverse is a
-    # finite Laurent polynomial whose lower bound is controlled by
-    # nilpotency alone, so the truncation loss does not compound per peel.
-    neg = {}
-    residual = work
-    cap = 4 * n_deg * n_deg * (nu - min(work.lower_bound, nu) + 2) + 16
-    for _ in range(cap):
-        offending = [e for e in residual.coeffs if e < nu]
-        if not offending:
-            break
-        e = min(offending)
-        j = e - nu
-        delta = -(residual.coeff(e) * residual.coeff(nu).inverse())
-        if delta.is_unit():
-            raise NotInvertible("sub-valuation tail is not nilpotent")
-        updated = neg.get(j, sig.zero()) + delta
-        if updated.is_zero():
-            neg.pop(j, None)
-        else:
-            neg[j] = updated
-        # the combined inverse is finite because each a is nilpotent
-        combined = LaurentSeries.one(sig)
-        for jj, a in neg.items():
-            combined = combined * _binomial_inverse(sig, jj, a, n_deg)
-        residual = work * combined
-    else:
-        raise InsufficientTruncation("factorization did not stabilize; raise the truncation")
-
-    # the expanded negative product shifts information downward on both the
-    # peel and the rebuild, so the reconstruction-valid window shrinks by
-    # its lower bound once more
-    lam = min(_neg_product(sig, neg).lower_bound, 0)
-
-    t_eff = residual.trunc
-    if min(t_eff, t_eff + lam) <= nu:
+    f = f.truncate(T)
+    nu, sig = f.valuation(), f.signature
+    top = (sig.truncation_degree - 1) * (nu - f.lower_bound)
+    neg = _ghost_inverse(_logs(LaurentSeries(sig, f.coeffs, nu + top), nu)[0], -1, top) if top else {}
+    f_minus = _neg_product(sig, neg)
+    r = f.shift(-nu) * f_minus.inverse()
+    trunc_order = nu + r.trunc + min(f_minus.lower_bound, 0)
+    if trunc_order <= nu:
         raise InsufficientTruncation(
             f"truncation order {T} too small to determine the unit part at x^{nu}"
         )
-    a0 = residual.coeff(nu)
-    unit = residual.shift(-nu).scale(a0.inverse())
-
-    pos = {}
-    rel_trunc = t_eff - nu
-    j = 1
-    while j < rel_trunc:
-        if unit.is_zero() or unit == LaurentSeries.one(sig, unit.trunc):
-            break
-        c = unit.coeffs.get(j)
-        if c is not None:
-            pos[j] = -c
-            # below x^rel_trunc the inverse has ceil(rel_trunc / j) terms
-            inv = _binomial_inverse(sig, j, pos[j], -(-rel_trunc // j), rel_trunc)
-            unit = (unit * inv).truncate(rel_trunc)
-        j += 1
-    return CanonicalFactorization(sig, nu, a0, neg, pos, t_eff + lam)
+    # exactly, r has no term below x^0; in floats its rounding residues would
+    # lower r's valuation for r.inverse()
+    r = LaurentSeries(sig, {e: c for e, c in r.coeffs.items() if e >= 0}, r.trunc)
+    pos = _ghost_inverse(r.derivative() * r.inverse(), 1, r.trunc - 1)
+    return CanonicalFactorization(sig, nu, r.coeff(0), neg, pos, trunc_order)
 
 
 def reconstruct(fac: CanonicalFactorization) -> LaurentSeries:

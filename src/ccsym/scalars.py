@@ -106,19 +106,21 @@ def as_float(value) -> complex:
 
 def power(x, n: int, one):
     """x^n by square-and-multiply, skipping the final squaring whose result
-    would go unused; a negative n raises x.inverse() to the power -n."""
+    would go unused; a negative n raises x.inverse() to the power -n.  The
+    product starts from the power of x at the lowest set bit of n, so no
+    product is by `one`, which only x^0 returns."""
     if not isinstance(n, int):
         raise TypeError("powers must be integers")
     if n < 0:
         x, n = x.inverse(), -n
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = out * x
+            out = x if out is None else out * x
         n >>= 1
         if n:
             x = x * x
-    return out
+    return one if out is None else out
 
 
 def geometric(u, one, terms: int):

@@ -16,7 +16,8 @@ Over a Q-algebra the same unit has a residue form (Contou-Carrere,
 C. R. Acad. Sci. Paris 318, 1994; Anderson and Pablos Romo, Comm.
 Algebra 32, 2004).  With h = x^-nu f, the quotient h'/h has no x^-1
 term: its exponents >= 0 are dlog f_+ and its exponents <= -2 are
-dlog f_-, whose termwise integrals are log f_+ and log f_-.  Then
+dlog f_-, whose termwise integrals are log f_+ and log f_- (`laurent._logs`,
+which `factorize` reads the negative factors from too).  Then
 
     <f, g> = (-1)^(nu mu) a0^mu b0^-nu
              * exp(Res(log f_+ dlog g_-) - Res(log g_+ dlog f_-)),
@@ -27,19 +28,19 @@ reads f only below x^(nu + w) for a window w that grows until both
 negative halves, and log f_+ up to the depth of dlog g_- (and the same
 with f and g swapped), are determined; so `cc_symbol_series` and
 `local_symbols` invert and expand only that window, with no
-factorization.  `cc_symbol`, the double product, is the independent
-oracle the tests hold the residue form to.
+factorization.  `cc_symbol`, the double product, is the oracle the
+tests hold the residue form to, over factorizations peeled with no
+logarithms.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import partial
 
 from .algebra import AlgebraElement, exp
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
-from .laurent import CanonicalFactorization, LaurentSeries
+from .laurent import CanonicalFactorization, LaurentSeries, _logs
 
 
 def _require_complete(fac: CanonicalFactorization, partner_neg_depth: int, who: str):
@@ -89,26 +90,6 @@ def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> A
 
 _WINDOW = 4  # the first window, in orders above the valuation
 _SEARCH = 256  # how far past the truncation a search for the one needed goes
-
-
-def _logs(f: LaurentSeries, nu: int):
-    """(h'/h, l, a0) for h = x^-nu f = p (1 - u), p the part of h from x^0
-    on: l = log(1 - u) is a finite sum, its exponents < 0 are log f_-,
-    and a0 = p(0) exp(l(0)).  The part of h below x^0 is known exactly,
-    so only u = (p - h)/p and its powers erode the truncation."""
-    h = f.shift(-nu)
-    sig = h.signature
-    p = LaurentSeries(sig, {e: c for e, c in h.coeffs.items() if e >= 0}, h.trunc)
-    p_inv = p.inverse()
-    u = (p - h) * p_inv  # minus (h - p)/p: log(1 - u) = -sum of u^k / k
-    # u's coefficients lie in m^order, as (h - p)'s do, so u^k = 0 once k order >= N
-    order = min((sum(m) for c in (h - p).coeffs.values() for m in c.num), default=sig.truncation_degree)
-    log, term = -u, u
-    for k in range(2, -(-sig.truncation_degree // order)):
-        term = term * u
-        log = log - term.scale(sig.scalar(Fraction(1, k)))
-    a0 = p.coeff(0) * exp(log.coeff(0)) if log.trunc > 0 else None
-    return p.derivative() * p_inv + log.derivative(), log, a0
 
 
 def _residue(d: LaurentSeries, log: LaurentSeries) -> AlgebraElement:

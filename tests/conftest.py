@@ -4,17 +4,23 @@ The oracles here deliberately avoid the code paths they check: dense
 convolution instead of the pruned-map product, a series inverse in two
 stages (by the reduction, then m-adically) instead of one long division
 over A, cumulative trapezoid quadrature on the ordered simplex instead
-of word-series transport, and an RK4 stepper that takes one node at a
-time on {monomial: scalar} maps instead of blocks of columns.
+of word-series transport, an RK4 stepper that takes one node at a
+time on {monomial: scalar} maps instead of blocks of columns, and a
+factorization that peels one factor at a time off the series instead of
+inverting the ghost map on its logarithmic derivative.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
 from ccsym.algebra import AlgebraElement, AlgebraSignature
-from ccsym.laurent import LaurentSeries
+from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
+from ccsym.laurent import CanonicalFactorization, LaurentSeries
 from ccsym.scalars import GaussianRational, gaussian, geometric
 
 # -- dense truncated-polynomial oracle ----------------------------------------
@@ -92,6 +98,83 @@ def oracle_series_inverse(f: LaurentSeries) -> LaurentSeries:
     g0 = LaurentSeries(sig, {k - nu: c for k, c in enumerate(g)}, f.trunc - 2 * nu)
     e = LaurentSeries.one(sig) - f * g0
     return g0 * geometric(e, LaurentSeries.one(sig), sig.truncation_degree)
+
+
+# -- peeling factorization oracle --------------------------------------------------
+
+
+def _binomial_inverse(sig: AlgebraSignature, j: int, a: AlgebraElement, terms: int, trunc=math.inf) -> LaurentSeries:
+    """(1 - a x^j)^{-1} = sum of a^k x^{jk} over k < terms."""
+    powers = itertools.accumulate(itertools.repeat(a, terms - 1), operator.mul, initial=sig.one())
+    return LaurentSeries(sig, {j * k: p for k, p in enumerate(powers)}, trunc)
+
+
+def oracle_factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
+    """The canonical factorization by peeling, with no logarithms.
+
+    Phase 1 clears the sub-nu tail: repeatedly peel a factor (1 - a x^j),
+    j < 0, chosen to kill the lowest offending coefficient, and recompute
+    the residual from f with the combined inverse of all peeled factors.
+    Each pass deepens the tail in the m-adic filtration, and m^N = 0
+    forces termination.  Phase 2 matches positive factors bottom-up: after
+    choosing a_j the residual has no x^j term, and higher factors cannot
+    reintroduce one.  The passes are many and each is a series product,
+    so keep the inputs small.
+    """
+    T = f.trunc if trunc is None else min(trunc, f.trunc)
+    if math.isinf(T):
+        raise InputError("factorization needs a finite truncation order")
+    work = f.truncate(T)
+    nu = work.valuation()
+    sig = f.signature
+    n_deg = sig.truncation_degree
+
+    neg = {}
+    residual = work
+    cap = 4 * n_deg * n_deg * (nu - min(work.lower_bound, nu) + 2) + 16
+    for _ in range(cap):
+        offending = [e for e in residual.coeffs if e < nu]
+        if not offending:
+            break
+        e = min(offending)
+        delta = -(residual.coeff(e) * residual.coeff(nu).inverse())
+        if delta.is_unit():
+            raise NotInvertible("sub-valuation tail is not nilpotent")
+        updated = neg.get(e - nu, sig.zero()) + delta
+        if updated.is_zero():
+            neg.pop(e - nu, None)
+        else:
+            neg[e - nu] = updated
+        combined = LaurentSeries.one(sig)
+        for jj, a in neg.items():
+            combined = combined * _binomial_inverse(sig, jj, a, n_deg)
+        residual = work * combined
+    else:
+        raise InsufficientTruncation("factorization did not stabilize; raise the truncation")
+
+    neg_poly = LaurentSeries.one(sig)
+    for j in sorted(neg):
+        neg_poly = neg_poly * LaurentSeries(sig, {0: sig.one(), j: -neg[j]})
+    lam = min(neg_poly.lower_bound, 0)
+
+    t_eff = residual.trunc
+    if min(t_eff, t_eff + lam) <= nu:
+        raise InsufficientTruncation(f"truncation order {T} too small to determine the unit part at x^{nu}")
+    a0 = residual.coeff(nu)
+    unit = residual.shift(-nu).scale(a0.inverse())
+
+    pos = {}
+    rel_trunc = t_eff - nu
+    for j in itertools.count(1):
+        if j >= rel_trunc or unit == LaurentSeries.one(sig, unit.trunc):
+            break
+        c = unit.coeffs.get(j)
+        if c is not None:
+            pos[j] = -c
+            # below x^rel_trunc the inverse has ceil(rel_trunc / j) terms
+            inv = _binomial_inverse(sig, j, pos[j], -(-rel_trunc // j), rel_trunc)
+            unit = (unit * inv).truncate(rel_trunc)
+    return CanonicalFactorization(sig, nu, a0, neg, pos, t_eff + lam)
 
 
 # -- nested quadrature oracle for scalar 2-word integrals -----------------------
@@ -220,10 +303,11 @@ def _all_monomials(sig: AlgebraSignature):
 
 
 def random_invertible_series(
-    rng: random.Random, sig: AlgebraSignature, trunc: int, max_terms: int = 3
+    rng: random.Random, sig: AlgebraSignature, trunc: int, max_terms: int = 3, low_terms: int = 1
 ) -> LaurentSeries:
     """Random element of A((x))^x: a unit leading coefficient at a random
-    valuation, optional higher terms, optional nilpotent terms below."""
+    valuation, optional higher terms, and with chance 0.6 `low_terms`
+    nilpotent terms drawn at most low_terms + 1 below it."""
     nu = rng.randint(-2, 2)
     coeffs = {nu: random_element(rng, sig, unit=True)}
     for _ in range(rng.randint(0, max_terms)):
@@ -231,10 +315,11 @@ def random_invertible_series(
         if e < trunc:
             coeffs[e] = random_element(rng, sig)
     if sig.truncation_degree > 1 and rng.random() < 0.6:
-        low = nu - rng.randint(1, 2)
-        elt = random_element(rng, sig, unit=False)
-        if not elt.is_zero():
-            coeffs[low] = elt
+        for _ in range(low_terms):
+            low = nu - rng.randint(1, low_terms + 1)
+            elt = random_element(rng, sig, unit=False)
+            if not elt.is_zero():
+                coeffs[low] = elt
     return LaurentSeries(sig, coeffs, trunc)
 
 

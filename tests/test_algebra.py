@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ccsym.algebra import (
+    AlgebraElement,
     Backend,
     deviation,
     element_to_json,
@@ -139,6 +140,51 @@ def test_exp_log_round_trips_randomized():
         assert exp(log1m(a)) == SIG3.one() - a
         # log(exp(a)) = a via log1m(1 - exp(a))
         assert log1m(SIG3.one() - exp(a)) == a
+
+
+def _exp_from_one(a):
+    """The sum of a^n / n! with its first term taken as (1 * a) / 1."""
+    out = term = a.signature.one()
+    for n in range(1, a.signature.truncation_degree):
+        term = (term * a).divided_by_int(n)
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
+def _log1m_from_one(a):
+    """-(the sum of a^k / k) with its first power taken as 1 * a."""
+    out, power = a.signature.zero(), a.signature.one()
+    for k in range(1, a.signature.truncation_degree):
+        power = power * a
+        if power.is_zero():
+            break
+        out = out - power.divided_by_int(k)
+    return out
+
+
+@pytest.mark.parametrize("sig", [SIG3, SIG2G, parse_signature("gens=eps,delta;degree=4;scalars=exact")], ids=str)
+def test_exp_and_log1m_equal_their_sums_from_one(sig):
+    rng = random.Random(19)
+    for _ in range(30):
+        a = random_element(rng, sig, unit=False)
+        for x in (a, a.widen()):
+            assert exp(x) == _exp_from_one(x)
+            assert log1m(x) == _log1m_from_one(x)
+
+
+def test_exp_and_log1m_never_multiply_by_one(monkeypatch):
+    # both start from a itself: over eps;4, exp(eps) takes eps * eps and
+    # eps^2/2 * eps, log1m(eps) eps * eps and eps^2 * eps
+    sig = parse_signature("gens=eps;degree=4;scalars=exact")
+    eps, one = sig.gen("eps"), sig.one()
+    operands = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__", lambda a, b: operands.append((a, b)) or mul(a, b))
+    exp(eps)
+    log1m(eps)
+    assert len(operands) == 4 and all(a != one and b != one for a, b in operands)
 
 
 def test_exp_exact_rejects_units():

@@ -4,6 +4,7 @@ drawn from the table."""
 
 import contextlib
 import io
+import json
 import re
 import shlex
 import time
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ccsym.algebra import parse_signature
 from ccsym.checks import CHECKS
 from ccsym.cli import CAPS, TARGETS, build_parser, check_caps, main, verify_flags
+from ccsym.parsing import parse_series
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -144,6 +146,22 @@ def test_factorize_of_a_unit_with_a_deep_nilpotent_term_needs_only_the_truncatio
     assert "truncation order 4 too small" in err
     code, out, _ = run_main(["factorize", EPS2, "--f=eps*x^-5+1", "--trunc=30"])
     assert code == 0 and out.strip() == "1*(1+eps*x^-5)"
+
+
+def test_factorize_of_a_deep_negative_factor_names_its_trunc_and_rebuilds_the_series():
+    # the factors were once peeled one at a time: over eps;24 that ran for minutes, then
+    # failed at --trunc 28 as "did not stabilize"
+    algebra, f = "--algebra=gens=eps;degree=24;scalars=exact", "--f=(1+eps*x^-1)*(1-x)^-1"
+    code, out, err = run_main(["factorize", algebra, f, "--trunc=24"])
+    assert_one_error_line(code, err)
+    assert out == "" and "--trunc at least 26" in err
+    code, out, err = run_main(["factorize", algebra, f, "--trunc=28"])
+    assert code == 0, err
+    trunc_order = json.loads(run_main(["factorize", algebra, f, "--trunc=28", "--json"])[1])["trunc_order"]
+    sig = parse_signature(algebra.split("=", 1)[1])
+    series = parse_series(f.split("=", 1)[1], sig, 28)
+    assert trunc_order > series.valuation()
+    assert parse_series(out.strip(), sig, trunc_order).agrees_with(series, upto=trunc_order)
 
 
 # -- no silently dropped input ----------------------------------------------------

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from ccsym.algebra import deviation, parse_signature
-from ccsym.errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
+from ccsym.errors import CcsymError, InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from ccsym.laurent import CanonicalFactorization, LaurentSeries, factorize, reconstruct
 from ccsym.ratfunc import poly_mul, poly_trim
 
-from conftest import oracle_series_mul, random_invertible_series
+from conftest import oracle_factorize, oracle_series_mul, random_invertible_series
 
 SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
 SIG3 = parse_signature("gens=eps,delta;degree=3;scalars=exact")
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
+EPS3 = parse_signature("gens=eps;degree=3;scalars=exact")
+EPS5 = parse_signature("gens=eps;degree=5;scalars=exact")
 
 
 def x_series(sig, trunc=math.inf):
@@ -220,6 +222,38 @@ def test_factorize_is_unique_on_reconstructions():
         assert redone.neg_factors == fac.neg_factors
         for j, a in fac.pos_factors.items():
             assert redone.pos_factors.get(j, SIG2.zero()) == a
+
+
+@pytest.mark.parametrize("sig", [SIG2, EPS3, SIG3, EPS5, TRIV], ids=str)
+def test_factorize_is_the_peeling_oracle(sig):
+    rng = random.Random(f"factorize:{sig}")
+    for _ in range(80):
+        assert_factorize_is_the_oracle(random_invertible_series(rng, sig, rng.randint(1, 12), low_terms=3))
+
+
+def test_factorize_finds_the_negative_factors_past_log_f_minus():
+    # exp(-eps/x) = (1 - eps/x)(1 + eps^2/(2 x^2)): log f_- ends at x^-1, its
+    # second Witt coordinate does not
+    eps = EPS3.gen("eps")
+    f = LaurentSeries(EPS3, {0: EPS3.one(), -1: -eps, -2: eps * eps * EPS3.scalar(Fraction(1, 2))}, 8)
+    assert factorize(f).neg_factors == {-1: eps, -2: -(eps * eps).divided_by_int(2)}
+    assert_factorize_is_the_oracle(f)
+
+
+def assert_factorize_is_the_oracle(f):
+    """The ghost-map inversion and the peel agree on every field wherever
+    the peel succeeds, and fail with the same exception class where it
+    does not; a success rebuilds f below its trunc_order."""
+    try:
+        expected = oracle_factorize(f)
+    except CcsymError as exc:
+        with pytest.raises(type(exc)):
+            factorize(f)
+        return
+    fac = factorize(f)
+    assert (fac.nu, fac.a0, fac.neg_factors, fac.pos_factors, fac.trunc_order) == (
+        expected.nu, expected.a0, expected.neg_factors, expected.pos_factors, expected.trunc_order)
+    assert reconstruct(fac).agrees_with(f, upto=fac.trunc_order)
 
 
 def test_neg_support_bound():

@@ -158,6 +158,28 @@ def test_geometric_never_multiplies_by_one(monkeypatch):
     assert operands == [(eps, eps), (eps2, eps), (eps3, eps)]
 
 
+def test_power_never_multiplies_by_one(monkeypatch):
+    # the product starts from x at the lowest set bit: x^5 takes x * x,
+    # x^2 * x^2 and x * x^4, and x^1 and x^0 take none
+    x = SIG4.one() + SIG4.gen("eps")
+    x2 = x * x
+    x4 = x2 * x2
+    f = LaurentSeries(SIG4, {0: x, 1: x2}, 6)
+    f2 = f * f
+    operands = []
+    for cls in (AlgebraElement, LaurentSeries):
+        mul = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, mul=mul: operands.append((a, b)) or mul(a, b))
+    x5 = x ** 5
+    assert operands == [(x, x), (x2, x2), (x, x4)]
+    assert x5 == x * x4
+    operands.clear()
+    assert x ** 1 is x and x ** 0 == SIG4.one() and not operands
+    f3 = f ** 3
+    assert [pair for pair in operands if isinstance(pair[0], LaurentSeries)] == [(f, f), (f, f2)]
+    assert f3 == f * f2
+
+
 def test_poly_eval_on_elements_and_series():
     rng = random.Random(139)
     coeffs = [random_element(rng, SIG3) for _ in range(4)]
