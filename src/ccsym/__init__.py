@@ -41,8 +41,8 @@ from .errors import (
 )
 from .forms import BinomialLogForm, DlogForm, Dz, SimplePole
 from .laurent import CanonicalFactorization, LaurentSeries, factorize, reconstruct
-from .parsing import parse_element, parse_path, parse_ratfunc, parse_scalar, parse_series
-from .paths import Path, circle, commutator, concat, lasso, segment
+from .parsing import parse_element, parse_ratfunc, parse_scalar, parse_series
+from .paths import Path, circle, commutator, concat, lasso, parse_path, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support
 from .reports import CheckReport
 from .symbol import (

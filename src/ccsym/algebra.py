@@ -294,6 +294,10 @@ class AlgebraElement:
     def divided_by_int(self, k: int) -> "AlgebraElement":
         return AlgebraElement._normal(self.signature, self.num, self.den * k)
 
+    def times_int(self, k: int) -> "AlgebraElement":
+        """self * k for a nonzero int k, on the numerators alone."""
+        return AlgebraElement._normal(self.signature, {m: (re * k, im * k) for m, (re, im) in self.num.items()}, self.den)
+
     def inverse(self) -> "AlgebraElement":
         """Multiplicative inverse via a geometric series on the nilpotent part."""
         sig, e = self.signature, self.signature.empty_monomial()

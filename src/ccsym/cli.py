@@ -20,7 +20,8 @@ from .chen import QuadratureConfig, iterated_integral, line_integral
 from .errors import CcsymError, InputError, InsufficientTruncation
 from .forms import DlogForm
 from .laurent import factorize
-from .parsing import parse_element, parse_path, parse_ratfunc, parse_scalar, parse_series
+from .parsing import parse_element, parse_ratfunc, parse_scalar, parse_series
+from .paths import parse_path
 from .ratfunc import SpherePoint
 from .symbol import cc_symbol_series, least_trunc, tame_symbol
 

@@ -99,9 +99,13 @@ class LaurentSeries:
         )
 
     def derivative(self) -> "LaurentSeries":
-        return LaurentSeries(self.signature, {e - 1: c * e for e, c in self.coeffs.items() if e}, self.trunc - 1)
+        return LaurentSeries(self.signature, {e - 1: c.times_int(e) for e, c in self.coeffs.items() if e}, self.trunc - 1)
 
     def scale(self, a: AlgebraElement) -> "LaurentSeries":
+        """a times the series; by 0 it is 0 at every exponent, as a product
+        by the zero series is."""
+        if a.is_zero():
+            return LaurentSeries.zero(self.signature)
         return LaurentSeries(
             self.signature, {e: c * a for e, c in self.coeffs.items()}, self.trunc
         )

@@ -1,22 +1,21 @@
-"""Input grammar: series literals, factored rational functions, paths.
+"""Input grammar: scalar, element and series literals, factored rational functions.
 
-One tokenizer and one Pratt-style expression parser feed three
-evaluators: Laurent series (for the symbol pipeline), factored rational
-functions (for the sphere harness), and exact scalars (for points,
-radii and path parameters).  Precedence is ^ above unary minus above
+One tokenizer and one Pratt-style expression parser feed the evaluators:
+one fold for exact scalars (points, radii, path parameters), algebra
+elements and Laurent series (the symbol pipeline), and factored
+rational functions (the sphere harness).  `paths.parse_path` reads path
+literals with the same parser.  Precedence is ^ above unary minus above
 * and / above + and -; exponents are integer literals.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, AlgebraSignature
 from .errors import InputError
 from .laurent import INF, LaurentSeries
-from .paths import Path, circle, commutator, concat, segment
 from .ratfunc import RationalFunctionA, poly_add, poly_mul, poly_reduction, poly_trim
 from .scalars import GR_I, GaussianRational, gaussian, power
 
@@ -202,8 +201,40 @@ def parse_expression(text: str):
 
 
 # -- scalar, element and series evaluation ---------------------------------------
+#
+# One bottom-up fold serves scalars, elements and series: a subtree with
+# neither x nor a generator stays an exact scalar, one without x an
+# element, and a value moves up only where it meets one of a higher rank.
+# On the float backend a scalar is rounded once, where it becomes an
+# element: 7/10 reads as the double nearest 0.7.
 
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+def _rank(value) -> int:
+    return 0 if isinstance(value, GaussianRational) else 2 if isinstance(value, LaurentSeries) else 1
+
+
+def _lift(value, sig: AlgebraSignature, rank: int):
+    """value as a value of the given rank or its own, whichever is higher."""
+    if _rank(value) < min(rank, 1):
+        value = sig.scalar(value)
+    return LaurentSeries(sig, {0: value}) if _rank(value) < rank else value
+
+
+def _lifted(op, rank=2):
+    """op on two values, the one of higher rank on the left, whose type
+    takes the other lifted to its rank, or to `rank` if that is lower."""
+
+    def apply(a, b):
+        if _rank(a) < _rank(b):
+            a, b = b, a
+        return op(a, _lift(b, a.signature, min(_rank(a), rank)) if _rank(a) > _rank(b) else b)
+
+    return apply
+
+
+# a series times a scalar or an element scales by it, with no series product
+_BINARY = {"add": _lifted(operator.add), "sub": lambda a, b: _BINARY["add"](a, -b),
+           "mul": _lifted(lambda a, b: a.scale(b) if _rank(b) < _rank(a) == 2 else a * b, 1)}
 
 
 def _fold(node, leaf, div, pow_):
@@ -223,9 +254,11 @@ def _fold(node, leaf, div, pow_):
 
 def _bit_length(value) -> int:
     """The largest bit length among the numerators and denominators of
-    the exact scalars of an evaluated value; a float scalar counts 1."""
+    the exact scalars of an evaluated value, zero parts skipped; a float
+    scalar counts 1."""
     if isinstance(value, GaussianRational):
-        return max(n.bit_length() for q in (value.re, value.im) for n in (q.numerator, q.denominator))
+        return max((n.bit_length() for q in (value.re, value.im) if q for n in (q.numerator, q.denominator)),
+                   default=0)
     if isinstance(value, complex):
         return 1
     if isinstance(value, RationalFunctionA):
@@ -247,20 +280,42 @@ def _power(base, n: int, pow_):
     return pow_(base, n)
 
 
-def eval_scalar(node, text: str = "") -> GaussianRational:
+def _evaluate(node, sig, top: int, text: str, trunc=INF):
+    """The value of an expression with values up to rank `top`: 0 for
+    scalars, 1 for elements, 2 for series in x, whose inverses are taken
+    at `trunc`.  A value of lower rank that is not a unit is lifted to
+    `top` before it is inverted, so the error names that context."""
+    x = LaurentSeries.monomial(sig, 1) if top > 1 else None
+
     def leaf(node):
+        name = node[1]
         if node[0] == "num":
-            return gaussian(node[1])
-        if node[1] == "i":
+            return gaussian(name)
+        if top > 1 and name == "x":
+            return x
+        if top and name in sig.generators:
+            return sig.gen(name)
+        if name == "i":
             return GR_I
-        raise InputError(f"cannot use {node[1]!r} in a scalar context")
+        raise InputError(f"unknown name {name!r} in {text!r}" if top else f"cannot use {name!r} in a scalar context")
 
-    def div(a, b):
-        if not b:
+    def invertible(value):  # a series inverts by long division, cut at trunc unless it has one term
+        if bool(value) if _rank(value) == 0 else _rank(value) == 1 and value.is_unit():
+            return value
+        if not top:
             raise InputError(f"division by zero in {text!r}")
-        return a / b
+        value = _lift(value, sig, top)
+        return value if len(value.coeffs) == 1 or top < 2 else value.truncate(trunc)
 
-    return _fold(node, leaf, div, operator.pow)
+    def pow_(base, n):
+        base = invertible(base) if n < 0 else base
+        return LaurentSeries.monomial(sig, n) if top > 1 and base == x else base ** n
+
+    return _fold(node, leaf, lambda a, b: _BINARY["mul"](a, invertible(b).inverse()), pow_)
+
+
+def eval_scalar(node, text: str = "") -> GaussianRational:
+    return _evaluate(node, None, 0, text)
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -269,17 +324,7 @@ def parse_scalar(text: str) -> GaussianRational:
 
 def eval_element(node, sig: AlgebraSignature, text: str = "") -> AlgebraElement:
     """Evaluate an expression without x as an algebra element."""
-
-    def leaf(node):
-        if node[0] == "num":
-            return sig.scalar(node[1])
-        if node[1] in sig.generators:
-            return sig.gen(node[1])
-        if node[1] == "i":
-            return sig.scalar(GR_I if sig.backend.value == "exact" else 1j)
-        raise InputError(f"unknown name {node[1]!r} in {text!r}")
-
-    return _fold(node, leaf, lambda a, b: a * b.inverse(), operator.pow)
+    return _lift(_evaluate(node, sig, 1, text), sig, 1)
 
 
 def parse_element(text: str, sig: AlgebraSignature) -> AlgebraElement:
@@ -288,19 +333,7 @@ def parse_element(text: str, sig: AlgebraSignature) -> AlgebraElement:
 
 def eval_series(node, sig: AlgebraSignature, trunc, text: str = "") -> LaurentSeries:
     """Evaluate as a Laurent series in x; inverses are taken at `trunc`."""
-
-    def leaf(node):
-        if node == ("name", "x"):
-            return LaurentSeries.monomial(sig, 1)
-        return LaurentSeries(sig, {0: eval_element(node, sig, text)})
-
-    def cut(base):  # a one-term series inverts exactly: cutting it would lose orders
-        return base if len(base.coeffs) == 1 else base.truncate(trunc)
-
-    def pow_(base, n):
-        return cut(base) ** n if n < 0 else base ** n
-
-    return _fold(node, leaf, lambda a, b: a * cut(b).inverse(), pow_)
+    return _lift(_evaluate(node, sig, 2, text, trunc), sig, 2)
 
 
 def parse_series(text: str, sig: AlgebraSignature, trunc=INF) -> LaurentSeries:
@@ -412,6 +445,15 @@ def _reduction_spans(node, sig: AlgebraSignature, text: str):
 
 
 def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctionA:
+    """A subtree with neither x nor a generator is one constant, unless its
+    value is 0; the rest is read factor by factor."""
+    if "i" not in sig.generators:  # a scalar reads i as the imaginary unit
+        try:
+            c = eval_scalar(node, text)
+        except InputError:  # x, a generator, a zero divisor or a power past the cap
+            c = None
+        if c:
+            return RationalFunctionA.constant(sig, c)
     kind = node[0]
     if kind == "mul":
         return eval_ratfunc(node[1], sig, text) * eval_ratfunc(node[2], sig, text)
@@ -444,70 +486,3 @@ def parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
     f = eval_ratfunc(parse_expression(text), sig, text)
     f.validate_poles()
     return f
-
-
-# -- path literals -------------------------------------------------------------------
-
-
-class PathParser(ExpressionParser):
-    """Path grammar: circle(c,r[,angle]), seg(a,b), concat(p,...),
-    rev(p), comm(p,q); parameters are scalar expressions."""
-
-    def parse_path(self) -> Path:
-        tok = self.advance()
-        if tok.kind != "NAME":
-            raise InputError(
-                f"expected a path constructor at position {tok.pos} in {self.text!r}"
-            )
-        name = tok.text
-        self.expect("(")
-        if name == "circle":
-            args = self.scalar_args(2, 3)
-            center = complex(args[0])
-            radius = complex(args[1])
-            if radius.imag:
-                raise InputError("circle radius must be real")
-            angle = 2 * math.pi * float(complex(args[2]).real) if len(args) > 2 else 0.0
-            return circle(center, radius.real, angle)
-        if name == "seg":
-            args = self.scalar_args(2, 2)
-            return segment(complex(args[0]), complex(args[1]))
-        if name == "concat":
-            paths = [self.nested(self.parse_path)]
-            while self.peek().text == ",":
-                self.advance()
-                paths.append(self.nested(self.parse_path))
-            self.expect(")")
-            return concat(*paths)
-        if name == "rev":
-            inner = self.nested(self.parse_path)
-            self.expect(")")
-            return inner.reversed()
-        if name == "comm":
-            first = self.nested(self.parse_path)
-            self.expect(",")
-            second = self.nested(self.parse_path)
-            self.expect(")")
-            return commutator(first, second)
-        raise InputError(f"unknown path constructor {name!r} in {self.text!r}")
-
-    def scalar_args(self, at_least: int, at_most: int):
-        args = [eval_scalar(self.parse_expression(), self.text)]
-        while self.peek().text == ",":
-            self.advance()
-            args.append(eval_scalar(self.parse_expression(), self.text))
-        self.expect(")")
-        if not at_least <= len(args) <= at_most:
-            raise InputError(
-                f"wrong number of arguments in {self.text!r}: got {len(args)}"
-            )
-        return args
-
-
-def parse_path(text: str) -> Path:
-    parser = PathParser(text)
-    path = parser.parse_path()
-    tok = parser.peek()
-    if tok.kind != "END":
-        raise InputError(f"trailing input {tok.text!r} at position {tok.pos} in {text!r}")
-    return path

@@ -3,7 +3,8 @@
 Paths are chains of line segments and circular arcs, each parametrized
 over [0, 1] with an explicit derivative.  Constructors cover the loop
 shapes the verification harness needs: segments, full circles, path
-concatenation and reversal, and commutators of loops.
+concatenation and reversal, and commutators of loops.  `parse_path`
+reads them from text, such as `concat(seg(-2,-1/2),circle(0,1/2,1/2))`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import PathError
+from .errors import InputError, PathError
+from .parsing import ExpressionParser, eval_scalar
 
 CHAIN_TOL = 1e-12
 
@@ -170,3 +172,70 @@ def lasso(base: complex, center: complex, radius: float) -> Path:
     foot = complex(center) + radius * cmath.exp(1j * theta)
     go = segment(base, foot)
     return concat(go, circle(center, radius, theta), go.reversed())
+
+
+# -- path literals -------------------------------------------------------------------
+
+
+class PathParser(ExpressionParser):
+    """Path grammar: circle(c,r[,angle]), seg(a,b), concat(p,...),
+    rev(p), comm(p,q); parameters are scalar expressions."""
+
+    def parse_path(self) -> Path:
+        tok = self.advance()
+        if tok.kind != "NAME":
+            raise InputError(
+                f"expected a path constructor at position {tok.pos} in {self.text!r}"
+            )
+        name = tok.text
+        self.expect("(")
+        if name == "circle":
+            args = self.scalar_args(2, 3)
+            center = complex(args[0])
+            radius = complex(args[1])
+            if radius.imag:
+                raise InputError("circle radius must be real")
+            angle = 2 * math.pi * float(complex(args[2]).real) if len(args) > 2 else 0.0
+            return circle(center, radius.real, angle)
+        if name == "seg":
+            args = self.scalar_args(2, 2)
+            return segment(complex(args[0]), complex(args[1]))
+        if name == "concat":
+            paths = [self.nested(self.parse_path)]
+            while self.peek().text == ",":
+                self.advance()
+                paths.append(self.nested(self.parse_path))
+            self.expect(")")
+            return concat(*paths)
+        if name == "rev":
+            inner = self.nested(self.parse_path)
+            self.expect(")")
+            return inner.reversed()
+        if name == "comm":
+            first = self.nested(self.parse_path)
+            self.expect(",")
+            second = self.nested(self.parse_path)
+            self.expect(")")
+            return commutator(first, second)
+        raise InputError(f"unknown path constructor {name!r} in {self.text!r}")
+
+    def scalar_args(self, at_least: int, at_most: int):
+        args = [eval_scalar(self.parse_expression(), self.text)]
+        while self.peek().text == ",":
+            self.advance()
+            args.append(eval_scalar(self.parse_expression(), self.text))
+        self.expect(")")
+        if not at_least <= len(args) <= at_most:
+            raise InputError(
+                f"wrong number of arguments in {self.text!r}: got {len(args)}"
+            )
+        return args
+
+
+def parse_path(text: str) -> Path:
+    parser = PathParser(text)
+    path = parser.parse_path()
+    tok = parser.peek()
+    if tok.kind != "END":
+        raise InputError(f"trailing input {tok.text!r} at position {tok.pos} in {text!r}")
+    return path

@@ -152,6 +152,19 @@ def _scalar_poly_divide_linear(p: list, r):
     return q, (p[0] + q[0] * r if q else p[0])
 
 
+def _divide_out(red: list, root) -> tuple:
+    """(k, q) with red = (x - root)^k q for the largest such k, red a
+    polynomial over Q(i) or C; a root over C is taken as complex."""
+    root = complex(root) if red and isinstance(red[0], complex) else root
+    k = 0
+    while len(red) > 1:
+        q, rem = _scalar_poly_divide_linear(red, root)
+        if rem:
+            break
+        red, k = q, k + 1
+    return k, red
+
+
 @dataclass(frozen=True)
 class RationalFunctionA:
     """scale * prod (x - root)^mult * num(x)/den(x), num == den mod m.
@@ -217,8 +230,12 @@ class RationalFunctionA:
         if self.signature != other.signature:
             raise SignatureMismatch("rational functions over different signatures")
         sig = self.signature
-        num = poly_mul(self.pert_num, other.pert_num, sig)
-        den = poly_mul(self.pert_den, other.pert_den, sig)
+        if self.pert_num == self.pert_den:  # 1/1
+            num, den = other.pert_num, other.pert_den
+        elif other.pert_num == other.pert_den:
+            num, den = self.pert_num, self.pert_den
+        else:
+            num, den = poly_mul(self.pert_num, other.pert_num, sig), poly_mul(self.pert_den, other.pert_den, sig)
         return RationalFunctionA(sig, self.base_factors + other.base_factors, self.scale * other.scale, num, den)
 
     def inverse(self) -> "RationalFunctionA":
@@ -260,6 +277,11 @@ class RationalFunctionA:
         or minus the total degree at infinity."""
         return -self.total_degree if s.is_infinite else dict(self.base_factors).get(s.value, 0)
 
+    def pole_order(self, s: SpherePoint) -> int:
+        """The order of the perturbation's pole at s: how often the reduction of
+        its denominator vanishes there, or its excess degree at infinity."""
+        return self.pert_excess if s.is_infinite else _divide_out(poly_reduction(self.pert_den), s.value)[0]
+
     def involves_infinity(self) -> bool:
         return self.total_degree != 0 or self.pert_excess > 0
 
@@ -267,12 +289,7 @@ class RationalFunctionA:
         """Check that finite perturbation poles sit over declared roots."""
         red = poly_reduction(self.pert_den)
         for root in self.roots():
-            root = root if self.signature.backend is Backend.EXACT else complex(root)
-            while len(red) > 1:
-                q, rem = _scalar_poly_divide_linear(red, root)
-                if rem:
-                    break
-                red = q
+            red = _divide_out(red, root)[1]
         if len(red) > 1:
             raise InputError(
                 "perturbation has poles away from the declared roots; "
@@ -360,9 +377,10 @@ class RationalFunctionA:
     def expand_at(self, s: SpherePoint, trunc: int) -> LaurentSeries:
         """Laurent expansion in the uniformizer (x-s), or 1/x at infinity.
 
-        The working window widens adaptively: inverting local units and the
-        perturbation denominator erodes the truncation a little, so retry
-        with the measured shortfall until the requested order is covered.
+        Inverting the perturbation's denominator erodes the truncation by
+        about twice the order of its pole at s, so the working window starts
+        that far past the requested order, which is no farther at most
+        points, and retries with the measured shortfall until it is covered.
         A truncation at or below the valuation there leaves no term.
         """
         nu = self.order_at(s)
@@ -371,7 +389,7 @@ class RationalFunctionA:
                 f"the expansion at {s} starts at x^{nu}, at or above the truncation "
                 f"x^{trunc}; expand with truncation (--trunc) at least {nu + 1}"
             )
-        slack = 4
+        slack = 2 * self.pole_order(s)
         for _ in range(5):
             out = self._expand_window(s, trunc - nu + slack)
             if out.trunc + nu >= trunc:

@@ -136,8 +136,11 @@ def geometric(u, one, terms: int):
 
 
 def poly_eval(p: list, z, zero):
-    """Horner evaluation of the coefficient list p (lowest degree first) at z."""
-    out = zero
-    for c in reversed(p):
+    """Horner evaluation of the coefficient list p (lowest degree first) at
+    z, from zero plus the top coefficient, so no product is by zero."""
+    if not p:
+        return zero
+    out = zero + p[-1]
+    for c in reversed(p[:-1]):
         out = out * z + c
     return out

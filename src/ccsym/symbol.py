@@ -88,7 +88,7 @@ def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> A
     return value
 
 
-_WINDOW = 4  # the first window, in orders above the valuation
+_WINDOW = 4  # the first window, in orders above the valuation, where a perturbation has a pole
 _SEARCH = 256  # how far past the truncation a search for the one needed goes
 
 
@@ -116,15 +116,15 @@ def _residue_symbol(f: LaurentSeries, nu: int, g: LaurentSeries, mu: int):
     return (-value if nu * mu % 2 else value), short
 
 
-def _windowed(args):
+def _windowed(args, start=_WINDOW):
     """(<f, g>, 0), or (None, k) when the truncations fall short and k > 0
     is the fewest orders that the limits must all rise by to suffice, from
     two (expand, nu, limit): expand(t) is f or g known below x^t, for
-    nu < t <= limit.  The windows start at nu + 4 and grow by what the
+    nu < t <= limit.  The windows start at nu + start and grow by what the
     residues report missing."""
     if any(limit <= nu for _, nu, limit in args):
         return None, max(nu + 1 - limit for _, nu, limit in args)
-    ts = [min(limit, nu + _WINDOW) for _, nu, limit in args]
+    ts = [min(limit, nu + start) for _, nu, limit in args]
     while True:
         value, short = _residue_symbol(*(x for (expand, nu, _), t in zip(args, ts) for x in (expand(t), nu)))
         if max(short) <= 0:
@@ -172,16 +172,20 @@ def least_trunc(short, lo: int, hi: int, what: str) -> int:
 def local_symbols(f, g, points, trunc: int) -> list:
     """<f, g> at each of the points for two rational functions, by the
     residue form on their expansions there (`expand_at`) below
-    x^min(trunc, nu + w).  If trunc is too small at some point, the error
-    names the least --trunc that suffices at all of them."""
+    x^min(trunc, nu + w).  Where neither perturbation has a pole, neither
+    expansion has terms below its valuation, so log f_- = log g_- = 0 and
+    the symbol is the tame (-1)^(nu mu) a0^mu b0^-nu: the windows start at
+    w = 1.  If trunc is too small at some point, the error names the least
+    --trunc that suffices at all of them."""
     values, need = [], 0
     for s in points:
         expansions = [(partial(r.expand_at, s), r.order_at(s)) for r in (f, g)]
-        value, short = _windowed([(expand, nu, trunc) for expand, nu in expansions])
+        start = _WINDOW if f.pole_order(s) or g.pole_order(s) else 1
+        value, short = _windowed([(expand, nu, trunc) for expand, nu in expansions], start)
         values.append(value)
         if short:
             lo = max(trunc, *(nu for _, nu in expansions))
-            need = max(need, least_trunc(lambda t: _windowed([(e, nu, t) for e, nu in expansions])[1],
+            need = max(need, least_trunc(lambda t: _windowed([(e, nu, t) for e, nu in expansions], start)[1],
                                          lo, max(trunc + short, lo + 1), "the local symbols need"))
     if need:
         raise InsufficientTruncation(

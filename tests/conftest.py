@@ -5,9 +5,11 @@ convolution instead of the pruned-map product, a series inverse in two
 stages (by the reduction, then m-adically) instead of one long division
 over A, cumulative trapezoid quadrature on the ordered simplex instead
 of word-series transport, an RK4 stepper that takes one node at a
-time on {monomial: scalar} maps instead of blocks of columns, and a
+time on {monomial: scalar} maps instead of blocks of columns, a
 factorization that peels one factor at a time off the series instead of
-inverting the ghost map on its logarithmic derivative.
+inverting the ghost map on its logarithmic derivative, and input
+evaluators that make every literal a series, or every factor a function,
+instead of folding literals as scalars.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ import operator
 import random
 from fractions import Fraction
 
+from ccsym import parsing
 from ccsym.algebra import AlgebraElement, AlgebraSignature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
 from ccsym.laurent import CanonicalFactorization, LaurentSeries
-from ccsym.scalars import GaussianRational, gaussian, geometric
+from ccsym.ratfunc import RationalFunctionA
+from ccsym.scalars import GR_I, GaussianRational, gaussian, geometric
 
 # -- dense truncated-polynomial oracle ----------------------------------------
 
@@ -175,6 +179,134 @@ def oracle_factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
             inv = _binomial_inverse(sig, j, pos[j], -(-rel_trunc // j), rel_trunc)
             unit = (unit * inv).truncate(rel_trunc)
     return CanonicalFactorization(sig, nu, a0, neg, pos, t_eff + lam)
+
+
+# -- input evaluators that make every literal a series or a function ----------------
+
+_ORACLE_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _oracle_fold(node, leaf, div, pow_):
+    """Evaluate an AST on the values `leaf` gives its num/name nodes, all
+    of one type, with the power cap of `parsing._power`."""
+    kind = node[0]
+    if kind in ("num", "name"):
+        return leaf(node)
+    if kind == "neg":
+        return -_oracle_fold(node[1], leaf, div, pow_)
+    if kind == "pow":
+        return parsing._power(_oracle_fold(node[1], leaf, div, pow_), node[2], pow_)
+    a, b = (_oracle_fold(child, leaf, div, pow_) for child in node[1:])
+    return div(a, b) if kind == "div" else _ORACLE_BINARY[kind](a, b)
+
+
+def _oracle_leaf(node, sig: AlgebraSignature, text: str) -> AlgebraElement:
+    if node[0] == "num":
+        return sig.scalar(node[1])
+    if node[1] in sig.generators:
+        return sig.gen(node[1])
+    if node[1] == "i":
+        return sig.scalar(GR_I if sig.backend.value == "exact" else 1j)
+    raise InputError(f"unknown name {node[1]!r} in {text!r}")
+
+
+def oracle_parse_element(text: str, sig: AlgebraSignature) -> AlgebraElement:
+    """An expression without x with every literal an algebra element."""
+    leaf = lambda node: _oracle_leaf(node, sig, text)  # noqa: E731
+    return _oracle_fold(parsing.parse_expression(text), leaf, lambda a, b: a * b.inverse(), operator.pow)
+
+
+def oracle_parse_series(text: str, sig: AlgebraSignature, trunc=math.inf) -> LaurentSeries:
+    """A series literal with every literal, x-free or not, a series, and
+    every quotient a product by a series inverse taken at `trunc` (a
+    one-term divisor uncut, as it inverts exactly)."""
+
+    def leaf(node):
+        if node == ("name", "x"):
+            return LaurentSeries.monomial(sig, 1)
+        return LaurentSeries(sig, {0: _oracle_leaf(node, sig, text)})
+
+    def cut(base):
+        return base if len(base.coeffs) == 1 else base.truncate(trunc)
+
+    def pow_(base, n):
+        return cut(base) ** n if n < 0 else base ** n
+
+    series = _oracle_fold(parsing.parse_expression(text), leaf, lambda a, b: a * cut(b).inverse(), pow_)
+    return series.truncate(trunc)
+
+
+def oracle_parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
+    """A function read factor by factor, each literal a constant function
+    and each sum expanded and factored by the sum path of `parsing`."""
+
+    def read(node):
+        kind = node[0]
+        if kind == "mul":
+            return read(node[1]) * read(node[2])
+        if kind == "div":
+            return read(node[1]) * read(node[2]).inverse()
+        if kind == "pow":
+            return parsing._power(read(node[1]), node[2], operator.pow)
+        if kind == "neg":
+            return RationalFunctionA.constant(sig, -1) * read(node[1])
+        if node == ("name", "x"):
+            return RationalFunctionA.monic_linear(sig, 0)
+        if kind in ("num", "name"):
+            return RationalFunctionA.constant(sig, _oracle_leaf(node, sig, text))
+        exact = AlgebraSignature(sig.generators, sig.truncation_degree)
+        num, den, known = parsing._reduction_spans(node, exact, text)
+        too_high = [hi for hi in (num, den) if hi > parsing.MAX_SUM_DEGREE]
+        if too_high:
+            raise parsing._degree_error(too_high[0], text, known)
+        frac = parsing._polyfrac(node, exact, text)
+        f = parsing._classify_poly(frac.num, exact, text) * parsing._classify_poly(frac.den, exact, text).inverse()
+        return f if exact == sig else f.widen()
+
+    f = read(parsing.parse_expression(text))
+    f.validate_poles()
+    return f
+
+
+def _gaussian_text(re: Fraction, im: Fraction) -> str:
+    """A Gaussian rational as the benchmark writes it: (3/2-1/2*i)."""
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{abs(im)}*i)" if im else f"({re})"
+
+
+def _literal(rng) -> str:
+    return _gaussian_text(random_gaussian(rng).re, Fraction(rng.randint(-1, 1), rng.choice((1, 2))))
+
+
+def bench_series_text(rng: random.Random, gens: tuple, degree: int) -> str:
+    """A series as the benchmark's `symbol` and `factorize` inputs are
+    written: a sum of (c)*monomial*x^e terms, a unit at x^nu, unit terms
+    above it and nilpotent ones at x^(nu - 1)."""
+    nu, terms = rng.randint(-1, 1), []
+    monos = [m for m in itertools.product(range(degree), repeat=len(gens)) if sum(m) < degree]
+    for e in (nu - 1, nu, nu + 1, nu + rng.randint(2, 3)):
+        for mono in monos:
+            if sum(mono) or e >= nu:
+                gen = "*".join(g if k == 1 else f"{g}^{k}" for g, k in zip(gens, mono) if k)
+                x = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+                terms.append("*".join(part for part in (_literal(rng), gen, x) if part))
+    return "+".join(terms)
+
+
+def bench_weil_texts(rng: random.Random, gens: tuple, odd: bool) -> tuple:
+    """(f, g) as the benchmark's `verify weil` inputs are written: unit
+    scales, affine factors over Gaussian-rational roots, one shifted by
+    nilpotents in each function, and g with (x - r1)^-1 or ^2."""
+    grid = [Fraction(k, 2) for k in range(-2, 3)]
+    r1, r2, r3 = rng.sample([_gaussian_text(a, b) for a in grid for b in grid], 3)
+    scales = ("2", "-1", "1/2", "3", "-1/3", "i", "(1-i)")
+
+    def shift():
+        return "".join(f"+({Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))})*{g}" for g in gens)
+
+    f = f"{rng.choice(scales)}*(x-{r1}{shift()})*(x-{r2})^-1"
+    g = f"{rng.choice(scales)}*(x-{r1})^{-1 if odd else 2}*(x-{r3}{shift()})"
+    return f, g
 
 
 # -- nested quadrature oracle for scalar 2-word integrals -----------------------

@@ -374,6 +374,18 @@ def test_integer_form_is_canonical(sig):
         assert a.divided_by_int(k) * k == a
 
 
+@pytest.mark.parametrize("sig", EXACT_SIGS + [s.to_float() for s in EXACT_SIGS], ids=str)
+def test_times_int_is_the_product_by_the_int(sig):
+    # on the numerators alone, the same element as the full product c * k
+    rng = random.Random(f"times-int:{sig}")
+    for _ in range(40):
+        a = random_element(rng, sig)
+        a = a if sig.backend.value == "exact" else sig.element({m: complex(c) for m, c in a.coeffs.items()})
+        for k in (rng.randint(1, 12), -rng.randint(1, 12), 2**70 + 1):
+            assert a.times_int(k) == a * k
+            assert a.times_int(k).num == (a * k).num and a.times_int(k).den == (a * k).den
+
+
 def test_integer_form_past_64_bits():
     sig = EXACT_SIGS[2]
     big = Fraction(3, 2**70 + 1)

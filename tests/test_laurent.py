@@ -59,6 +59,22 @@ def test_exact_products_equal_the_sum_of_pair_products():
             assert poly_mul(p, q, sig) == poly_trim([expected.get(k - 8, sig.zero()) for k in range(19)])
 
 
+@pytest.mark.parametrize("sig", [SIG2, SIG3, SIG3.to_float()], ids=str)
+def test_derivative_scales_by_the_exponent(sig):
+    rng = random.Random(f"derivative:{sig}")
+    for _ in range(30):
+        f = random_invertible_series(rng, SIG3 if sig is not SIG2 else SIG2, 9)
+        f = f.widen() if sig.backend.value == "float" else f
+        d = f.derivative()
+        assert d == LaurentSeries(sig, {e - 1: c * e for e, c in f.coeffs.items() if e}, f.trunc - 1)
+
+
+def test_scaling_by_zero_is_zero_at_every_exponent():
+    f = LaurentSeries(SIG2, {-1: SIG2.gen("eps"), 0: SIG2.one()}, 5)
+    assert f.scale(SIG2.zero()) == f * LaurentSeries.zero(SIG2) == LaurentSeries.zero(SIG2)
+    assert f.scale(SIG2.scalar(2)).trunc == 5
+
+
 def test_mul_truncation_bookkeeping():
     f = LaurentSeries(SIG2, {-1: SIG2.one()}, trunc=5)  # x^-1 known below x^5
     g = LaurentSeries(SIG2, {2: SIG2.one()}, trunc=7)

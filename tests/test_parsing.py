@@ -1,22 +1,30 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ccsym.algebra import parse_signature
-from ccsym.errors import InputError
-from ccsym.laurent import LaurentSeries, factorize
+from ccsym.errors import InputError, NotInvertible
+from ccsym.laurent import INF, LaurentSeries, factorize
 from ccsym.parsing import (
     MAX_POWER_BITS,
     MAX_SUM_DEGREE,
     parse_element,
-    parse_path,
     parse_ratfunc,
     parse_scalar,
     parse_series,
 )
-from ccsym.paths import ArcSegment, LineSegment
+from ccsym.paths import ArcSegment, LineSegment, parse_path
 from ccsym.ratfunc import SpherePoint, rf_support
 from ccsym.scalars import gaussian
+
+from conftest import (
+    bench_series_text,
+    bench_weil_texts,
+    oracle_parse_element,
+    oracle_parse_ratfunc,
+    oracle_parse_series,
+)
 
 SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
@@ -243,3 +251,103 @@ def test_overlong_number_literals_are_input_errors():
         parse_scalar("1" * 5000)
     with pytest.raises(InputError, match="too long"):
         parse_scalar("x^" + "1" * 5000)
+
+
+# -- the one fold against evaluators that make every literal a series or a function ----
+
+SIG3 = parse_signature("gens=eps,delta;degree=3;scalars=exact")
+ALGEBRAS = [(SIG2, ("eps",), 2), (SIG3, ("eps", "delta"), 3), (TRIV, (), 1)]
+
+
+def outcome(parse, *args):
+    """parse(*args), or the class and message of what it raised."""
+    try:
+        return parse(*args)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+def random_tree(rng, names, depth, zero_powers=True):
+    """Text of a random expression over small integers, i, the names and
+    x, with + - * / and powers between -2 and 3."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["0", "1", "2", "3", "1/3", "i", "x", "x", *names])
+    op = rng.choice("+-*/^")
+    left = random_tree(rng, names, depth - 1, zero_powers)
+    if op == "^":
+        n = rng.choice([-2, -1, 0, 1, 2, 3] if zero_powers else [-2, -1, 1, 2, 3])
+        return f"({left})^{n}"
+    return f"({left}){op}({random_tree(rng, names, depth - 1, zero_powers)})"
+
+
+@pytest.mark.parametrize("sig, gens, degree", ALGEBRAS)
+def test_series_fold_equals_the_all_series_fold(sig, gens, degree):
+    # bench-shaped literals, sums of (c)*monomial*x^e, and random trees with
+    # quotients by units, by series and by non-units, at a finite and an
+    # infinite truncation: equal coefficients and truncation, or the same error
+    rng = random.Random(f"series {degree}")
+    texts = [bench_series_text(rng, gens, degree) for _ in range(20)]
+    texts += [random_tree(rng, gens, 4) for _ in range(150)]
+    texts += ["x^-2*(1-eps*x^-1)*(1-x)" if gens else "x^-2*(1-x)", "1/(1-x)", "(2-x)^-2*x^3", "(1/3+x)/(3-x^2)"]
+    for text in texts:
+        for trunc in (7, INF):
+            expected = outcome(oracle_parse_series, text, sig, trunc)
+            got = outcome(parse_series, text, sig, trunc)
+            assert got == expected, text
+            if isinstance(got, LaurentSeries):
+                assert (got.coeffs, got.trunc) == (expected.coeffs, expected.trunc)
+
+
+@pytest.mark.parametrize("sig, gens, degree", ALGEBRAS)
+def test_ratfunc_equals_the_factor_by_factor_reading(sig, gens, degree):
+    rng = random.Random(f"ratfunc {degree}")
+    texts = [text for k in range(20) for text in bench_weil_texts(rng, gens, k % 2)]
+    texts += [random_tree(rng, gens, 4, zero_powers=False) for _ in range(150)]
+    for text in texts:
+        expected = outcome(oracle_parse_ratfunc, text, sig)
+        got = outcome(parse_ratfunc, text, sig)
+        if isinstance(got, tuple):
+            assert got == expected, text
+        else:
+            assert isinstance(expected, type(got)), text
+            assert (got.base_factors, got.scale, got.pert_num, got.pert_den) == (
+                expected.base_factors, expected.scale, expected.pert_num, expected.pert_den), text
+
+
+@pytest.mark.parametrize("text", [
+    "x/0", "(1+x)/(eps-eps)", "x*(2-2)", "1/eps+x", "y*x", "(x+2)^5000", "(x-1/3)^-5000", "2^5000*x",
+    f"(x-1/3+eps)^{MAX_SUM_DEGREE + 1}-(x-1/3)^{MAX_SUM_DEGREE + 1}+x", "eps*x", "(eps+eps*x)*x", "(x^2-1)",
+])
+def test_input_errors_are_those_of_the_old_evaluators(text):
+    # a zero divisor, an unknown name, a power past MAX_POWER_BITS, a sum past
+    # MAX_SUM_DEGREE and a nilpotent factor raise the same class and message
+    assert isinstance(outcome(parse_ratfunc, text, SIG2), tuple)
+    for parse, oracle in ((parse_series, oracle_parse_series), (parse_ratfunc, oracle_parse_ratfunc)):
+        assert outcome(parse, text, SIG2) == outcome(oracle, text, SIG2)
+    for text in ("x+1", "1/eps", "0^-1", "y"):  # x in an element context, as others
+        assert outcome(parse_element, text, SIG2) == outcome(oracle_parse_element, text, SIG2)
+
+
+def test_a_zero_to_the_zero_is_one_in_every_context():
+    # the fold reads 0^0 as 1, as scalars, elements and sums always did; a
+    # factor 0^0 of a function was read as the constant 0 before, an error
+    assert parse_ratfunc("0^0*x", SIG2) == parse_ratfunc("x", SIG2)
+    assert outcome(oracle_parse_ratfunc, "0^0*x", SIG2)[0] is NotInvertible
+    assert parse_series("(1-1)^0*x", SIG2) == oracle_parse_series("(1-1)^0*x", SIG2)
+    # the power cap skips the zero parts of a scalar, as it did for elements
+    assert parse_scalar("0^9000") == gaussian(0)
+    with pytest.raises(InputError, match="division by zero"):
+        parse_scalar("0^-1")
+
+
+def test_float_literals_are_rounded_once_from_their_exact_value():
+    # a literal subtree is folded over Q(i) and rounded where it meets an
+    # element: 7/10 is the double nearest 0.7, not 7*(1/10)
+    assert 7 * (1 / 10) != 0.7
+    fsig = parse_signature("gens=eps;degree=2;scalars=float")
+    assert parse_element("7/10", fsig) == fsig.scalar(0.7)
+    assert parse_element("7/10*eps+1/3", fsig) == fsig.element({(0,): 1 / 3, (1,): 0.7})
+    assert parse_series("7/10*x^-1", fsig).coeffs == {-1: fsig.scalar(0.7)}
+    assert parse_ratfunc("7/10*x", fsig).scale == fsig.scalar(0.7)
+    exact = parse_series("7/10*eps*x+(1/3-i)", SIG2)
+    assert parse_series("7/10*eps*x+(1/3-i)", fsig) == exact.widen()

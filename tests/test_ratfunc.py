@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ccsym import ratfunc
 from ccsym.algebra import deviation, parse_signature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
 from ccsym.laurent import LaurentSeries
 from ccsym.parsing import parse_ratfunc
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint, rf_support
 from ccsym.scalars import gaussian, power
+from ccsym.symbol import local_symbols
 
-from conftest import dlog_value
+from conftest import bench_weil_texts, dlog_value
 
 SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
@@ -314,3 +316,38 @@ def test_truncation_at_or_below_the_valuation_names_the_needed_truncation():
         f.expand_at(SpherePoint.infinity(), -17)
     # a window that ends below x^0 keeps the scale and the unit parts of the factors
     assert f.expand_at(SpherePoint.infinity(), -16) == LaurentSeries.monomial(SIG2, -17, trunc=-16)
+
+
+def test_a_trivial_perturbation_takes_no_polynomial_product(monkeypatch):
+    plain, shifted = parse_ratfunc("2*(x-1/3)^2", SIG2), parse_ratfunc("(x-1+eps)", SIG2)
+    expected = [shifted * plain, plain * shifted, plain * plain]
+    calls = []
+    mul = ratfunc.poly_mul
+    monkeypatch.setattr(ratfunc, "poly_mul", lambda *args: calls.append(args) or mul(*args))
+    assert [shifted * plain, plain * shifted, plain * plain] == expected and not calls
+    assert (shifted * shifted).pert_num == tuple(ratfunc.poly_mul(shifted.pert_num, shifted.pert_num, SIG2))
+    assert calls
+
+
+def test_pole_order_of_the_perturbation():
+    f = parse_ratfunc("(x-1/3+eps)^-1*(x-1/3+eps/2)^-1*(x-2)*(1+eps/(x-2))", SIG2)
+    assert [f.pole_order(SpherePoint.finite(r)) for r in (Fraction(1, 3), 2, 0)] == [2, 1, 0]
+    assert f.pole_order(SpherePoint.infinity()) == 0
+    unbalanced = RF(SIG2, ((gaussian(1), 1),), None, (SIG2.one(), EPS), (SIG2.one(),))  # (x-1)(1+eps x)
+    assert unbalanced.pole_order(SpherePoint.infinity()) == unbalanced.pert_excess == 1
+    assert f.widen().pole_order(SpherePoint.finite(Fraction(1, 3))) == 2
+
+
+@pytest.mark.parametrize("sig", [SIG2, parse_signature("gens=eps,delta;degree=3;scalars=exact")], ids=str)
+def test_the_first_expansion_window_suffices_on_bench_shaped_inputs(sig, monkeypatch):
+    # the window starts twice the perturbation's pole order past the
+    # requested truncation, which is as far as inverting its denominator erodes
+    calls = {"expand_at": 0, "_expand_window": 0}
+    for name in calls:
+        method = getattr(RF, name)
+        monkeypatch.setattr(RF, name, lambda *a, _m=method, _n=name: calls.__setitem__(_n, calls[_n] + 1) or _m(*a))
+    rng = random.Random(f"weil windows {sig}")
+    for k in range(10):
+        f, g = (parse_ratfunc(text, sig) for text in bench_weil_texts(rng, sig.generators, k % 2))
+        assert len(local_symbols(f, g, rf_support(f, g), 10 + k % 5)) == len(rf_support(f, g))
+    assert calls["expand_at"] > 40 and calls["_expand_window"] == calls["expand_at"]

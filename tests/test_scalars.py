@@ -195,6 +195,23 @@ def test_poly_eval_on_elements_and_series():
     assert series.coeffs == {e: v for e, v in expected.items() if not v.is_zero()}
 
 
+def test_poly_eval_never_multiplies_by_zero(monkeypatch):
+    # Horner starts from zero plus the top coefficient: a degree-d
+    # polynomial takes d products, a constant none
+    coeffs = [SIG3.one(), SIG3.gen("eps"), SIG3.scalar(2)]
+    x = LaurentSeries(SIG3, {0: SIG3.scalar(3), 1: SIG3.one()})
+    operands = []
+    for cls in (AlgebraElement, LaurentSeries):
+        mul = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, mul=mul: operands.append((a, b)) or mul(a, b))
+    for z, zero in ((SIG3.gen("delta"), SIG3.zero()), (x, LaurentSeries.zero(SIG3))):
+        operands.clear()
+        value = poly_eval(coeffs, z, zero)
+        assert len(operands) == 2 and not any(a == zero for a, _ in operands)
+        assert value == (z * coeffs[2] + coeffs[1]) * z + coeffs[0]
+        assert poly_eval(coeffs[:1], z, zero) == zero + coeffs[0] and poly_eval([], z, zero) == zero
+
+
 def test_non_integer_powers_are_rejected():
     with pytest.raises(TypeError):
         SIG2.gen("eps") ** 1.5

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ccsym import cli
 from ccsym.algebra import parse_signature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from ccsym.laurent import LaurentSeries, factorize
+from ccsym.parsing import parse_ratfunc
 from ccsym.ratfunc import RationalFunctionA as RF, rf_support
 from ccsym.scalars import gaussian
 from ccsym.symbol import (
@@ -267,3 +269,55 @@ def test_residue_form_equals_the_double_product_at_every_local_pair(sig, trunc, 
         local_symbols(f, g, support, trunc)
     except InsufficientTruncation as exc:  # the --trunc named suffices at every point
         local_symbols(f, g, support, named_trunc(exc))
+
+
+# -- where the local symbols read, and how much they build ------------------------------
+
+
+@pytest.mark.parametrize("f_text, g_text", [
+    ("2*(x-1)*(x+1+eps)^-1*(x-1/2*i)^2", "(x-1)^-1*(x-3+delta)"),  # a tame infinity
+    ("2*(x-1)*(x+1+eps)^-1*(x-1/2*i)^2", "(x-1)^-1*(x-3+delta)*(1+eps*x)"),  # pole of g's perturbation at inf
+])
+def test_local_symbols_equal_the_factored_route_at_tame_and_other_points(f_text, g_text, monkeypatch):
+    f, g = parse_ratfunc(f_text, SIG3), parse_ratfunc(g_text, SIG3)
+    reads = []
+    expand_at = RF.expand_at
+    monkeypatch.setattr(RF, "expand_at", lambda r, s, t: reads.append((s, t - r.order_at(s))) or expand_at(r, s, t))
+    support = rf_support(f, g)
+    values = local_symbols(f, g, support, 12)
+    monkeypatch.undo()
+    poles = {s: f.pole_order(s) + g.pole_order(s) for s in support}
+    assert sorted(str(s) for s, n in poles.items() if n) == (["-1", "3"] if "eps*x" not in g_text else ["-1", "3", "inf"])
+    for s, value in zip(support, values):
+        assert value == local_double_product(f, g, s, max(12, f.order_at(s), g.order_at(s)) + 12)
+        # a point where neither perturbation has a pole is read one order past the valuation
+        windows = {k for p, k in reads if p == s}
+        if poles[s]:
+            assert min(windows) == 4
+        else:
+            assert windows == {1}
+
+
+FIXED_WEIL = ["verify", "weil", "--algebra", "gens=eps,delta;degree=3;scalars=exact",
+              "--f", "i*(x-(1/2*i)+(-3/2)*eps+(3/2)*delta)*(x-(-1))^-1",
+              "--g", "(1-i)*(x-(1/2*i))^-1*(x-(-1/2*i)+(1/3)*eps+(1)*delta)", "--trunc", "12"]
+FIXED_SYMBOL = ["symbol", "--algebra", "gens=eps;degree=2;scalars=exact", "--trunc", "12",
+                "--f", "(1/3)*eps*x^-1+(-1-1*i)+(3/2)*eps+(1-1*i)*x+(1/3-1/2*i)*eps*x+(1+1*i)*x^3+(1/2+1/2*i)*eps*x^3",
+                "--g", "(-2)*eps*x^-1+(3+1*i)+(-1/2+1/2*i)*eps+(-1+1*i)*x+(3/2-1/2*i)*eps*x+(3+1*i)*x^2+(1+1/2*i)*eps*x^2"]
+
+
+@pytest.mark.parametrize("argv, most", [(FIXED_WEIL, (46, 16)), (FIXED_SYMBOL, (4, 2))], ids=["weil", "symbol"])
+def test_the_exact_path_builds_no_more_series_than_it_reads(argv, most, monkeypatch, capsys):
+    """Series products and inverses of one `verify weil` and one `symbol`.
+
+    Before literals were folded as scalars, Horner started from a product
+    by zero and every expansion window was four orders wider than read,
+    these took 58 products and 16 inverses (weil) and 50 products and 15
+    inverses (symbol)."""
+    counts = {"__mul__": 0, "inverse": 0}
+    for name in counts:
+        method = getattr(LaurentSeries, name)
+        monkeypatch.setattr(LaurentSeries, name, lambda *a, _m=method, _n=name: counts.__setitem__(_n, counts[_n] + 1) or _m(*a))
+    assert cli.main(argv) == 0
+    assert counts["__mul__"] <= most[0] and counts["inverse"] <= most[1]
+    assert capsys.readouterr().out
