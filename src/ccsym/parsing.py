@@ -210,7 +210,10 @@ def parse_expression(text: str):
 
 
 def _rank(value) -> int:
-    return 0 if isinstance(value, GaussianRational) else 2 if isinstance(value, LaurentSeries) else 1
+    return _RANKS.get(type(value), 1)
+
+
+_RANKS = {GaussianRational: 0, LaurentSeries: 2}  # anything else is an element
 
 
 def _lift(value, sig: AlgebraSignature, rank: int):
@@ -225,9 +228,12 @@ def _lifted(op, rank=2):
     takes the other lifted to its rank, or to `rank` if that is lower."""
 
     def apply(a, b):
-        if _rank(a) < _rank(b):
-            a, b = b, a
-        return op(a, _lift(b, a.signature, min(_rank(a), rank)) if _rank(a) > _rank(b) else b)
+        ra, rb = _rank(a), _rank(b)
+        if ra == rb:
+            return op(a, b)
+        if ra < rb:
+            a, b, ra = b, a, rb
+        return op(a, _lift(b, a.signature, min(ra, rank)))
 
     return apply
 
