@@ -305,7 +305,9 @@ def _evaluate(node, sig, top: int, text: str, trunc=INF):
             return GR_I
         raise InputError(f"unknown name {name!r} in {text!r}" if top else f"cannot use {name!r} in a scalar context")
 
-    def invertible(value):  # a series inverts by long division, cut at trunc unless it has one term
+    def invertible(value):
+        """value, to be inverted: a unit scalar or element as it is, else lifted
+        to `top`; a series of more than one term is cut at trunc."""
         if bool(value) if _rank(value) == 0 else _rank(value) == 1 and value.is_unit():
             return value
         if not top:

@@ -88,7 +88,7 @@ def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> A
     return value
 
 
-_WINDOW = 4  # the first window, in orders above the valuation, where a perturbation has a pole
+_WINDOW = 4  # the first window, in orders above the valuation, unless the symbol is tame there
 _SEARCH = 256  # how far past the truncation a search for the one needed goes
 
 
