@@ -11,9 +11,12 @@ Both backends share one arithmetic on (re, im) numerator pairs over one
 denominator, zero pairs dropped: Gaussian integers in lowest terms over
 a positive denominator on the exact backend (the form of FLINT's
 fmpq_poly), so equality is structural; floats over 1 on the float
-backend, whose products round as complex ones do.  Only building,
-normalising and converting an element read the backend, and a float
-residue's reciprocal, which takes complex division to stay in range.
+backend, whose products round as complex ones do.  The exact format is
+the one of `scalars.GaussianRational`, (p + q i)/d in ints, so an element
+takes its numerators from its scalars and gives them back with integer
+products and one gcd each.  Only building, normalising and converting
+an element read the backend, and a float residue's reciprocal, which
+takes complex division to stay in range.
 `AlgebraElement.dot`, a sum of products normalised once, is the one
 product behind element, series and polynomial products.  The numeric
 engine holds elements as dense columns instead (`forms.DenseLayout`).
@@ -157,7 +160,8 @@ class AlgebraElement:
     over the denominator `den`, with no zero pair: Gaussian integers in
     lowest terms over a positive `den` on the exact backend, floats over
     `den` = 1 on the float backend.  `coeffs`, the {monomial: scalar} map
-    (total degree < N) in the backend's scalars, is derived on first use.
+    (total degree < N) in the backend's scalars, is derived on first use;
+    `reduce()` reads the empty monomial's pair alone.
     All arithmetic is value-semantic: operands are never mutated.
     """
 
@@ -169,10 +173,9 @@ class AlgebraElement:
             self.num, self.den, self._coeffs = {m: (c.real, c.imag) for m, c in coeffs.items() if c}, 1, None
             return
         self._coeffs = coeffs
-        # over the lcm of the reduced denominators no prime divides every numerator
-        self.den = den = lcm(*(f.denominator for c in coeffs.values() for f in (c.re, c.im)))
-        self.num = {m: (c.re.numerator * den // c.re.denominator, c.im.numerator * den // c.im.denominator)
-                    for m, c in coeffs.items()}
+        # over the lcm of the scalars' denominators no prime divides every numerator
+        self.den = den = lcm(*(c.d for c in coeffs.values()))
+        self.num = {m: (c.p * (den // c.d), c.q * (den // c.d)) for m, c in coeffs.items()}
 
     @classmethod
     def _normal(cls, signature: AlgebraSignature, num: dict, den: int) -> "AlgebraElement":
@@ -194,17 +197,19 @@ class AlgebraElement:
     def coeffs(self) -> dict:
         """{monomial: scalar}; not to be mutated."""
         if self._coeffs is None:
-            d = self.den
+            d, make = self.den, GaussianRational._make
             exact = self.signature.backend is not _FLOAT
-            self._coeffs = {m: GaussianRational(Fraction(re, d), Fraction(im, d)) if exact else complex(re, im)
-                            for m, (re, im) in self.num.items()}
+            self._coeffs = {m: make(re, im, d) if exact else complex(re, im) for m, (re, im) in self.num.items()}
         return self._coeffs
 
     # -- structure ---------------------------------------------------------
 
     def reduce(self):
         """Coefficient of the empty monomial (the residue in C)."""
-        return self.coeffs.get(self.signature.empty_monomial(), self.signature.scalar_zero())
+        c = self.num.get(self.signature.empty_monomial())
+        if c is None:
+            return self.signature.scalar_zero()
+        return complex(*c) if self.signature.backend is _FLOAT else GaussianRational._make(*c, self.den)
 
     def is_unit(self) -> bool:
         return self.signature.empty_monomial() in self.num

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, exp
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
-from .scalars import geometric, power
+from .scalars import GaussianRational, geometric, power
 
 INF = math.inf
 
@@ -337,25 +336,35 @@ def _logs(f: LaurentSeries, nu: int):
     log, term = -u, u
     for k in range(2, -(-sig.truncation_degree // order)):
         term = term * u
-        log = log - term.scale(sig.scalar(Fraction(1, k)))
+        log = log - term.scale(sig.scalar(GaussianRational(1, 0, k)))
     a0 = p.coeff(0) * exp(log.coeff(0)) if log.trunc > 0 else None
     return p.derivative() * p_inv + log.derivative(), log, a0
+
+
+# a float Witt coordinate counts as zero within this many units of 2^-52
+# times the largest coefficient modulus of the operands it was formed from
+_ROUNDING_ULPS = 16
 
 
 def _ghost_inverse(d: LaurentSeries, sign: int, top: int) -> dict:
     """{sign e: a_(sign e)} for e = 1 .. top from d = dlog prod (1 - a_j x^j):
     [x^(sign e - 1)] d is the sum over m | e of t_m^(e/m) = -sign m
     a_(sign m)^(e/m), so t_e is that coefficient less the terms of the
-    proper divisors m of e, each kept running at one product a divisor."""
+    proper divisors m of e, each kept running at one product a divisor.
+    On the float backend a t_e at the rounding level of its operands
+    (`_ROUNDING_ULPS`) is zero; on the exact backend only 0 is."""
+    floating = d.signature.backend is Backend.FLOAT
     found, terms = {}, {}  # m -> a_(sign m), and t_m^k at the last multiple of m
     for e in range(1, top + 1):
-        t = d.coeff(sign * e - 1)
+        t = operand = d.coeff(sign * e - 1)
         for m, a in found.items():
             if e % m == 0:
                 terms[m] = terms[m] * a
                 t = t - terms[m]
-        if not t.is_zero():
-            found[e], terms[e] = t.divided_by_int(-sign * e), t
+        if t.is_zero() or floating and t.max_abs() <= _ROUNDING_ULPS * 2.0 ** -52 * max(
+                c.max_abs() for c in (operand, *(terms[m] for m in found if e % m == 0))):
+            continue
+        found[e], terms[e] = t.divided_by_int(-sign * e), t
     return {sign * e: a for e, a in found.items()}
 
 

@@ -103,6 +103,10 @@ def _residue_symbol(f: LaurentSeries, nu: int, g: LaurentSeries, mu: int):
     """(<f, g>, [k_f, k_g]) from f and g known below their truncation
     orders, or (None, [k_f, k_g]) when f or g is known k > 0 orders too
     short."""
+    if f.lower_bound == nu < f.trunc and g.lower_bound == mu < g.trunc:
+        # tame: log f_- = log g_- = 0, and a0 = p(0) exp(0) is f's lead coefficient
+        value = f.coeff(nu) ** mu * g.coeff(mu) ** -nu
+        return (-value if nu * mu % 2 else value), [0, 0]
     (df, log_f, a0), (dg, log_g, b0) = _logs(f, nu), _logs(g, mu)
     # log f_- down to x^-n reads dlog g up to x^(n-1); a log known at x^0 (x^1 for a0) has its negative half
     depth_f, depth_g = (max((-e for e in log.coeffs if e < 0), default=-1) for log in (log_f, log_g))
@@ -174,9 +178,10 @@ def local_symbols(f, g, points, trunc: int) -> list:
     residue form on their expansions there (`expand_at`) below
     x^min(trunc, nu + w).  Where neither perturbation has a pole, neither
     expansion has terms below its valuation, so log f_- = log g_- = 0 and
-    the symbol is the tame (-1)^(nu mu) a0^mu b0^-nu: the windows start at
-    w = 1.  If trunc is too small at some point, the error names the least
-    --trunc that suffices at all of them."""
+    the symbol is the tame (-1)^(nu mu) a0^mu b0^-nu of the two lead
+    coefficients, with no `_logs`: the windows start at w = 1.  If trunc
+    is too small at some point, the error names the least --trunc that
+    suffices at all of them."""
     values, need = [], 0
     for s in points:
         expansions = [(partial(r.expand_at, s), r.order_at(s)) for r in (f, g)]

@@ -1,7 +1,9 @@
 """Shared test helpers: independent oracles and random data generators.
 
-The oracles here deliberately avoid the code paths they check: dense
-convolution instead of the pruned-map product, a series inverse in two
+The oracles here deliberately avoid the code paths they check: Gaussian
+rationals as pairs of `fractions.Fraction` instead of Gaussian-integer
+numerators over one denominator, dense convolution instead of the
+pruned-map product, a series inverse in two
 stages (by the reduction, then m-adically) instead of one long division
 over A, cumulative trapezoid quadrature on the ordered simplex instead
 of word-series transport, an RK4 stepper that takes one node at a
@@ -18,6 +20,7 @@ import itertools
 import math
 import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ccsym import parsing
@@ -25,7 +28,60 @@ from ccsym.algebra import AlgebraElement, AlgebraSignature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
 from ccsym.laurent import CanonicalFactorization, LaurentSeries
 from ccsym.ratfunc import RationalFunctionA
-from ccsym.scalars import GR_I, GaussianRational, gaussian, geometric
+from ccsym.scalars import GR_I, GaussianRational, gaussian, geometric, power
+
+# -- Q(i) as pairs of Fractions -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class OracleGaussian:
+    """re + im i with Fraction parts: the reference for `GaussianRational`."""
+
+    re: Fraction
+    im: Fraction
+
+    def __add__(self, other):
+        return OracleGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return OracleGaussian(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return OracleGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return OracleGaussian(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return OracleGaussian((self.re * other.re + self.im * other.im) / n,
+                              (self.im * other.re - self.re * other.im) / n)
+
+    def inverse(self):
+        return OracleGaussian(Fraction(1), Fraction(0)) / self
+
+    def __pow__(self, n: int):
+        return power(self, n, OracleGaussian(Fraction(1), Fraction(0)))
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __complex__(self) -> complex:
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            bits = int(max(abs(self.re), abs(self.im))).bit_length()
+            raise InputError(f"a number of {bits} bits is too large for a float") from None
+
+    def __str__(self) -> str:
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}*i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}*i"
 
 # -- dense truncated-polynomial oracle ----------------------------------------
 

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from ccsym import cli
 from ccsym.algebra import deviation, parse_signature
 from ccsym.errors import CcsymError, InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from ccsym.laurent import CanonicalFactorization, LaurentSeries, factorize, reconstruct
+from ccsym.parsing import parse_series
 from ccsym.ratfunc import poly_mul, poly_trim
 
 from conftest import oracle_factorize, oracle_series_mul, random_invertible_series
@@ -254,6 +256,34 @@ def test_factorize_finds_the_negative_factors_past_log_f_minus():
     f = LaurentSeries(EPS3, {0: EPS3.one(), -1: -eps, -2: eps * eps * EPS3.scalar(Fraction(1, 2))}, 8)
     assert factorize(f).neg_factors == {-1: eps, -2: -(eps * eps).divided_by_int(2)}
     assert_factorize_is_the_oracle(f)
+
+
+FLOAT_RESIDUE = ("(-1+(2/3-2*i)*eps)+(2/3+(1+1*i)*eps)*x^2", 6)  # once factored with (1-(-1.1e-16*eps)*x^4)
+
+
+def test_float_factorize_reports_no_rounding_residue_as_a_factor(capsys):
+    text, trunc = FLOAT_RESIDUE
+    exact, wide = (factorize(parse_series(text, sig, trunc)) for sig in (SIG2, SIG2.to_float()))
+    assert (set(wide.neg_factors), set(wide.pos_factors)) == (set(exact.neg_factors), set(exact.pos_factors)) == (set(), {2})
+    assert cli.main(["factorize", "--algebra", "gens=eps;degree=2;scalars=float", "--f", text, "--trunc", str(trunc)]) == 0
+    assert "x^4" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sig", [SIG2, EPS3, SIG3, EPS5], ids=str)
+def test_widened_factorize_finds_the_exact_factor_indices(sig):
+    """A float Witt coordinate at the rounding level of its operands is
+    zero, so a widened series has the factors of its exact twin."""
+    rng = random.Random(f"widened:{sig}")
+    for _ in range(60):
+        f = random_invertible_series(rng, sig, rng.randint(4, 10), low_terms=rng.choice((1, 2)))
+        try:
+            fac = factorize(f)
+        except InsufficientTruncation:
+            continue
+        wide = factorize(f.widen())
+        assert (set(wide.neg_factors), set(wide.pos_factors)) == (set(fac.neg_factors), set(fac.pos_factors))
+        for j in (*fac.neg_factors, *fac.pos_factors):
+            assert deviation(wide.factor(j), fac.factor(j)) < 1e-9 * max(1.0, fac.factor(j).max_abs())
 
 
 def assert_factorize_is_the_oracle(f):

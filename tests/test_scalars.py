@@ -1,20 +1,24 @@
-"""The shared ring primitives in ccsym.scalars (`power`, `geometric`,
-`poly_eval`) on every ring type, checked against the dense oracles."""
+"""The exact scalars of ccsym.scalars against the Fraction-pair oracle, and
+the shared ring primitives (`power`, `geometric`, `poly_eval`) on every
+ring type, checked against the dense oracles."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ccsym import laurent
+from ccsym import algebra, laurent, scalars
 from ccsym.algebra import AlgebraElement, deviation, parse_signature
-from ccsym.errors import InsufficientTruncation
+from ccsym.errors import InputError, InsufficientTruncation
 from ccsym.laurent import LaurentSeries
-from ccsym.scalars import GR_ONE, geometric, poly_eval, power
+from ccsym.scalars import GR_ONE, GaussianRational, gaussian, geometric, poly_eval, power
 
 from conftest import (
+    OracleGaussian,
     oracle_alg_mul,
     oracle_series_inverse,
     oracle_series_mul,
@@ -40,6 +44,75 @@ def oracle_series_power(coeffs: dict, n: int, sig) -> dict:
 
 def below(coeffs: dict, trunc) -> dict:
     return {e: c for e, c in coeffs.items() if e < trunc}
+
+
+# -- GaussianRational against the Fraction-pair oracle ------------------------------
+
+HUGE = 10 ** 320  # past the largest double, about 1.8e308
+FRACTIONS = st.builds(Fraction, st.integers(-40, 40) | st.integers(-HUGE, HUGE),
+                      st.integers(1, 40) | st.integers(1, HUGE))
+PAIRS = st.builds(lambda re, im: (gaussian(re, im), OracleGaussian(re, im)),
+                  FRACTIONS, FRACTIONS | st.just(Fraction(0)))
+
+
+def outcome(op, *args):
+    """op(*args), or the class and message of the exception it raises."""
+    try:
+        value = op(*args)
+    except (ZeroDivisionError, InputError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, GaussianRational):
+        # the stored form is the lowest-terms one over a positive denominator
+        assert value.d > 0 and math.gcd(value.p, value.q, value.d) == 1
+    return (value.re, value.im) if isinstance(value, (GaussianRational, OracleGaussian)) else value
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(PAIRS, PAIRS, st.integers(-4, 4))
+def test_gaussian_rational_is_the_fraction_pair_oracle(x, y, n):
+    (a, a_ref), (b, b_ref) = x, y
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert outcome(op, a, b) == outcome(op, a_ref, b_ref)
+    for z, z_ref in ((a, a_ref), (b, b_ref), (a - a, a_ref - a_ref)):
+        assert outcome(operator.neg, z) == outcome(operator.neg, z_ref)
+        assert outcome(GaussianRational.inverse, z) == outcome(OracleGaussian.inverse, z_ref)
+        assert outcome(bool, z) == outcome(bool, z_ref)
+        assert outcome(str, z) == outcome(str, z_ref)
+        assert outcome(complex, z) == outcome(complex, z_ref)
+        assert (z.re, z.im) == (z_ref.re, z_ref.im)
+        if max(abs(z_ref.re), abs(z_ref.im)) < 10 ** 12:
+            assert outcome(operator.pow, z, n) == outcome(operator.pow, z_ref, n)
+    assert (a == b) == (a_ref == b_ref) and a == gaussian(a_ref.re, a_ref.im)
+    same = (a * b) / b if b else a  # equal to a by another route
+    assert same == a and hash(same) == hash(a)
+
+
+def test_gaussian_rational_edges():
+    assert gaussian(0) == GaussianRational._make(0, 0, 7) and str(gaussian(0)) == "0"
+    assert gaussian(2, -4) == GaussianRational._make(6, -12, 3) == gaussian(Fraction(4, 2), Fraction(-8, 2))
+    assert gaussian(Fraction(1, 6), Fraction(1, 4)) == GaussianRational(2, 3, 12)
+    assert GaussianRational(1, 0, 3) != Fraction(1, 3) and gaussian(1) != 1
+    with pytest.raises(ZeroDivisionError, match="division by zero in Q"):
+        gaussian(0) ** -1
+    with pytest.raises(InputError, match=f"a number of {(10 ** 321 // 3).bit_length()} bits is too large for a float"):
+        complex(gaussian(Fraction(10 ** 321, 3), 1))
+
+
+def test_exact_elements_build_and_read_back_without_fractions(monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    for module in (algebra, scalars):
+        monkeypatch.setattr(module, "Fraction", NoFraction)
+    one_third = GaussianRational._make(1, 0, 3)
+    a = SIG3.element({(0, 0): gaussian(2, -1), (1, 0): one_third, (0, 2): GaussianRational._make(1, 1, 2)})
+    b = SIG3.scalar(3) + SIG3.gen("delta")
+    for x in (a, b, a * b, a.inverse(), SIG3.gen("eps")):
+        assert all(type(c) is GaussianRational for c in x.coeffs.values())
+        assert type(x.reduce()) is GaussianRational
+    assert a.reduce() == gaussian(2, -1) and (a * b).reduce() == gaussian(6, -3) and SIG3.gen("eps").reduce() == gaussian(0)
+    assert (a * b).coeffs[(1, 0)] == GaussianRational(1, 0, 1)
 
 
 def test_power_helper_matches_repeated_multiplication():

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ccsym import cli
+from ccsym import cli, symbol
 from ccsym.algebra import parse_signature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
-from ccsym.laurent import LaurentSeries, factorize
+from ccsym.laurent import LaurentSeries, _logs, factorize
 from ccsym.parsing import parse_ratfunc
 from ccsym.ratfunc import RationalFunctionA as RF, rf_support
 from ccsym.scalars import gaussian
@@ -296,6 +296,30 @@ def test_local_symbols_equal_the_factored_route_at_tame_and_other_points(f_text,
             assert min(windows) == 4
         else:
             assert windows == {1}
+
+
+def test_a_tame_point_takes_no_logarithms(monkeypatch):
+    """Where neither expansion has a term below its valuation the symbol is
+    read from the two lead coefficients, with no `_logs`; elsewhere it is not."""
+    f, g = parse_ratfunc("2*(x-1)*(x+1+eps)^-1*(x-1/2*i)^2", SIG3), parse_ratfunc("(x-1)^-1*(x-3+delta)", SIG3)
+    support = rf_support(f, g)
+    expected = local_symbols(f, g, support, 12)
+    calls = []
+    monkeypatch.setattr(symbol, "_logs", lambda *args: calls.append(args) or _logs(*args))
+    for s, value in zip(support, expected):
+        calls.clear()
+        assert local_symbols(f, g, [s], 12) == [value]
+        tame = all(r.expand_at(s, r.order_at(s) + 1).lower_bound == r.order_at(s) for r in (f, g))
+        assert tame == (not f.pole_order(s) and not g.pole_order(s))
+        assert (len(calls) == 0) == tame, s
+    # two series known only at their valuations
+    x = LaurentSeries.monomial(SIG3, 1)
+    a = (x ** 3).scale(SIG3.scalar(2) + SIG3.gen("eps")).truncate(4)
+    b = (x ** -1).scale(SIG3.scalar(gaussian(0, 3)) - SIG3.gen("delta")).truncate(0)
+    calls.clear()
+    value = cc_symbol_series(a, b)
+    assert not calls and value == -(a.coeff(3) ** -1 * b.coeff(-1) ** -3)
+    assert value == cc_symbol(oracle_factorize(a), oracle_factorize(b))
 
 
 FIXED_WEIL = ["verify", "weil", "--algebra", "gens=eps,delta;degree=3;scalars=exact",
