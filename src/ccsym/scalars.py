@@ -126,8 +126,6 @@ def as_exact(value) -> GaussianRational:
     """Coerce an int, Fraction or GaussianRational into Q(i)."""
     if type(value) is GaussianRational:
         return value
-    if type(value) is int:
-        return GaussianRational(value)
     if isinstance(value, (int, Fraction)):
         return gaussian(value)
     raise TypeError(f"cannot use {value!r} as an exact scalar")
