@@ -17,7 +17,7 @@ from .algebra import AlgebraElement, AlgebraSignature, Backend, deviation, exp a
 from .chen import QuadratureConfig, chen_identity_check, iterated_integral, line_integral, transport
 from .errors import InputError
 from .forms import BinomialLogForm, DlogForm, SimplePole
-from .paths import ArcSegment, Path, circle, commutator, concat, lasso, segment
+from .paths import ArcSegment, Path, _isolating_loop, _ray_loop, _shell_loops, circle, commutator, lasso, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support
 from .reports import CheckReport, make_report
 from .symbol import local_symbols
@@ -173,28 +173,6 @@ def lemma_check(check_id: str, cfg: QuadratureConfig, **params) -> CheckReport:
     return globals()[check.function](cfg, **params)
 
 
-def _ray_loop(base: complex, center, radius: float, theta: float, clockwise=False) -> Path:
-    """From `base` out to the circle about `center` at angle theta, once
-    around it, and back."""
-    go = segment(base, center + radius * cmath.exp(1j * theta))
-    return concat(go, circle(center, radius, theta, clockwise), go.reversed())
-
-
-def _isolating_loop(s: SpherePoint, base: complex, radius: float, others) -> Path:
-    """Loop from `base` going once around s (counterclockwise on the
-    sphere) and around no other support point."""
-    if s.is_infinite:
-        bound = max(max((abs(complex(t.value)) for t in others), default=0.0), abs(base))
-        if radius <= bound:
-            raise InputError(f"loop around infinity needs radius > {bound:g}")
-        return _ray_loop(base, 0, radius, cmath.phase(base) if base != 0 else 0.0, clockwise=True)
-    center = complex(s.value)
-    for t in others:
-        if not t.is_infinite and abs(complex(t.value) - center) <= radius:
-            raise InputError(f"loop around {s} also encloses {t}")
-    return lasso(base, center, radius)
-
-
 def main_theorem_check(
     f: RationalFunctionA,
     g: RationalFunctionA,
@@ -261,59 +239,6 @@ def weil_reciprocity_check(f: RationalFunctionA, g: RationalFunctionA, trunc: in
         "local_symbols": locals_,
     }
     return make_report("weil-reciprocity", inputs, product, one, dev, 0.0, started)
-
-
-def _shell_loops(points, base: complex):
-    """Nested-shell loop system: loops from `base`, one per finite point,
-    whose ordered product is homotopic to a single circle around all of
-    them.  Points must have distinct distances from the base."""
-    dists = [abs(complex(p.value) - base) for p in points]
-    order = sorted(range(len(points)), key=lambda i: dists[i])
-    sorted_d = [dists[i] for i in order]
-    for d1, d2 in zip(sorted_d, sorted_d[1:]):
-        if d2 - d1 < 1e-9:
-            raise InputError(
-                "support points equidistant from the base point; "
-                "pick a different base for the loop construction"
-            )
-    if sorted_d and sorted_d[0] < 1e-9:
-        raise InputError("base point lies on the support")
-
-    # shell radii strictly between consecutive distance rings
-    radii = []
-    for i, d in enumerate(sorted_d):
-        nxt = sorted_d[i + 1] if i + 1 < len(sorted_d) else d * 2 + 1
-        radii.append(d + (nxt - d) / 2)
-
-    # a ray from the base that stays clear of every point
-    clear = min(
-        [(d2 - d1) for d1, d2 in zip(sorted_d, sorted_d[1:])] + [sorted_d[0]]
-    ) / 4 if sorted_d else 1.0
-    theta = None
-    for k in range(256):
-        cand = 2 * math.pi * k / 256
-        ray = cmath.exp(1j * cand)
-        ok = True
-        for i, p in enumerate(points):
-            rel = complex(p.value) - base
-            t = (rel * ray.conjugate()).real
-            d_line = abs(rel - max(t, 0.0) * ray)
-            if d_line <= clear:
-                ok = False
-                break
-        if ok:
-            theta = cand
-            break
-    if theta is None:
-        raise InputError("no clear ray from the base point; support too crowded")
-
-    loops = [None] * len(points)
-    prev = None
-    for idx, i in enumerate(order):
-        outer = _ray_loop(base, base, radii[idx], theta)
-        loops[i] = outer if prev is None else concat(prev.reversed(), outer)
-        prev = outer
-    return loops, order, (radii[-1] if radii else 1.0), theta
 
 
 def bilinear_reciprocity_check(

@@ -25,14 +25,13 @@ opposite direction instead (so the nodes must be symmetric under
 t -> 1 - t), while the kept samples fit in `KEEP_SAMPLES` values.  The
 stepper `_rk4` takes a fixed number of classical fourth-order
 Runge-Kutta steps per segment, so reports are reproducible bit for bit.
-Per block it visits the words in length order and takes each word's
-four stages at all the block's steps at once: stage s of w is
-(F + c_s k_{s-1})[v] times the letter's sample at that stage's node, a
-column product (`DenseLayout.mul`) with the stage columns of the parent
-v, which only parents keep; for a one-letter word v = () is 1, so its
-update is Simpson's rule.  The word's states over the block are a
-running sum of its increments, with the float operations of one step at
-a time in the same order.
+Per block it visits the words in length order.  A parent w = (v, a)
+takes its four stages at all the block's steps at once: stage s is
+(F + c_s k_{s-1})[v] times the letter's sample at its node, a column
+product (`DenseLayout.mul`), or for v = () the sample, so a letter's
+update is Simpson's rule.  A leaf with v not () is read once a block,
+so its increment h/6 sum_j Y_j W_j is one `DenseLayout.dot` over the
+nodes, with v's RK4 weights Y: X1 + X4 at a step, 2 (X2 + X3) between.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from operator import add, mul
 
 from .algebra import AlgebraElement, Backend, deviation
@@ -190,17 +189,20 @@ def _legs(forms, layout, segments, ts):
         yield blocks, sign
 
 
-def _rk4(F, links, mul_columns, block, h):
+def _rk4(F, links, layout, block, h):
     """F advanced by RK4 steps of size h over one block of a leg's samples at its steps and midpoints."""
     F, half, sixth = list(F), h / 2, h / 6
     halves, sixths, twos, hs = repeat(half), repeat(sixth), repeat(2.0), repeat(h)
     # per form: its samples at the block's steps, their midpoints and their ends
     W = [([c[:-1:2] for c in cols], [c[1::2] for c in cols], [c[2::2] for c in cols]) for cols in block]
-    X = {}  # per parent word: (F + c_s k_{s-1})[w] at each stage s, over the block's steps
-    for w, p, a, parent in links:
+    X, Y = {}, {}  # per parent word: (F + c_s k_{s-1})[w] at each stage s over the steps; its weights at the nodes
+    for w, p, a, parent, weights in links:
+        if p and not parent:  # a leaf: h/6 sum_j Y_j W_j over the nodes
+            F[w] = list(map(add, F[w], map(mul, layout.dot(Y[p], block[a]), sixths)))
+            continue
         w0, w_half, w1 = W[a]
-        k1, k2, k3, k4 = map(mul_columns, X[p], (w0, w_half, w_half, w1)) if p else (w0, w_half, w_half, w1)
-        if p and parent:  # a product's columns are read once
+        k1, k2, k3, k4 = map(layout.mul, X[p], (w0, w_half, w_half, w1)) if p else (w0, w_half, w_half, w1)
+        if p:  # a product's columns are read once
             k1, k2, k3 = ([list(c) for c in k] for k in (k1, k2, k3))
         # per monomial: the word's increments over the block's steps
         ds = [map(mul, map(add, map(add, map(add, b1, map(mul, b2, twos)), map(mul, b3, twos)), b4), sixths)
@@ -212,6 +214,9 @@ def _rk4(F, links, mul_columns, block, h):
         F[w] = [s[-1] for s in states]
         x1 = [s[:-1] for s in states]
         X[w] = x1, *([list(map(add, u, map(mul, y, c))) for u, y in zip(x1, k)] for k, c in ((k1, halves), (k2, halves), (k3, hs)))
+        if weights:  # per monomial: X1 + X4 at a step (X1 alone at the first, X4 at the last), 2 (X2 + X3) between
+            Y[w] = [[*chain(*zip([u1[0], *map(add, u1[1:], u4)], map(mul, map(add, u2, u3), twos))), u4[-1]]
+                    for u1, u2, u3, u4 in zip(*X[w])]
     return F
 
 
@@ -234,9 +239,10 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     _clearance_check(forms, path)
 
     index = {w: i for i, w in enumerate(state)}
-    parents = {index[w[:-1]] for w in state if w}
-    # (word, parent = word minus its last letter, last letter, whether a parent) by length
-    links = [(i, index[w[:-1]], w[-1] - 1, i in parents) for i, w in enumerate(state) if w]
+    parents = {w[:-1] for w in state if w}
+    weights = {w[:-1] for w in state if w not in parents}  # the words with a leaf child
+    # (word, parent = word minus its last letter, last letter, whether a parent, whether in weights) by length
+    links = [(i, index[w[:-1]], w[-1] - 1, w in parents, w in weights) for i, w in enumerate(state) if w]
     layout = DenseLayout(sig, [m for form in forms for m in form.layout.monomials])
     F = [layout.vector(sig.one())] + [[0j] * len(layout.monomials)] * len(links)
     steps = cfg.steps_per_segment
@@ -244,7 +250,7 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     ts = array("d", (k * dt for k in range(2 * steps + 1)))  # 8 bytes a node
     for blocks, sign in _legs(forms, layout, path.segments, ts):
         for block in blocks:
-            F = _rk4(F, links, layout.mul, block, sign / steps)
+            F = _rk4(F, links, layout, block, sign / steps)
     return TruncatedWordSeries(sig, n, max_len, {w: layout.element(f) for w, f in zip(state, F)})
 
 

@@ -77,6 +77,17 @@ class DenseLayout:
                         out[k] = map(add, out[k], map(mul, x, b[j]))
         return out
 
+    def dot(self, a: list, b: list) -> list:
+        """The sum over the nodes of `mul(a, b)`, taken per (i, j) -> k pair of `rows` first."""
+        out = [self.zero] * len(b)
+        live = list(map(any, b))
+        for x, row in zip(a, self.rows):
+            if any(x):
+                for j, k in row:
+                    if live[j]:
+                        out[k] += sum(map(mul, x, b[j]), self.zero)
+        return out
+
     def divide(self, a: list, b: list) -> list:
         """Node by node, a/b for elements given as list columns, by forward
         substitution: the quotient's column k is fixed once every lower-degree

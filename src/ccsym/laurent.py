@@ -330,6 +330,8 @@ def _logs(f: LaurentSeries, nu: int):
     sig = h.signature
     p = LaurentSeries(sig, {e: c for e, c in h.coeffs.items() if e >= 0}, h.trunc)
     p_inv = p.inverse()
+    if h.lower_bound >= 0:  # tame: u = 0, known below h's truncation order as p^-1 starts at x^0
+        return p.derivative() * p_inv, LaurentSeries.zero(sig, h.trunc), p.coeff(0)
     u = (p - h) * p_inv  # minus (h - p)/p: log(1 - u) = -sum of u^k / k
     # u's coefficients lie in m^order, as (h - p)'s do, so u^k = 0 once k order >= N
     order = min((sum(m) for c in (h - p).coeffs.values() for m in c.num), default=sig.truncation_degree)

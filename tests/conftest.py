@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ccsym import parsing
+from ccsym import chen, parsing
 from ccsym.algebra import AlgebraElement, AlgebraSignature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
 from ccsym.laurent import CanonicalFactorization, LaurentSeries
@@ -397,16 +397,24 @@ def oracle_iterated_2(form1, form2, path, grid: int = 8192) -> complex:
 # -- node-by-node RK4 oracle for the transport ----------------------------------
 
 
-def oracle_transport(forms, path, words, steps: int, replay: bool = True) -> dict:
+def oracle_transport(forms, path, words, steps: int, replay: bool = True, per_step: bool = False) -> dict:
     """{word: {monomial: coefficient}} for the words and their prefixes:
     `steps` classical RK4 steps per segment, node by node, with the float
     operations of `chen.transport` in the same order and every product by
-    `oracle_alg_mul` on the nonzero coefficients.  With `replay`, a
-    segment that runs back over an earlier one steps that one's samples
-    in reverse order with the step negated, as the transport does."""
+    `oracle_alg_mul` on the nonzero coefficients.  A leaf (a word no other
+    word extends) past its first letter is updated once per block of
+    `chen.BLOCK` steps, as the transport does: its parent's RK4 weights at
+    the block's nodes, from the stages node by node, dotted with the
+    samples pair by pair in (degree, exponents) order, times h/6.  With
+    `per_step` every word takes its RK4 update each step instead.  With
+    `replay`, a segment that runs back over an earlier one steps that one's
+    samples in reverse order with the step negated, as the transport does."""
     sig = forms[0].signature
     monos = sorted(_all_monomials(sig), key=lambda m: (sum(m), m))
     closure = sorted({w[:i] for w in words for i in range(len(w) + 1)}, key=lambda w: (len(w), w))
+    leaves = set() if per_step else {w for w in closure[1:] if len(w) > 1 and all(v[:-1] != w for v in closure[1:])}
+    pairs = [(mi, mj, mk) for mi in monos for mj in monos
+             if (mk := tuple(x + y for x, y in zip(mi, mj))) in monos]
     F = {w: dict.fromkeys(monos, 0j) for w in closure}
     F[()][monos[0]] = complex(1)
 
@@ -414,6 +422,12 @@ def oracle_transport(forms, path, words, steps: int, replay: bool = True) -> dic
         out = oracle_alg_mul({m: c for m, c in x.items() if c}, {m: c for m, c in y.items() if c},
                              sig.truncation_degree, 0j)
         return {m: out.get(m, 0j) for m in monos}
+
+    def dot(ys, ws):
+        out = dict.fromkeys(monos, 0j)
+        for mi, mj, mk in pairs:
+            out[mk] += sum((y[mi] * w[mj] for y, w in zip(ys, ws)), 0j)
+        return out
 
     def sample(seg, t):
         z, v = seg.point(t), seg.velocity(t)
@@ -423,27 +437,41 @@ def oracle_transport(forms, path, words, steps: int, replay: bool = True) -> dic
     kept = {}
     for seg in path.segments:
         if replay and seg in kept:
-            nodes, h = kept.pop(seg)[::-1], -1 / steps
+            (nodes, sizes), h = kept.pop(seg), -1 / steps
+            nodes, sizes = nodes[::-1], sizes[::-1]
         else:
             nodes, h = [sample(seg, k * (0.5 / steps)) for k in range(2 * steps + 1)], 1 / steps
-            kept[seg.reversed()] = nodes
+            sizes = [min(chen.BLOCK, steps - k) for k in range(0, steps, chen.BLOCK)]
+            kept[seg.reversed()] = nodes, sizes
         half, sixth = h / 2, h / 6
+        ends = set(itertools.accumulate(sizes))  # the steps after which a block ends
         K = {}  # per word, its first three stages at this step
-        w0 = nodes[0]
-        for w_half, w1 in zip(nodes[1::2], nodes[2::2]):
+        Y = {}  # per leaf, its parent's RK4 weights at the block's nodes so far
+        start, w0 = 0, nodes[0]
+        for n, (w_half, w1) in enumerate(zip(nodes[1::2], nodes[2::2]), 1):
             G = dict(F)
             for w in closure[1:]:
                 p, a = w[:-1], w[-1] - 1
                 if p:
                     x = F[p]
-                    k1 = prod(x, w0[a])
-                    k2 = prod({m: x[m] + K[p][0][m] * half for m in monos}, w_half[a])
-                    k3 = prod({m: x[m] + K[p][1][m] * half for m in monos}, w_half[a])
-                    k4 = prod({m: x[m] + K[p][2][m] * h for m in monos}, w1[a])
+                    x2 = {m: x[m] + K[p][0][m] * half for m in monos}
+                    x3 = {m: x[m] + K[p][1][m] * half for m in monos}
+                    x4 = {m: x[m] + K[p][2][m] * h for m in monos}
+                    if w in leaves:
+                        ys = Y.setdefault(w, [dict.fromkeys(monos, 0j)])
+                        ys[-1] = {m: ys[-1][m] + x[m] for m in monos}
+                        ys += [{m: (x2[m] + x3[m]) * 2.0 for m in monos}, x4]
+                        continue
+                    k1, k2, k3, k4 = prod(x, w0[a]), prod(x2, w_half[a]), prod(x3, w_half[a]), prod(x4, w1[a])
                 else:
                     k1, k2, k3, k4 = w0[a], w_half[a], w_half[a], w1[a]
                 K[w] = k1, k2, k3
                 G[w] = {m: F[w][m] + (k1[m] + k2[m] * 2.0 + k3[m] * 2.0 + k4[m]) * sixth for m in monos}
+            if n in ends:
+                for w, ys in Y.items():
+                    d = dot(ys, [node[w[-1] - 1] for node in nodes[2 * start:2 * n + 1]])
+                    G[w] = {m: F[w][m] + d[m] * sixth for m in monos}
+                start, Y = n, {}
             F, w0 = G, w1
     return {w: {m: c for m, c in f.items() if c} for w, f in F.items()}
 
