@@ -19,7 +19,7 @@ NODES = 9
 
 
 def _columns(rng, layout, scalar):
-    """Random columns over NODES nodes, one monomial's column in three zero at every node."""
+    """Random columns over NODES nodes, about one in three of them zero at every node."""
     return [[layout.zero] * NODES if rng.random() < 1 / 3 else [scalar(rng) for _ in range(NODES)]
             for _ in layout.monomials]
 
