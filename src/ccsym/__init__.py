@@ -49,8 +49,6 @@ from .symbol import (
     cc_symbol,
     cc_symbol_series,
     local_symbols,
-    scalar_multiple_symbol,
-    steinberg_value,
     tame_symbol,
 )
 

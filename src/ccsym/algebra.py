@@ -121,6 +121,10 @@ class AlgebraSignature:
     def to_float(self) -> "AlgebraSignature":
         return AlgebraSignature(self.generators, self.truncation_degree, Backend.FLOAT)
 
+    def to_exact(self) -> "AlgebraSignature":
+        """The exact signature of these generators and degree; self when exact, for `_check`'s `is`."""
+        return self if self.backend is Backend.EXACT else AlgebraSignature(self.generators, self.truncation_degree)
+
     def __str__(self) -> str:
         gens = ",".join(self.generators)
         return f"gens={gens};degree={self.truncation_degree};scalars={self.backend.value}"

@@ -182,18 +182,24 @@ def run(argv) -> int:
     sig = parse_signature(getattr(args, "algebra", DEFAULT_ALGEBRA))
     check_caps(args, sig)
 
+    # the series commands compute over Q(i); a float algebra widens what they print
+    exact = sig.to_exact()
+    floating = exact is not sig
     if args.command in ("symbol", "tame"):
-        f = parse_series(args.f, sig, args.trunc)
-        g = parse_series(args.g, sig, args.trunc)
+        f = parse_series(args.f, exact, args.trunc)
+        g = parse_series(args.g, exact, args.trunc)
         if args.command == "tame":
-            print(tame_symbol(f, g))
+            value = tame_symbol(f, g)
+            print(complex(value) if floating else value)
         else:
             value = cc_symbol_series(f, g, args.trunc)
+            value = value.widen() if floating else value
             print(json.dumps(element_to_json(value)) if args.json else value)
         return 0
 
     if args.command == "factorize":
-        fac = _factorize(args.f, sig, args.trunc)
+        fac = _factorize(args.f, exact, args.trunc)
+        fac = fac.widen() if floating else fac
         if args.json:
             payload = {
                 "nu": fac.nu,

@@ -159,18 +159,18 @@ class SimplePole(DifferentialForm):
 
 
 class DlogForm(DifferentialForm):
-    """df/f for a rational function with coefficients in A, sampled on the
-    partial fractions its float twin compiles (`RationalFunctionA.compiled_dlog`)."""
+    """df/f for a rational function with coefficients in A, sampled on its
+    widened partial fractions (`RationalFunctionA.float_dlog`)."""
 
     def __init__(self, f):
-        self.f = f.widen()
-        self.signature = self.f.signature
+        self.f = f
+        self.layout = f.float_dlog.layout
+        self.signature = self.layout.signature
         self.poles = tuple(complex(r) for r in f.roots())
         self.label = f"dlog({f})"
-        self.layout = self.f.compiled_dlog.layout
 
     def sampler(self, layout: DenseLayout):
-        return self.f.compiled_dlog.sampler(layout.monomials)
+        return self.f.float_dlog.sampler(layout.monomials)
 
 
 class BinomialLogForm(DifferentialForm):

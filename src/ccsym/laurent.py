@@ -296,6 +296,11 @@ class CanonicalFactorization:
         src = self.neg_factors if j < 0 else self.pos_factors
         return src.get(j, self.signature.zero())
 
+    def widen(self) -> "CanonicalFactorization":
+        """The same data with float coefficients (identity on the float backend)."""
+        neg, pos = ({j: a.widen() for j, a in factors.items()} for factors in (self.neg_factors, self.pos_factors))
+        return CanonicalFactorization(self.signature.to_float(), self.nu, self.a0.widen(), neg, pos, self.trunc_order)
+
     def __str__(self):
         bits = []
         if self.nu:
@@ -332,9 +337,10 @@ def _logs(f: LaurentSeries, nu: int):
     p_inv = p.inverse()
     if h.lower_bound >= 0:  # tame: u = 0, known below h's truncation order as p^-1 starts at x^0
         return p.derivative() * p_inv, LaurentSeries.zero(sig, h.trunc), p.coeff(0)
-    u = (p - h) * p_inv  # minus (h - p)/p: log(1 - u) = -sum of u^k / k
-    # u's coefficients lie in m^order, as (h - p)'s do, so u^k = 0 once k order >= N
-    order = min((sum(m) for c in (h - p).coeffs.values() for m in c.num), default=sig.truncation_degree)
+    rest = p - h
+    u = rest * p_inv  # log(1 - u) = -sum of u^k / k
+    # u's coefficients lie in m^order, as those of p - h do, so u^k = 0 once k order >= N
+    order = min((sum(m) for c in rest.coeffs.values() for m in c.num), default=sig.truncation_degree)
     log, term = -u, u
     for k in range(2, -(-sig.truncation_degree // order)):
         term = term * u
@@ -343,30 +349,20 @@ def _logs(f: LaurentSeries, nu: int):
     return p.derivative() * p_inv + log.derivative(), log, a0
 
 
-# a float Witt coordinate counts as zero within this many units of 2^-52
-# times the largest coefficient modulus of the operands it was formed from
-_ROUNDING_ULPS = 16
-
-
 def _ghost_inverse(d: LaurentSeries, sign: int, top: int) -> dict:
     """{sign e: a_(sign e)} for e = 1 .. top from d = dlog prod (1 - a_j x^j):
     [x^(sign e - 1)] d is the sum over m | e of t_m^(e/m) = -sign m
     a_(sign m)^(e/m), so t_e is that coefficient less the terms of the
-    proper divisors m of e, each kept running at one product a divisor.
-    On the float backend a t_e at the rounding level of its operands
-    (`_ROUNDING_ULPS`) is zero; on the exact backend only 0 is."""
-    floating = d.signature.backend is Backend.FLOAT
+    proper divisors m of e, each kept running at one product a divisor."""
     found, terms = {}, {}  # m -> a_(sign m), and t_m^k at the last multiple of m
     for e in range(1, top + 1):
-        t = operand = d.coeff(sign * e - 1)
+        t = d.coeff(sign * e - 1)
         for m, a in found.items():
             if e % m == 0:
                 terms[m] = terms[m] * a
                 t = t - terms[m]
-        if t.is_zero() or floating and t.max_abs() <= _ROUNDING_ULPS * 2.0 ** -52 * max(
-                c.max_abs() for c in (operand, *(terms[m] for m in found if e % m == 0))):
-            continue
-        found[e], terms[e] = t.divided_by_int(-sign * e), t
+        if not t.is_zero():
+            found[e], terms[e] = t.divided_by_int(-sign * e), t
     return {sign * e: a for e, a in found.items()}
 
 
@@ -389,9 +385,12 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
     from dlog r, where the exact finite f_-^-1 costs only its own lower
     bound of h's truncation.  The expanded f_- shifts information down by its lower
     bound lam on the rebuild, so the reconstruction matches f below
-    x^(nu + r.trunc + lam).
+    x^(nu + r.trunc + lam).  The series must be exact: which Witt
+    coordinates are zero is a question of equality.
     """
     T = f.trunc if trunc is None else min(trunc, f.trunc)
+    if f.signature.backend is not Backend.EXACT:
+        raise InputError("factorization needs an exact series; widen its factorization instead")
     if math.isinf(T):
         raise InputError("factorization needs a finite truncation order")
     f = f.truncate(T)
@@ -405,9 +404,6 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
         raise InsufficientTruncation(
             f"truncation order {T} too small to determine the unit part at x^{nu}"
         )
-    # exactly, r has no term below x^0; in floats its rounding residues would
-    # lower r's valuation for r.inverse()
-    r = LaurentSeries(sig, {e: c for e, c in r.coeffs.items() if e >= 0}, r.trunc)
     pos = _ghost_inverse(r.derivative() * r.inverse(), 1, r.trunc - 1)
     return CanonicalFactorization(sig, nu, r.coeff(0), neg, pos, trunc_order)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, AlgebraSignature
+from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import InputError
 from .laurent import INF, LaurentSeries
 from .ratfunc import RationalFunctionA, poly_add, poly_mul, poly_reduction, poly_trim
@@ -205,8 +205,8 @@ def parse_expression(text: str):
 # One bottom-up fold serves scalars, elements and series: a subtree with
 # neither x nor a generator stays an exact scalar, one without x an
 # element, and a value moves up only where it meets one of a higher rank.
-# On the float backend a scalar is rounded once, where it becomes an
-# element: 7/10 reads as the double nearest 0.7.
+# Every value is exact: a float algebra reads it over its exact signature
+# and rounds the result once, so 7/10 reads as the double nearest 0.7.
 
 
 def _rank(value) -> int:
@@ -260,13 +260,10 @@ def _fold(node, leaf, div, pow_):
 
 def _bit_length(value) -> int:
     """The largest bit length among the numerators and denominators of
-    the exact scalars of an evaluated value, zero parts skipped; a float
-    scalar counts 1."""
+    the exact scalars of an evaluated value, zero parts skipped."""
     if isinstance(value, GaussianRational):
         return max((n.bit_length() for q in (value.re, value.im) if q for n in (q.numerator, q.denominator)),
                    default=0)
-    if isinstance(value, complex):
-        return 1
     if isinstance(value, RationalFunctionA):
         parts = [r for r, _ in value.base_factors] + [value.scale, *value.pert_num, *value.pert_den]
     elif isinstance(value, _PolyFraction):
@@ -335,8 +332,13 @@ def eval_element(node, sig: AlgebraSignature, text: str = "") -> AlgebraElement:
     return _lift(_evaluate(node, sig, 1, text), sig, 1)
 
 
+def _in_scalars_of(sig: AlgebraSignature, value):
+    """A value read over sig's exact signature, widened once if sig is a float one."""
+    return value if sig.backend is Backend.EXACT else value.widen()
+
+
 def parse_element(text: str, sig: AlgebraSignature) -> AlgebraElement:
-    return eval_element(parse_expression(text), sig, text)
+    return _in_scalars_of(sig, eval_element(parse_expression(text), sig.to_exact(), text))
 
 
 def eval_series(node, sig: AlgebraSignature, trunc, text: str = "") -> LaurentSeries:
@@ -345,8 +347,8 @@ def eval_series(node, sig: AlgebraSignature, trunc, text: str = "") -> LaurentSe
 
 
 def parse_series(text: str, sig: AlgebraSignature, trunc=INF) -> LaurentSeries:
-    series = eval_series(parse_expression(text), sig, trunc, text)
-    return series.truncate(trunc)
+    series = eval_series(parse_expression(text), sig.to_exact(), trunc, text)
+    return _in_scalars_of(sig, series.truncate(trunc))
 
 
 # -- factored rational function evaluation -----------------------------------------
@@ -454,7 +456,7 @@ def _reduction_spans(node, sig: AlgebraSignature, text: str):
 
 def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctionA:
     """A subtree with neither x nor a generator is one constant, unless its
-    value is 0; the rest is read factor by factor."""
+    value is 0; the rest is read factor by factor, over the exact sig."""
     if "i" not in sig.generators:  # a scalar reads i as the imaginary unit
         try:
             c = eval_scalar(node, text)
@@ -476,21 +478,19 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctio
     if kind in ("num", "name"):
         return RationalFunctionA.constant(sig, eval_element(node, sig, text))
     if kind in ("add", "sub"):
-        # factor over the exact scalars, so that a root stays exact on the float backend
-        exact = AlgebraSignature(sig.generators, sig.truncation_degree)
         # a reduction above MAX_SUM_DEGREE is named and rejected before the
         # powers that build it are expanded; `_classify_poly` rejects lower ones
-        num, den, known = _reduction_spans(node, exact, text)
+        num, den, known = _reduction_spans(node, sig, text)
         too_high = [hi for hi in (num, den) if hi > MAX_SUM_DEGREE]
         if too_high:
             raise _degree_error(too_high[0], text, known)
-        frac = _polyfrac(node, exact, text)
-        f = _classify_poly(frac.num, exact, text) * _classify_poly(frac.den, exact, text).inverse()
-        return f if exact == sig else f.widen()
+        frac = _polyfrac(node, sig, text)
+        return _classify_poly(frac.num, sig, text) * _classify_poly(frac.den, sig, text).inverse()
     raise InputError(f"bad function expression in {text!r}")
 
 
 def parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
-    f = eval_ratfunc(parse_expression(text), sig, text)
+    """The function over sig's exact signature, whichever sig's scalars are."""
+    f = eval_ratfunc(parse_expression(text), sig.to_exact(), text)
     f.validate_poles()
     return f

@@ -16,15 +16,16 @@ Products merge the divisor.  A power multiplies the multiplicities and
 raises the perturbation by a binomial sum that ends below the truncation
 degree N of A, so its degree does not grow with the exponent.
 
-f'/f, which every numeric check samples, is compiled once per function
-as partial fractions, exactly on the exact backend and widened for a
-float twin.  `dlog_eval` takes them at one point, and the sampler of
+Coefficients are exact: a function over a float signature is an input
+error.  f'/f, which every numeric check samples, is compiled once per
+function as exact partial fractions and widened once (`float_dlog`) for
+sampling.  `dlog_eval` takes them at one point, and the sampler of
 `CompiledDlog` at a block of points, with the same arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import accumulate, repeat, zip_longest
@@ -94,7 +95,7 @@ def poly_mul(p: list, q: list, sig: AlgebraSignature) -> list:
 
 
 def poly_reduction(p: list) -> list:
-    """Residue polynomial over Q(i); only meaningful on the exact backend."""
+    """Residue polynomial over Q(i)."""
     out = [c.reduce() for c in p]
     while out and not out[-1]:
         out.pop()
@@ -107,6 +108,19 @@ class CompiledDlog(NamedTuple):
     poles: tuple  # (root in these scalars, exact root, ((j, C_j), ...) by j) per pole
     polynomial: tuple  # ((k, p_k), ...) by k, the part from infinity
     layout: DenseLayout  # holds every C_j and p_k
+
+    @classmethod
+    def over(cls, sig: AlgebraSignature, poles: tuple, polynomial: tuple) -> "CompiledDlog":
+        """The partial fractions with the layout of their coefficients' monomials over sig."""
+        monomials = {m for *_, terms in (*poles, (polynomial,)) for _, c in terms for m in c.coeffs}
+        return cls(poles, polynomial, DenseLayout(sig, monomials))
+
+    def widen(self) -> "CompiledDlog":
+        """The same partial fractions in float scalars, for sampling at complex points."""
+        sig = self.layout.signature.to_float()
+        *wide, polynomial = [tuple((j, c.widen()) for j, c in terms) for *_, terms in (*self.poles, (self.polynomial,))]
+        poles = tuple((sig.coerce_scalar(root), root, terms) for (_, root, _), terms in zip(self.poles, wide))
+        return CompiledDlog.over(sig, poles, polynomial)
 
     def sampler(self, monomials):
         """`sample(zs, vs)`: v times f'/f at z, per node z with velocity v, as columns: per
@@ -144,8 +158,13 @@ class CompiledDlog(NamedTuple):
         return sample
 
 
+def _is_exact(z) -> bool:
+    """Whether z is an exact point, as against a float or complex one."""
+    return isinstance(z, (GaussianRational, int, Fraction))
+
+
 def _scalar_poly_divide_linear(p: list, r):
-    """Divide a polynomial over Q(i) or C by (x - r); returns (quotient, remainder)."""
+    """Divide a polynomial over Q(i) by (x - r); returns (quotient, remainder)."""
     q = list(p[1:])
     for i in range(len(q) - 2, -1, -1):
         q[i] = q[i] + q[i + 1] * r
@@ -154,8 +173,7 @@ def _scalar_poly_divide_linear(p: list, r):
 
 def _divide_out(red: list, root) -> tuple:
     """(k, q) with red = (x - root)^k q for the largest such k, red a
-    polynomial over Q(i) or C; a root over C is taken as complex."""
-    root = complex(root) if red and isinstance(red[0], complex) else root
+    polynomial over Q(i)."""
     k = 0
     while len(red) > 1:
         q, rem = _scalar_poly_divide_linear(red, root)
@@ -171,17 +189,18 @@ class RationalFunctionA:
 
     `base_factors` holds one (root, net multiplicity) per distinct root,
     sorted as SpherePoints; a multiplicity of 0 is a pole carrier.  A
-    perturbation with num == den is stored as 1/1."""
+    perturbation with num == den is stored as 1/1.  The signature is exact."""
 
     signature: AlgebraSignature
     base_factors: tuple = ()  # ((GaussianRational, int), ...)
     scale: AlgebraElement = None
     pert_num: tuple = None  # tuple of AlgebraElement, degree-indexed
     pert_den: tuple = None
-    exact: "RationalFunctionA" = field(default=None, compare=False, repr=False)  # a twin's exact function
 
     def __post_init__(self):
         sig = self.signature
+        if sig.backend is not Backend.EXACT:
+            raise InputError("rational functions have exact coefficients; build them over the exact signature")
         if self.scale is None:
             object.__setattr__(self, "scale", sig.one())
         if not self.scale.is_unit():
@@ -298,64 +317,46 @@ class RationalFunctionA:
 
     # -- evaluation -------------------------------------------------------------
 
-    def widen(self) -> "RationalFunctionA":
-        """Exact to float coefficients, keeping the exact roots (identity
-        on the float backend)."""
-        if self.signature.backend is Backend.FLOAT:
-            return self
-        num, den = ([c.widen() for c in p] for p in (self.pert_num, self.pert_den))
-        return RationalFunctionA(self.signature.to_float(), self.base_factors, self.scale.widen(), num, den, self)
-
-    _float = cached_property(widen)  # the twin `_at` samples on, built once
-
-    def _at(self, z):
-        """The function and point to evaluate: exact for an exact point on
-        the exact backend, else widened to floats."""
-        if type(z) is complex:
-            return self._float, z
-        exact_z = isinstance(z, (GaussianRational, int, Fraction))
-        if exact_z and self.signature.backend is Backend.EXACT:
-            return self, as_exact(z)
-        return self._float, complex(as_exact(z)) if exact_z else complex(z)
-
     def eval(self, z) -> AlgebraElement:
-        """Value at a point off the reduction's divisor."""
-        f, zc = self._at(z)
-        sig = f.signature
-        out = f.scale
-        for root, mult in f.base_factors:
+        """Value at a point off the reduction's divisor: exact at an exact
+        point, in the widened coefficients at a float or complex one."""
+        exact = _is_exact(z)
+        sig = self.signature if exact else self.signature.to_float()
+        z, cast = (as_exact(z), lambda c: c) if exact else (complex(z), AlgebraElement.widen)
+        out = cast(self.scale)
+        for root, mult in self.base_factors:
             if mult == 0:
                 continue
-            diff = sig.scalar(zc - (complex(root) if sig.backend is Backend.FLOAT else root))
+            diff = sig.scalar(z - sig.coerce_scalar(root))
             if not diff.is_unit():
                 raise NotInvertible(f"evaluation at the zero/pole {root}")
             out = out * diff ** mult
-        z_elt = sig.scalar(zc)
-        num_v = poly_eval(f.pert_num, z_elt, sig.zero())
-        den_v = poly_eval(f.pert_den, z_elt, sig.zero())
+        z_elt = sig.scalar(z)
+        num_v = poly_eval(list(map(cast, self.pert_num)), z_elt, sig.zero())
+        den_v = poly_eval(list(map(cast, self.pert_den)), z_elt, sig.zero())
         if not den_v.is_unit():
             raise NotInvertible("evaluation at a pole of the perturbation")
         return out * num_v * den_v.inverse()
 
     @cached_property
     def compiled_dlog(self) -> CompiledDlog:
-        """f'/f as partial fractions in this function's scalars: per root r with a principal
-        part, its C_j in sum_j C_j (x - r)^-j, and the p_k of the polynomial part sum_k p_k x^k
-        that an unbalanced perturbation puts at infinity.  They are read off h'/h for the local
-        expansion h at each point; a float twin widens its exact function's."""
-        (self.exact or self).validate_poles()
-        sig = self.signature
-        poles = tuple((sig.coerce_scalar(root), root, terms) for root in self.roots()
-                      if (terms := self._dlog_terms(SpherePoint(root), 0)))
+        """f'/f as exact partial fractions: per root r with a principal part, its C_j in
+        sum_j C_j (x - r)^-j, and the p_k of the polynomial part sum_k p_k x^k that an
+        unbalanced perturbation puts at infinity.  They are read off h'/h for the local
+        expansion h at each point."""
+        self.validate_poles()
+        poles = tuple((root, root, terms) for root in self.roots() if (terms := self._dlog_terms(SpherePoint(root), 0)))
         polynomial = self._dlog_terms(SpherePoint.infinity(), 1) if self.pert_excess > 0 else ()
-        monomials = {m for *_, terms in (*poles, (polynomial,)) for _, c in terms for m in c.coeffs}
-        return CompiledDlog(poles, polynomial, DenseLayout(sig, monomials))
+        return CompiledDlog.over(self.signature, poles, polynomial)
+
+    @cached_property
+    def float_dlog(self) -> CompiledDlog:
+        """`compiled_dlog` widened once: what forms sample, and complex points read."""
+        return self.compiled_dlog.widen()
 
     def _dlog_terms(self, s: SpherePoint, top: int) -> tuple:
         """(-e, c) by -e for the terms c t^e with e < top of f'/f at s in the
         uniformizer t: h'/h, or -t^2 h'/h at infinity, where d/dx = -t^2 d/dt."""
-        if self.exact is not None:
-            return tuple((j, c.widen()) for j, c in self.exact._dlog_terms(s, top))
         trunc = self.order_at(s) + 1
         while True:
             h = self.expand_at(s, trunc)
@@ -366,11 +367,10 @@ class RationalFunctionA:
             trunc += top - d.trunc
 
     def dlog_eval(self, z) -> list:
-        """Value of f'/f at z, dense over the layout of the data `_at` picks:
-        the partial fractions' sampler on one node with velocity 1."""
-        f, zc = self._at(z)
-        compiled = f.compiled_dlog
-        return [c[0] for c in compiled.sampler(compiled.layout.monomials)([zc], [compiled.layout.one])]
+        """Value of f'/f at z, dense over the layout of `compiled_dlog` at an exact point and
+        of `float_dlog` at a float or complex one: the sampler on one node with velocity 1."""
+        compiled, z = (self.compiled_dlog, as_exact(z)) if _is_exact(z) else (self.float_dlog, complex(z))
+        return [c[0] for c in compiled.sampler(compiled.layout.monomials)([z], [compiled.layout.one])]
 
     # -- local expansion ----------------------------------------------------------
 

@@ -39,7 +39,7 @@ import math
 from functools import partial
 
 from .algebra import AlgebraElement, exp
-from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
+from .errors import InputError, InsufficientTruncation, SignatureMismatch
 from .laurent import CanonicalFactorization, LaurentSeries, _logs
 
 
@@ -215,26 +215,3 @@ def tame_symbol(f: LaurentSeries, g: LaurentSeries):
     if (nu_f * nu_g) % 2:
         value = -value
     return value
-
-
-def steinberg_value(f: LaurentSeries) -> AlgebraElement:
-    """<f, 1 - f>; equals 1 whenever both arguments are invertible."""
-    g = LaurentSeries.one(f.signature) - f
-    try:
-        g.valuation()
-    except NotInvertible:
-        raise NotInvertible("1 - f is not invertible") from None
-    return cc_symbol_series(f, g)
-
-
-def scalar_multiple_symbol(f: LaurentSeries, c) -> AlgebraElement:
-    """<f, c*f> for a unit constant c.
-
-    Provided as an evaluator only; the standard exact identity asserted
-    by the test suite is <f, -f> = 1.
-    """
-    sig = f.signature
-    c_elt = c if isinstance(c, AlgebraElement) else sig.scalar(c)
-    if not c_elt.is_unit():
-        raise NotInvertible("scalar multiple must be a unit")
-    return cc_symbol_series(f, f.scale(c_elt))

@@ -113,8 +113,8 @@ def oracle_series_mul(coeffs_f: dict, coeffs_g: dict, sig: AlgebraSignature) -> 
 
 def dlog_value(f, z) -> AlgebraElement:
     """f'/f at z as an element: `dlog_eval`'s dense list over the layout
-    of the function it samples there (f, or f's float twin)."""
-    return f._at(z)[0].compiled_dlog.layout.element(f.dlog_eval(z))
+    of the partial fractions it samples there (exact, or widened at a complex z)."""
+    return (f.float_dlog if isinstance(z, complex) else f.compiled_dlog).layout.element(f.dlog_eval(z))
 
 
 def oracle_binomial(form, z) -> list:
@@ -293,8 +293,10 @@ def oracle_parse_series(text: str, sig: AlgebraSignature, trunc=math.inf) -> Lau
 
 
 def oracle_parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
-    """A function read factor by factor, each literal a constant function
-    and each sum expanded and factored by the sum path of `parsing`."""
+    """A function read factor by factor over sig's exact signature, each
+    literal a constant function and each sum expanded and factored by the
+    sum path of `parsing`."""
+    sig = sig.to_exact()
 
     def read(node):
         kind = node[0]
@@ -310,14 +312,12 @@ def oracle_parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
             return RationalFunctionA.monic_linear(sig, 0)
         if kind in ("num", "name"):
             return RationalFunctionA.constant(sig, _oracle_leaf(node, sig, text))
-        exact = AlgebraSignature(sig.generators, sig.truncation_degree)
-        num, den, known = parsing._reduction_spans(node, exact, text)
+        num, den, known = parsing._reduction_spans(node, sig, text)
         too_high = [hi for hi in (num, den) if hi > parsing.MAX_SUM_DEGREE]
         if too_high:
             raise parsing._degree_error(too_high[0], text, known)
-        frac = parsing._polyfrac(node, exact, text)
-        f = parsing._classify_poly(frac.num, exact, text) * parsing._classify_poly(frac.den, exact, text).inverse()
-        return f if exact == sig else f.widen()
+        frac = parsing._polyfrac(node, sig, text)
+        return parsing._classify_poly(frac.num, sig, text) * parsing._classify_poly(frac.den, sig, text).inverse()
 
     f = read(parsing.parse_expression(text))
     f.validate_poles()

@@ -16,6 +16,7 @@ from ccsym.checks import (
 )
 from ccsym.errors import InputError
 from ccsym.forms import SimplePole
+from ccsym.parsing import parse_ratfunc
 from ccsym.paths import lasso
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint
 from ccsym.scalars import gaussian
@@ -204,9 +205,13 @@ def test_weil_randomized_exact():
 
 
 def test_weil_requires_exact_backend():
+    # a function over a float signature cannot be built; a float algebra's
+    # functions are read over its exact signature, where the product is exact
     sigf = parse_signature("gens=;degree=1;scalars=float")
     with pytest.raises(InputError):
         weil_reciprocity_check(RF.monic_linear(sigf, 0), RF.monic_linear(sigf, 1), 8)
+    f, g = (parse_ratfunc(text, sigf) for text in ("x", "(x-1)"))
+    assert f.signature == g.signature == TRIV and weil_reciprocity_check(f, g, 8).passed
 
 
 def test_bilinear_cases():

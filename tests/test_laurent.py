@@ -262,17 +262,20 @@ FLOAT_RESIDUE = ("(-1+(2/3-2*i)*eps)+(2/3+(1+1*i)*eps)*x^2", 6)  # once factored
 
 
 def test_float_factorize_reports_no_rounding_residue_as_a_factor(capsys):
+    # a float algebra factors the exact series and widens the factors
     text, trunc = FLOAT_RESIDUE
-    exact, wide = (factorize(parse_series(text, sig, trunc)) for sig in (SIG2, SIG2.to_float()))
-    assert (set(wide.neg_factors), set(wide.pos_factors)) == (set(exact.neg_factors), set(exact.pos_factors)) == (set(), {2})
+    exact = factorize(parse_series(text, SIG2, trunc))
+    assert (set(exact.neg_factors), set(exact.pos_factors)) == (set(), {2})
     assert cli.main(["factorize", "--algebra", "gens=eps;degree=2;scalars=float", "--f", text, "--trunc", str(trunc)]) == 0
-    assert "x^4" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "x^4" not in out and out == f"{exact.widen()}\n"
 
 
 @pytest.mark.parametrize("sig", [SIG2, EPS3, SIG3, EPS5], ids=str)
 def test_widened_factorize_finds_the_exact_factor_indices(sig):
-    """A float Witt coordinate at the rounding level of its operands is
-    zero, so a widened series has the factors of its exact twin."""
+    """Which Witt coordinates are zero is decided exactly: a widened
+    factorization has the factors of the exact one, and a float series
+    is not factored."""
     rng = random.Random(f"widened:{sig}")
     for _ in range(60):
         f = random_invertible_series(rng, sig, rng.randint(4, 10), low_terms=rng.choice((1, 2)))
@@ -280,10 +283,13 @@ def test_widened_factorize_finds_the_exact_factor_indices(sig):
             fac = factorize(f)
         except InsufficientTruncation:
             continue
-        wide = factorize(f.widen())
+        wide = fac.widen()
+        assert wide.signature == sig.to_float() and (wide.nu, wide.trunc_order) == (fac.nu, fac.trunc_order)
         assert (set(wide.neg_factors), set(wide.pos_factors)) == (set(fac.neg_factors), set(fac.pos_factors))
-        for j in (*fac.neg_factors, *fac.pos_factors):
-            assert deviation(wide.factor(j), fac.factor(j)) < 1e-9 * max(1.0, fac.factor(j).max_abs())
+        assert wide.a0 == fac.a0.widen()
+        assert all(wide.factor(j) == fac.factor(j).widen() for j in (*fac.neg_factors, *fac.pos_factors))
+        with pytest.raises(InputError, match="exact series"):
+            factorize(f.widen())
 
 
 def assert_factorize_is_the_oracle(f):

@@ -68,15 +68,14 @@ def test_dlog_matches_finite_differences():
 @pytest.mark.parametrize("text", ["(x-1/3+eps)", "(x-1/3+eps)^-1", "(x-1+eps)*(x+2-eps)"])
 def test_float_dlog_eval_matches_the_widened_exact_value(text):
     # f'/f is compiled once, exactly, as partial fractions at the roots of
-    # f, which its float twin widens and samples in complex arithmetic
+    # f, which `float_dlog` widens and samples in complex arithmetic
     f = parse_ratfunc(text, SIG2)
-    compiled = f.widen().compiled_dlog
+    compiled = f.float_dlog
     assert [root for _, root, _ in compiled.poles] == f.roots()
     points = [gaussian(Fraction(1, 2), Fraction(1, 3)), gaussian(-3, 1), gaussian(Fraction(-1, 4)), gaussian(0, 2)]
     for z in points:
         exact = dlog_value(f, z)
-        for g in (f, f.widen()):
-            assert deviation(dlog_value(g, complex(z)), exact) <= 1e-13 * max(1.0, exact.widen().max_abs())
+        assert deviation(dlog_value(f, complex(z)), exact) <= 1e-13 * max(1.0, exact.widen().max_abs())
 
 
 EPS_DELTA = parse_signature("gens=eps,delta;degree=3;scalars=exact")
@@ -329,13 +328,20 @@ def test_a_trivial_perturbation_takes_no_polynomial_product(monkeypatch):
     assert calls
 
 
+def test_a_function_over_a_float_signature_is_an_input_error():
+    # coefficients are exact; forms and complex points read the widened `float_dlog`
+    float_sig = SIG2.to_float()
+    for build in (lambda: RF(float_sig), lambda: RF.constant(float_sig, 2), lambda: RF.monic_linear(float_sig, 1)):
+        with pytest.raises(InputError, match="exact coefficients"):
+            build()
+
+
 def test_pole_order_of_the_perturbation():
     f = parse_ratfunc("(x-1/3+eps)^-1*(x-1/3+eps/2)^-1*(x-2)*(1+eps/(x-2))", SIG2)
     assert [f.pole_order(SpherePoint.finite(r)) for r in (Fraction(1, 3), 2, 0)] == [2, 1, 0]
     assert f.pole_order(SpherePoint.infinity()) == 0
     unbalanced = RF(SIG2, ((gaussian(1), 1),), None, (SIG2.one(), EPS), (SIG2.one(),))  # (x-1)(1+eps x)
     assert unbalanced.pole_order(SpherePoint.infinity()) == unbalanced.pert_excess == 1
-    assert f.widen().pole_order(SpherePoint.finite(Fraction(1, 3))) == 2
 
 
 @pytest.mark.parametrize("sig", [SIG2, parse_signature("gens=eps,delta;degree=3;scalars=exact")], ids=str)
