@@ -200,7 +200,10 @@ def main_theorem_check(
     base_exact = as_exact(base) if not isinstance(base, complex) else base
     g_p = g.eval(base_exact) ** f.order_at(s)
     f_p = f.eval(base_exact) ** g.order_at(s)
-    rhs = (local_symbols(f, g, [s], trunc)[0] * g_p * f_p.inverse()).widen()
+    symbol = local_symbols(f, g, [s], trunc)[0]
+    if isinstance(base_exact, complex):  # f and g are float elements there
+        symbol = symbol.widen()
+    rhs = (symbol * g_p * f_p.inverse()).widen()
 
     inputs = {
         "f": str(f),
@@ -326,10 +329,9 @@ def commutator_quadratic_check(
     started = time.perf_counter()
     comm = commutator(alpha, beta)
     lhs = iterated_integral([form1, form2], comm, cfg)
-    a1 = line_integral(form1, alpha, cfg)
-    b2 = line_integral(form2, beta, cfg)
-    b1 = line_integral(form1, beta, cfg)
-    a2 = line_integral(form2, alpha, cfg)
+    # a one-letter word's coefficient is the form's line integral, bit for bit
+    A, B = (transport([form1, form2], loop, 1, cfg) for loop in (alpha, beta))
+    a1, a2, b1, b2 = A.coeff((1,)), A.coeff((2,)), B.coeff((1,)), B.coeff((2,))
     rhs = a1 * b2 - b1 * a2
     inputs = {
         "alpha": str(alpha),

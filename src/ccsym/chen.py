@@ -18,12 +18,19 @@ time.  The sampler `_legs` yields each leg as blocks of `BLOCK` RK4
 steps, and a direction, +1.  A block holds per form, per monomial, one
 column of the form's value times the velocity over the block's nodes,
 the steps and their midpoints, from the form's `sampler`; it starts at
-the last node of the block before, so no node is sampled twice.  By
-Chen's reversal law a leg that runs back over an earlier leg replays
-that leg's blocks in reverse order, each column reversed, with the
-opposite direction instead (so the nodes must be symmetric under
-t -> 1 - t), while the kept samples fit in `KEEP_SAMPLES` values.  The
-stepper `_rk4` takes a fixed number of classical fourth-order
+the last node of the block before, so no node is sampled twice, and a
+form given twice is sampled once.  By Chen's reversal law a leg that
+runs back over an earlier leg of the transport replays that leg's
+blocks in reverse order, each column reversed, with the opposite
+direction instead (so the nodes must be symmetric under t -> 1 - t),
+while the kept samples fit in `KEEP_SAMPLES` values.  Each form also
+stores the blocks it sampled on a leg, keyed by the segment (by `==`),
+the node count and the transport's layout monomials, for as long as the
+form lives: a later leg over an equal segment, in this transport or a
+later one, reads them instead of sampling, bit for bit the same.  A
+form stores at most `KEEP_SAMPLES` values; it records a leg block by
+block as the leg streams, and a leg that does not fit streams unstored.
+The stepper `_rk4` takes a fixed number of classical fourth-order
 Runge-Kutta steps per segment, so reports are reproducible bit for bit.
 Per block it visits the words in length order.  A parent w = (v, a)
 takes its four stages at all the block's steps at once: stage s is
@@ -40,7 +47,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, product, repeat
 from operator import add, mul
 
@@ -61,6 +68,11 @@ class QuadratureConfig:
             raise InputError("steps_per_segment must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise InputError("tolerance must be a positive finite number")
+
+    @cached_property
+    def nodes(self) -> array:
+        """RK4's nodes on a segment's parameter interval: the steps and their midpoints, 8 bytes a node."""
+        return array("d", map(mul, range(2 * self.steps_per_segment + 1), repeat(0.5 / self.steps_per_segment)))
 
 
 # -- word series ----------------------------------------------------------------
@@ -124,7 +136,7 @@ class TruncatedWordSeries:
 # -- transport -------------------------------------------------------------------
 
 POLE_CLEARANCE = 1e-6  # least distance between a path and a form's pole
-KEEP_SAMPLES = 1 << 16  # most form values a transport keeps for its return legs
+KEEP_SAMPLES = 1 << 16  # most form values a transport keeps for its return legs, and a form stores
 BLOCK = 64  # RK4 steps a leg samples, and the stepper takes, at a time
 
 
@@ -165,9 +177,34 @@ def _blocks(samplers, seg, ts):
         yield block
 
 
+def _stored_blocks(samplers, stores, key, seg, ts):
+    """A leg's blocks: per form, those its store holds under `key`, or its
+    samples, which the store records block by block while it has room."""
+    held = [store.get(key) for store in stores]
+    fresh = [k for k, blocks in enumerate(held) if blocks is None]
+    if not fresh:
+        yield from zip(*held)
+        return
+    size = key[1] * len(key[2])  # the values a form stores for the leg
+    record = {k: [] for k in fresh if size + sum(n * len(m) for _, n, m in stores[k]) <= KEEP_SAMPLES}
+    held = [None if blocks is None else iter(blocks) for blocks in held]
+    for new in _blocks([samplers[k] for k in fresh], seg, ts):
+        new = iter(new)
+        block = [next(new if blocks is None else blocks) for blocks in held]
+        for k, blocks in record.items():
+            blocks.append(block[k])
+        yield block
+    for k, blocks in record.items():
+        stores[k][key] = blocks
+
+
 def _legs(forms, layout, segments, ts):
     """Per segment: its blocks of samples at the nodes `ts`, symmetric under t -> 1 - t, and a direction."""
-    samplers = [form.sampler(layout) for form in forms]
+    distinct = list(dict.fromkeys(forms))  # a form given twice is sampled once
+    at = [distinct.index(form) for form in forms]
+    samplers = [form.sampler(layout) for form in distinct]
+    stores = [form.samples for form in distinct]
+    monomials = tuple(layout.monomials)
     back = {}  # leg back[i] runs back over leg i and replays its samples
     for i, seg in enumerate(segments):
         rev = seg.reversed()
@@ -182,7 +219,8 @@ def _legs(forms, layout, segments, ts):
             blocks, sign = kept.pop(i)
             blocks = ([[c[::-1] for c in cols] for cols in block] for block in reversed(blocks))
         else:
-            blocks, sign = _blocks(samplers, seg, ts), 1
+            blocks = _stored_blocks(samplers, stores, (seg, len(ts), monomials), seg, ts)
+            blocks, sign = ([block[k] for k in at] for block in blocks), 1
         if i in back and (len(kept) + 1) * leg_size <= KEEP_SAMPLES:
             blocks = list(blocks)
             kept[back[i]] = blocks, -sign
@@ -246,9 +284,7 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     layout = DenseLayout(sig, [m for form in forms for m in form.layout.monomials])
     F = [layout.vector(sig.one())] + [[0j] * len(layout.monomials)] * len(links)
     steps = cfg.steps_per_segment
-    dt = 0.5 / steps  # RK4's nodes: the steps and their midpoints
-    ts = array("d", (k * dt for k in range(2 * steps + 1)))  # 8 bytes a node
-    for blocks, sign in _legs(forms, layout, path.segments, ts):
+    for blocks, sign in _legs(forms, layout, path.segments, cfg.nodes):
         for block in blocks:
             F = _rk4(F, links, layout, block, sign / steps)
     return TruncatedWordSeries(sig, n, max_len, {w: layout.element(f) for w, f in zip(state, F)})

@@ -18,6 +18,7 @@ sampler on one node with velocity 1, a dense list over the form's own
 from __future__ import annotations
 
 import cmath
+from functools import cached_property
 from operator import add, mul, sub
 
 from .algebra import AlgebraElement, AlgebraSignature
@@ -118,6 +119,12 @@ class DifferentialForm:
     def sampler(self, layout: DenseLayout):
         raise NotImplementedError
 
+    @cached_property
+    def samples(self) -> dict:
+        """The columns this form sampled per leg, for `chen.transport`: per
+        (segment, node count, layout monomials), the leg's blocks."""
+        return {}
+
     def eval(self, z: complex) -> list:
         return [c[0] for c in self.sampler(self.layout)([z], [self.layout.one])]
 
@@ -141,7 +148,8 @@ class Dz(DifferentialForm):
         self.label = "dz"
 
     def sampler(self, layout: DenseLayout):
-        return self._scalar_sampler(layout, lambda zs, vs: [layout.one * v for v in vs])
+        one = layout.one
+        return self._scalar_sampler(layout, lambda zs, vs: [one * v for v in vs])
 
 
 class SimplePole(DifferentialForm):
@@ -155,7 +163,8 @@ class SimplePole(DifferentialForm):
         self.label = f"dz/(z-{self.c})" if self.c else "dz/z"
 
     def sampler(self, layout: DenseLayout):
-        return self._scalar_sampler(layout, lambda zs, vs: [1.0 / (z - self.c) * v for z, v in zip(zs, vs)])
+        c = self.c
+        return self._scalar_sampler(layout, lambda zs, vs: [1.0 / (z - c) * v for z, v in zip(zs, vs)])
 
 
 class DlogForm(DifferentialForm):

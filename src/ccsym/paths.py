@@ -12,6 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 from .errors import InputError, PathError
 from .parsing import ExpressionParser, eval_scalar
@@ -37,7 +39,8 @@ class LineSegment:
 
     def nodes(self, ts) -> tuple:
         """(points, velocities) at the parameters ts, as `point` and `velocity` give them."""
-        return [self.point(t) for t in ts], [self.end - self.start] * len(ts)
+        start, d = self.start, self.end - self.start
+        return [start + t * d for t in ts], [d] * len(ts)
 
     def reversed(self) -> "LineSegment":
         return LineSegment(self.end, self.start)
@@ -78,8 +81,9 @@ class ArcSegment:
 
     def nodes(self, ts) -> tuple:
         """(points, velocities) at the parameters ts, as `point` and `velocity` give them, one exp a node."""
-        es = [cmath.exp(1j * (self.theta0 + t * self.sweep)) for t in ts]
-        return [self.center + self.radius * e for e in es], [1j * self.sweep * self.radius * e for e in es]
+        exp, center, radius, theta0, sweep = cmath.exp, self.center, self.radius, self.theta0, self.sweep
+        es = [exp(1j * (theta0 + t * sweep)) for t in ts]
+        return [center + radius * e for e in es], list(map(mul, repeat(1j * sweep * radius), es))
 
     def reversed(self) -> "ArcSegment":
         return ArcSegment(self.center, self.radius, self.theta0 + self.sweep, -self.sweep)

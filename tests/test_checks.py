@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from ccsym.algebra import parse_signature
-from ccsym.chen import QuadratureConfig
+from ccsym.algebra import deviation, parse_signature
+from ccsym.chen import QuadratureConfig, line_integral, transport
 from ccsym.checks import (
     bilinear_reciprocity_check,
     commutator_quadratic_check,
@@ -15,14 +15,15 @@ from ccsym.checks import (
     weil_reciprocity_check,
 )
 from ccsym.errors import InputError
-from ccsym.forms import SimplePole
-from ccsym.parsing import parse_ratfunc
+from ccsym.forms import DlogForm, SimplePole
+from ccsym.parsing import parse_element, parse_ratfunc
 from ccsym.paths import lasso
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint
 from ccsym.scalars import gaussian
 
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
-SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
+SIG2_TEXT = "gens=eps;degree=2;scalars=exact"
+SIG2 = parse_signature(SIG2_TEXT)
 EPS = SIG2.gen("eps")
 CFG = QuadratureConfig(steps_per_segment=512, tolerance=1e-8)
 TPI = 2j * math.pi
@@ -159,6 +160,19 @@ def test_main_theorem_rejects_off_support_point():
         )
 
 
+def test_main_theorem_takes_a_complex_base():
+    # the exact local symbol is widened before it meets g(P)^nu_f / f(P)^nu_g at a float P
+    f, g = parse_ratfunc("(x-1+eps)", SIG2), parse_ratfunc("(x-2)", SIG2)
+    cfg = QuadratureConfig(64, 1e-8)
+    exact = main_theorem_check(f, g, SpherePoint.finite(1), 0, 0.25, cfg)
+    floating = main_theorem_check(f, g, SpherePoint.finite(1), 0j, 0.25, cfg)
+    assert floating.inputs == {**exact.inputs, "base": "0j"}
+    assert floating.lhs == exact.lhs and floating.passed == exact.passed
+    assert abs(floating.deviation - exact.deviation) <= 1e-12
+    wide = SIG2.to_float()
+    assert deviation(parse_element(floating.rhs, wide), parse_element(exact.rhs, wide)) <= 1e-12
+
+
 def test_main_theorem_step_refinement_improves():
     cases = [
         (RF.monic_linear(SIG2, 0, shift=EPS), one_minus_x(SIG2), gaussian(-1, 0) / gaussian(2, 0)),
@@ -252,6 +266,30 @@ def test_commutator_quadratic_cases():
     # same form on both slots
     rep = commutator_quadratic_check(al, be, w1, w1, QuadratureConfig(256, 1e-6))
     assert rep.passed
+
+
+@pytest.mark.parametrize("sig_text,g_text", [
+    ("gens=eps;degree=2;scalars=exact", "(x+1/2-2*eps)*(x-3)^-1"),
+    ("gens=eps,delta;degree=3;scalars=exact", "(x+1/2-delta)*(x-3)^-1"),
+], ids=["eps", "eps,delta"])
+def test_commutator_reads_the_four_line_integrals(sig_text, g_text):
+    # by `==`: a one-letter word of a two-form transport is the form's line
+    # integral, also where the two forms' layouts differ
+    sig = parse_signature(sig_text)
+
+    def forms():
+        return DlogForm(parse_ratfunc("(x-1/2+eps)", sig)), DlogForm(parse_ratfunc(g_text, sig))
+
+    alpha, beta = lasso(-1j, 0.5, 0.3), lasso(-1j, -0.5, 0.3)
+    cfg = QuadratureConfig(128, 1e-6)
+    form1, form2 = forms()
+    assert (form1.layout.monomials == form2.layout.monomials) == (sig_text == SIG2_TEXT)
+    rep = commutator_quadratic_check(alpha, beta, form1, form2, cfg)
+    a1, a2, b1, b2 = (line_integral(form, loop, cfg) for loop in (alpha, beta) for form in forms())
+    for loop, (c1, c2) in ((alpha, (a1, a2)), (beta, (b1, b2))):
+        F = transport([form1, form2], loop, 1, cfg)
+        assert F.coeff((1,)) == c1 and F.coeff((2,)) == c2
+    assert rep.rhs == str(a1 * b2 - b1 * a2) and rep.passed
 
 
 def test_commutator_value_is_square_of_winding():

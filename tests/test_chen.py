@@ -2,6 +2,7 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccsym import chen
 from ccsym.algebra import AlgebraSignature, Backend, deviation, parse_signature
@@ -55,6 +56,23 @@ def test_line_distance():
     seg = LineSegment(-1, 1)
     assert abs(seg.distance_to(1j) - 1.0) < 1e-12
     assert abs(seg.distance_to(5) - 4.0) < 1e-12
+
+
+def _bits(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
+POINTS = st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False)
+PARAMETERS = st.lists(st.floats(0, 1), min_size=1, max_size=16)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(POINTS, POINTS, st.floats(1e-3, 8), st.floats(-8, 8), st.floats(-8, 8), PARAMETERS)
+def test_segment_nodes_are_point_and_velocity_bit_for_bit(a, b, radius, theta0, sweep, ts):
+    for seg in LineSegment(a, b), ArcSegment(a, radius, theta0, sweep):
+        zs, vs = seg.nodes(ts)
+        assert _bits(zs) == _bits(map(seg.point, ts))
+        assert _bits(vs) == _bits(map(seg.velocity, ts))
 
 
 def test_line_integral_winding():
@@ -463,34 +481,38 @@ def test_a_return_leg_replays_its_outward_legs_samples(path, legs):
 )
 def test_legs_past_the_sample_budget_are_sampled_again(monkeypatch, path, kept, legs):
     # a budget of `kept` legs' samples: a later outward leg keeps nothing,
-    # and its return leg samples its forms again
-    forms = [_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)]
+    # and its return leg samples its forms again; fresh forms, whose stores
+    # hold nothing from the first transport
     steps = 16
     cfg = QuadratureConfig(steps, 1e-8)
-    replayed = transport(forms, path, 2, cfg)
+    replayed = transport([_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)], path, 2, cfg)
     monkeypatch.setattr(chen, "KEEP_SAMPLES", (kept + 1) * 2 * (2 * steps + 1) - 1)
-    for form in forms:
-        form.calls = 0
+    forms = [_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)]
     sampled = transport(forms, path, 2, cfg)
     assert [form.calls for form in forms] == [legs * (2 * steps + 1)] * 2
     for w, c in sampled.coeffs.items():
         assert deviation(replayed.coeff(w), c) <= 1e-12 * max(1.0, c.max_abs())
 
 
-@pytest.mark.parametrize("seg,legs", [(LineSegment(-1j, 1 - 0.5j), 1), (ALPHA.segments[0], 2)], ids=["line", "arc"])
-def test_a_replayed_leg_is_replayed_again(monkeypatch, seg, legs):
+@pytest.mark.parametrize("seg", [LineSegment(-1j, 1 - 0.5j), ALPHA.segments[0]], ids=["line", "arc"])
+def test_a_replayed_leg_is_replayed_again(monkeypatch, seg):
     # out, back, out and back: a line segment's reverse reverses back
     # exactly, so the second outward leg replays the replayed return leg;
-    # the arc's does not, so the arc is sampled again for its second round
+    # the arc's does not, so the arc's second round reads the columns its
+    # first round stored, and replays them on the way back
     path = Path([seg, seg.reversed()] * 2)
     forms = [_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)]
     steps = 16
     cfg = QuadratureConfig(steps, 1e-8)
     replayed = transport(forms, path, 2, cfg)
-    assert [form.calls for form in forms] == [legs * (2 * steps + 1)] * 2
+    assert [form.calls for form in forms] == [2 * steps + 1] * 2
+    assert [list(form.samples) for form in forms] == [[(seg, 2 * steps + 1, ((),))]] * 2
+    # without a budget, fresh forms sample every leg
     monkeypatch.setattr(chen, "KEEP_SAMPLES", 0)
+    forms = [_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)]
     sampled = transport(forms, path, 2, cfg)
-    assert [form.calls for form in forms] == [(legs + 4) * (2 * steps + 1)] * 2
+    assert [form.calls for form in forms] == [4 * (2 * steps + 1)] * 2
+    assert [form.samples for form in forms] == [{}] * 2
     for w, c in sampled.coeffs.items():
         assert deviation(replayed.coeff(w), c) <= 1e-12 * max(1.0, c.max_abs())
 
@@ -531,6 +553,108 @@ def test_a_first_letter_is_simpsons_sum_of_the_samples():
             total = [f + (b1 + b2 * 2.0 + b2 * 2.0 + b4) * sixth for f, b1, b2, b4 in zip(total, w0, w_half, w1)]
     F = transport([form], path, 1, QuadratureConfig(steps, 1e-8))
     assert F.coeff((1,)) == form.layout.element(total)
+
+
+# -- a form's store of sampled legs ------------------------------------------------
+
+
+def _counted(form):
+    """The form, counting the samples its samplers make in `form.calls`."""
+    sampler, form.calls = form.sampler, 0
+
+    def counted_sampler(layout):
+        sample = sampler(layout)
+
+        def counted(zs, vs):
+            form.calls += len(zs)
+            return sample(zs, vs)
+
+        return counted
+
+    form.sampler = counted_sampler
+    return form
+
+
+def _identity_suite_calls():
+    # the forms and paths of `checks.identity_suite`, as its transports take them
+    w0, w1, w5 = (_counted(SimplePole(TRIV, c)) for c in (0, 1, 5))
+    arc = Path([ArcSegment(0, 2.0, 0.0, math.pi / 2)])
+    upper, lower = Path([ArcSegment(0, 2.0, 0.0, math.pi)]), Path([ArcSegment(0, 2.0, math.pi, math.pi)])
+    return [([w0, w1], arc, 2), ([w0, w1, w0], arc, 3), ([w0, w1], arc, 2), ([w1, w0], arc.reversed(), 2),
+            ([w0, w1], upper, 2), ([w0, w1], lower, 2), ([w0, w1], upper + lower, 2),
+            ([w0, w5], lasso(1.0, 0, 0.3), 2), ([w0, w5], lasso(1.0, 0, 0.7), 2)]
+
+
+def _lasso_calls():
+    f, g = (_counted(form) for form in _nilpotent_forms())
+    path = lasso(1j, 0.5, 0.3)
+    return [([f, g], path, 2), ([g, f], path, 2), ([f, g], Path(path.segments[:2]), 1)]
+
+
+def _commutator_calls():
+    sig = parse_signature("gens=eps;degree=2;scalars=exact")
+    f, g = (_counted(DlogForm(parse_ratfunc(text, sig))) for text in ("(x-1/2+eps)", "(x+1/2-2*eps)*(x-3)^-1"))
+    alpha, beta = lasso(-1j, 0.5, 0.3), lasso(-1j, -0.5, 0.3)
+    return [([f, g], commutator(alpha, beta), 2), ([f, g], alpha, 1), ([f, g], beta, 1)]
+
+
+# per case: its transports, and the legs each distinct form samples over all of them
+STORE_CASES = {
+    "identities": (_identity_suite_calls, [8, 4, 4]),
+    "lasso": (_lasso_calls, [2, 2]),
+    "commutator": (_commutator_calls, [4, 4]),
+}
+
+
+@pytest.mark.parametrize("case", list(STORE_CASES))
+def test_stored_columns_give_the_fresh_forms_transport(case):
+    # by `==`: a transport that reads its forms' stores is the transport over
+    # fresh forms, which sample every leg
+    make, legs = STORE_CASES[case]
+    steps = 32
+    cfg = QuadratureConfig(steps, 1e-8)
+    calls, sampled = make(), 0
+    for k, (forms, path, max_len) in enumerate(calls):
+        fresh = make()[k][0]
+        F = transport(forms, path, max_len, cfg)
+        assert {w: c.coeffs for w, c in F.coeffs.items()} == {
+            w: c.coeffs for w, c in transport(fresh, path, max_len, cfg).coeffs.items()}
+        sampled += sum(form.calls for form in dict.fromkeys(fresh))
+    distinct = list(dict.fromkeys(form for forms, _, _ in calls for form in forms))
+    assert [form.calls for form in distinct] == [n * (2 * steps + 1) for n in legs]
+    assert sum(legs) * (2 * steps + 1) < sampled
+
+
+def test_two_transports_over_one_segment_sample_each_form_once():
+    forms = [_CountedPole(TRIV, 0.5), _CountedPole(TRIV, 2.5)]
+    path, steps = Path([ALPHA.segments[0]]), 16
+    cfg = QuadratureConfig(steps, 1e-8)
+    first = transport(forms, path, 2, cfg)
+    assert transport(forms, path, 2, cfg).coeffs == first.coeffs
+    assert transport(forms[1:], path, 1, cfg).coeff((1,)) == first.coeff((2,))
+    assert [form.calls for form in forms] == [2 * steps + 1] * 2
+
+
+def test_a_form_with_a_full_store_streams_and_samples_again(monkeypatch):
+    steps = 200
+    cfg = QuadratureConfig(steps, 1e-8)
+    nodes = len(cfg.nodes)
+    monkeypatch.setattr(chen, "KEEP_SAMPLES", nodes + 1)  # one leg of one monomial a form
+    form = _CountedPole(TRIV, 0.5)
+    first, second = LineSegment(-1j, 1 - 1j), LineSegment(1 - 1j, 2)
+    for _ in range(2):
+        transport([form], Path([first]), 1, cfg)
+        transport([form], Path([second]), 1, cfg)
+    assert form.calls == 3 * nodes
+    assert list(form.samples) == [(first, nodes, ((),))]
+    # a leg the store has no room for streams, at most one block ahead
+    form.calls = 0
+    [(blocks, _)] = chen._legs([form], DenseLayout(TRIV), [second], cfg.nodes)
+    consumed = 1
+    for [[col]] in blocks:
+        consumed += len(col) - 1
+        assert consumed <= form.calls <= consumed + 2 * chen.BLOCK
+    assert form.calls == nodes and len(form.samples) == 1
 
 
 # -- sampling a block of nodes at a time ---------------------------------------------
