@@ -177,15 +177,17 @@ def _blocks(samplers, seg, ts):
         yield block
 
 
-def _stored_blocks(samplers, stores, key, seg, ts):
-    """A leg's blocks: per form, those its store holds under `key`, or its
-    samples, which the store records block by block while it has room."""
+def _stored_blocks(samplers, stores, monomials, seg, ts):
+    """A leg's blocks: per form, those its store holds for the segment, the
+    node count and the layout's monomials, or its samples, which the store
+    records block by block while it has room."""
+    key = seg, len(ts), monomials
     held = [store.get(key) for store in stores]
     fresh = [k for k, blocks in enumerate(held) if blocks is None]
     if not fresh:
         yield from zip(*held)
         return
-    size = key[1] * len(key[2])  # the values a form stores for the leg
+    size = len(ts) * len(monomials)  # the values a form stores for the leg
     record = {k: [] for k in fresh if size + sum(n * len(m) for _, n, m in stores[k]) <= KEEP_SAMPLES}
     held = [None if blocks is None else iter(blocks) for blocks in held]
     for new in _blocks([samplers[k] for k in fresh], seg, ts):
@@ -219,7 +221,7 @@ def _legs(forms, layout, segments, ts):
             blocks, sign = kept.pop(i)
             blocks = ([[c[::-1] for c in cols] for cols in block] for block in reversed(blocks))
         else:
-            blocks = _stored_blocks(samplers, stores, (seg, len(ts), monomials), seg, ts)
+            blocks = _stored_blocks(samplers, stores, monomials, seg, ts)
             blocks, sign = ([block[k] for k in at] for block in blocks), 1
         if i in back and (len(kept) + 1) * leg_size <= KEEP_SAMPLES:
             blocks = list(blocks)
