@@ -17,7 +17,8 @@ order, multiplied through the product table of `forms.DenseLayout`.
 time.  The sampler `_legs` yields each leg as blocks of `BLOCK` RK4
 steps, and a direction, +1.  A block holds per form, per monomial, one
 column of the form's value times the velocity over the block's nodes,
-the steps and their midpoints, from the form's `sampler`; it starts at
+the steps and their midpoints, from the form's `sampler`: a leg's first
+block is sampled whole, first node included, and a later one starts at
 the last node of the block before, so no node is sampled twice, and a
 form given twice is sampled once.  By Chen's reversal law a leg that
 runs back over an earlier leg of the transport replays that leg's
@@ -32,13 +33,19 @@ form stores at most `KEEP_SAMPLES` values; it records a leg block by
 block as the leg streams, and a leg that does not fit streams unstored.
 The stepper `_rk4` takes a fixed number of classical fourth-order
 Runge-Kutta steps per segment, so reports are reproducible bit for bit.
-Per block it visits the words in length order.  A parent w = (v, a)
-takes its four stages at all the block's steps at once: stage s is
-(F + c_s k_{s-1})[v] times the letter's sample at its node, a column
-product (`DenseLayout.mul`), or for v = () the sample, so a letter's
-update is Simpson's rule.  A leaf with v not () is read once a block,
-so its increment h/6 sum_j Y_j W_j is one `DenseLayout.dot` over the
-nodes, with v's RK4 weights Y: X1 + X4 at a step, 2 (X2 + X3) between.
+Per block it visits the words in length order.  A parent w = (v, a) with
+v not () takes its four stages at all the block's steps at once: stage
+s is (F + c_s k_{s-1})[v] times the letter's sample at its node, a
+column product (`DenseLayout.mul`).  For v = () the stages are the
+samples, so a letter's update is Simpson's rule, h/6 (w0 + 4 w_half +
+w1), and its stage columns X2 = X1 + h/2 w0, X3 = X1 + h/2 w_half and
+X4 = X1 + h w_half are built only for a child that is itself a parent.
+A leaf with v not () is read once a block, so its increment
+h/6 sum_j Y_j W_j is one `DenseLayout.dot` over the nodes, with v's RK4
+weights Y: X1 + X4 at a step, 2 (X2 + X3) between.  A one-letter v
+builds them from its running sum X1 and its samples: 4 X1 + h (w0 +
+w_half) between steps, X1_j + X1_(j-1) + h w_half_(j-1) at an inner
+step, X1 at the first and X1 + h w_half at the last.
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ class TruncatedWordSeries:
 
 POLE_CLEARANCE = 1e-6  # least distance between a path and a form's pole
 KEEP_SAMPLES = 1 << 16  # most form values a transport keeps for its return legs, and a form stores
-BLOCK = 64  # RK4 steps a leg samples, and the stepper takes, at a time
+BLOCK = 512  # RK4 steps a leg samples, and the stepper takes, at a time
 
 
 def _clearance_check(forms, path: Path):
@@ -168,12 +175,10 @@ def _prefix_closure(words, alphabet_size: int, max_len: int) -> list:
 def _blocks(samplers, seg, ts):
     """A leg's samples at the nodes `ts`, BLOCK steps at a time: per form, its
     columns over a block's nodes, the first of which ends the block before."""
-    zs, vs = seg.nodes(ts[:1])
-    block = [sample(zs, vs) for sample in samplers]
-    for k in range(1, len(ts), 2 * BLOCK):
-        zs, vs = seg.nodes(ts[k:k + 2 * BLOCK])
+    for k in range(0, len(ts) - 1, 2 * BLOCK):
+        zs, vs = seg.nodes(ts[k + bool(k):k + 2 * BLOCK + 1])  # a later block's first node is sampled already
         new = [sample(zs, vs) for sample in samplers]
-        block = [[[c[-1], *d] for c, d in zip(last, cols)] for last, cols in zip(block, new)]
+        block = [[[c[-1], *d] for c, d in zip(last, cols)] for last, cols in zip(block, new)] if k else new
         yield block
 
 
@@ -232,31 +237,42 @@ def _legs(forms, layout, segments, ts):
 def _rk4(F, links, layout, block, h):
     """F advanced by RK4 steps of size h over one block of a leg's samples at its steps and midpoints."""
     F, half, sixth = list(F), h / 2, h / 6
-    halves, sixths, twos, hs = repeat(half), repeat(sixth), repeat(2.0), repeat(h)
+    halves, sixths, twos, fours, hs = repeat(half), repeat(sixth), repeat(2.0), repeat(4.0), repeat(h)
     # per form: its samples at the block's steps, their midpoints and their ends
     W = [([c[:-1:2] for c in cols], [c[1::2] for c in cols], [c[2::2] for c in cols]) for cols in block]
     X, Y = {}, {}  # per parent word: (F + c_s k_{s-1})[w] at each stage s over the steps; its weights at the nodes
-    for w, p, a, parent, weights in links:
+    for w, p, a, parent, weights, stages in links:
         if p and not parent:  # a leaf: h/6 sum_j Y_j W_j over the nodes
             F[w] = list(map(add, F[w], map(mul, layout.dot(Y[p], block[a]), sixths)))
             continue
         w0, w_half, w1 = W[a]
-        k1, k2, k3, k4 = map(layout.mul, X[p], (w0, w_half, w_half, w1)) if p else (w0, w_half, w_half, w1)
-        if p:  # a product's columns are read once
-            k1, k2, k3 = ([list(c) for c in k] for k in (k1, k2, k3))
-        # per monomial: the word's increments over the block's steps
-        ds = [map(mul, map(add, map(add, map(add, b1, map(mul, b2, twos)), map(mul, b3, twos)), b4), sixths)
-              for b1, b2, b3, b4 in zip(k1, k2, k3, k4)]
+        if p:
+            k1, k2, k3, k4 = map(layout.mul, X[p], (w0, w_half, w_half, w1))
+            k1, k2, k3 = ([list(c) for c in k] for k in (k1, k2, k3))  # a product's columns are read once
+            # per monomial: the word's increments over the block's steps
+            ds = [map(mul, map(add, map(add, map(add, b1, map(mul, b2, twos)), map(mul, b3, twos)), b4), sixths)
+                  for b1, b2, b3, b4 in zip(k1, k2, k3, k4)]
+        else:  # a first letter: its stages are its samples, so its update is Simpson's rule, h/6 (w0 + 4 w_half + w1)
+            k1, k2, k3 = w0, w_half, w_half
+            ds = [map(mul, map(add, map(add, b1, map(mul, b2, fours)), b4), sixths) for b1, b2, b4 in zip(w0, w_half, w1)]
         if not parent:
             F[w] = [reduce(add, d, f) for f, d in zip(F[w], ds)]
             continue
         states = [list(accumulate(d, add, initial=f)) for f, d in zip(F[w], ds)]
         F[w] = [s[-1] for s in states]
         x1 = [s[:-1] for s in states]
-        X[w] = x1, *([list(map(add, u, map(mul, y, c))) for u, y in zip(x1, k)] for k, c in ((k1, halves), (k2, halves), (k3, hs)))
-        if weights:  # per monomial: X1 + X4 at a step (X1 alone at the first, X4 at the last), 2 (X2 + X3) between
+        if p or stages:
+            X[w] = x1, *([list(map(add, u, map(mul, y, c))) for u, y in zip(x1, k)] for k, c in ((k1, halves), (k2, halves), (k3, hs)))
+        if weights and p:  # per monomial: X1 + X4 at a step (X1 alone at the first, X4 at the last), 2 (X2 + X3) between
             Y[w] = [[*chain(*zip([u1[0], *map(add, u1[1:], u4)], map(mul, map(add, u2, u3), twos))), u4[-1]]
                     for u1, u2, u3, u4 in zip(*X[w])]
+        elif weights:  # the same from X1 and the samples: 4 X1 + h (w0 + w_half) between steps,
+            # X1_j + X1_(j-1) + h w_half_(j-1) at an inner step, X1 at the first and X1 + h w_half at the last
+            Y[w] = []
+            for u, b1, b2 in zip(x1, w0, w_half):
+                hb2 = list(map(mul, b2, hs))
+                mids = map(add, map(mul, u, fours), map(mul, map(add, b1, b2), hs))
+                Y[w].append([*chain(*zip([u[0], *map(add, map(add, u[1:], u), hb2)], mids)), u[-1] + hb2[-1]])
     return F
 
 
@@ -281,8 +297,10 @@ def transport(forms, path: Path, max_len: int, cfg: QuadratureConfig, words=None
     index = {w: i for i, w in enumerate(state)}
     parents = {w[:-1] for w in state if w}
     weights = {w[:-1] for w in state if w not in parents}  # the words with a leaf child
-    # (word, parent = word minus its last letter, last letter, whether a parent, whether in weights) by length
-    links = [(i, index[w[:-1]], w[-1] - 1, w in parents, w in weights) for i, w in enumerate(state) if w]
+    stages = {w[:-1] for w in parents if w}  # the words with a child that is a parent
+    # (word, parent = word minus its last letter, last letter, whether a parent, whether in weights,
+    # whether in stages) by length
+    links = [(i, index[w[:-1]], w[-1] - 1, w in parents, w in weights, w in stages) for i, w in enumerate(state) if w]
     layout = DenseLayout(sig, [m for form in forms for m in form.layout.monomials])
     F = [layout.vector(sig.one())] + [[0j] * len(layout.monomials)] * len(links)
     steps = cfg.steps_per_segment

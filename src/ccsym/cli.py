@@ -186,8 +186,8 @@ def run(argv) -> int:
     exact = sig.to_exact()
     floating = exact is not sig
     if args.command in ("symbol", "tame"):
-        f = parse_series(args.f, exact, args.trunc)
-        g = parse_series(args.g, exact, args.trunc)
+        f = _series(args.f, exact, args.trunc)
+        g = _series(args.g, exact, args.trunc)
         if args.command == "tame":
             value = tame_symbol(f, g)
             print(complex(value) if floating else value)
@@ -235,12 +235,27 @@ def run(argv) -> int:
     return _emit_reports(result if isinstance(result, list) else [result], args.json)
 
 
+def _series(text: str, sig, trunc: int):
+    """The series known below x^trunc.  When that cuts off every unit term, the error names
+    the least --trunc that keeps one, searched by doubling up to the --trunc cap; a series
+    with no unit term below the cap, such as a nilpotent one, is left for its valuation
+    to refuse."""
+    series = parse_series(text, sig, trunc)
+    top, t = CAPS["--trunc"][1], trunc
+    while t < top and not any(c.is_unit() for c in series.coeffs.values()):
+        t = min(2 * t, top)
+        if units := [e for e, c in parse_series(text, sig, t).coeffs.items() if c.is_unit()]:
+            raise InsufficientTruncation(
+                f"truncation order {trunc} cuts off every unit term of {text}; it needs --trunc at least {min(units) + 1}")
+    return series
+
+
 def _factorize(text: str, sig, trunc: int):
     """The factorization of the series known below x^trunc; when that is too short, the error
     names the least --trunc that suffices, searched by doubling the step from trunc."""
     def attempt(t):
         try:
-            return factorize(parse_series(text, sig, t))
+            return factorize(_series(text, sig, t))
         except InsufficientTruncation:
             return None
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import accumulate, repeat, zip_longest
 from math import comb
-from operator import add, mul
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend
@@ -126,7 +126,7 @@ class CompiledDlog(NamedTuple):
         """`sample(zs, vs)`: v times f'/f at z, per node z with velocity v, as columns: per
         monomial of `monomials`, one value a node (zero where f'/f has no term).  A node takes
         the powers of u = 1/(z - r) per pole, and of z, once; each monomial then sums its
-        terms c u^j, poles first, times v."""
+        terms c u^j, poles first, from its first term, times v."""
         zero, one = self.layout.zero, self.layout.one
         poles = [(r, root, terms[-1][0]) for r, root, terms in self.poles]
         top = self.polynomial[-1][0] if self.polynomial else 0
@@ -139,9 +139,9 @@ class CompiledDlog(NamedTuple):
         def sample(zs, vs):
             powers = []
             for r, root, n in poles:
-                if not all(ds := [z - r for z in zs]):
+                if not all(ds := list(map(sub, zs, repeat(r)))):
                     raise NotInvertible(f"logarithmic derivative at the zero/pole {root}")
-                powers.append(us := [one / d for d in ds])
+                powers.append(us := list(map(truediv, repeat(one), ds)))
                 for _ in range(1, n):
                     powers.append(list(map(mul, powers[-1], us)))
             powers.append([one] * len(zs))
@@ -149,10 +149,14 @@ class CompiledDlog(NamedTuple):
                 powers.append(list(map(mul, powers[-1], zs)))
             columns = []
             for row in rows:
-                total = [zero] * len(zs)
-                for i, c in row:
+                if not row:
+                    columns.append([zero] * len(zs))
+                    continue
+                (i, c), *rest = row
+                total = map(mul, repeat(c), powers[i])
+                for i, c in rest:
                     total = map(add, total, map(mul, repeat(c), powers[i]))
-                columns.append(list(map(mul, total, vs)) if row else total)
+                columns.append(list(map(mul, total, vs)))
             return columns
 
         return sample

@@ -401,11 +401,13 @@ def oracle_transport(forms, path, words, steps: int, replay: bool = True, per_st
     """{word: {monomial: coefficient}} for the words and their prefixes:
     `steps` classical RK4 steps per segment, node by node, with the float
     operations of `chen.transport` in the same order and every product by
-    `oracle_alg_mul` on the nonzero coefficients.  A leaf (a word no other
+    `oracle_alg_mul` on the nonzero coefficients.  A one-letter word takes
+    Simpson's rule, h/6 (w0 + 4 w_half + w1).  A leaf (a word no other
     word extends) past its first letter is updated once per block of
     `chen.BLOCK` steps, as the transport does: its parent's RK4 weights at
-    the block's nodes, from the stages node by node, dotted with the
-    samples pair by pair in (degree, exponents) order, times h/6.  With
+    the block's nodes, from the stages node by node (for a one-letter
+    parent, from its running sum and samples), dotted with the samples
+    pair by pair in (degree, exponents) order, times h/6.  With
     `per_step` every word takes its RK4 update each step instead.  With
     `replay`, a segment that runs back over an earlier one steps that one's
     samples in reverse order with the step negated, as the transport does."""
@@ -446,6 +448,7 @@ def oracle_transport(forms, path, words, steps: int, replay: bool = True, per_st
         half, sixth = h / 2, h / 6
         ends = set(itertools.accumulate(sizes))  # the steps after which a block ends
         K = {}  # per word, its first three stages at this step
+        last = {}  # per leaf of a first letter: that letter's running sum and midpoint sample at the step before
         Y = {}  # per leaf, its parent's RK4 weights at the block's nodes so far
         start, w0 = 0, nodes[0]
         for n, (w_half, w1) in enumerate(zip(nodes[1::2], nodes[2::2]), 1):
@@ -457,16 +460,28 @@ def oracle_transport(forms, path, words, steps: int, replay: bool = True, per_st
                     x2 = {m: x[m] + K[p][0][m] * half for m in monos}
                     x3 = {m: x[m] + K[p][1][m] * half for m in monos}
                     x4 = {m: x[m] + K[p][2][m] * h for m in monos}
-                    if w in leaves:
+                    if w in leaves and len(p) > 1:
                         ys = Y.setdefault(w, [dict.fromkeys(monos, 0j)])
                         ys[-1] = {m: ys[-1][m] + x[m] for m in monos}
                         ys += [{m: (x2[m] + x3[m]) * 2.0 for m in monos}, x4]
                         continue
+                    if w in leaves:  # a first letter's weights, from its running sum and samples
+                        b0, b2 = w0[p[0] - 1], w_half[p[0] - 1]
+                        ys = Y.setdefault(w, [])
+                        if ys:
+                            ys[-1] = {m: x[m] + last[w][0][m] + last[w][1][m] * h for m in monos}
+                        else:
+                            ys.append(x)
+                        ys += [{m: x[m] * 4.0 + (b0[m] + b2[m]) * h for m in monos},
+                               {m: x[m] + b2[m] * h for m in monos}]
+                        last[w] = x, b2
+                        continue
                     k1, k2, k3, k4 = prod(x, w0[a]), prod(x2, w_half[a]), prod(x3, w_half[a]), prod(x4, w1[a])
-                else:
+                    G[w] = {m: F[w][m] + (k1[m] + k2[m] * 2.0 + k3[m] * 2.0 + k4[m]) * sixth for m in monos}
+                else:  # Simpson's rule
                     k1, k2, k3, k4 = w0[a], w_half[a], w_half[a], w1[a]
+                    G[w] = {m: F[w][m] + (k1[m] + k2[m] * 4.0 + k4[m]) * sixth for m in monos}
                 K[w] = k1, k2, k3
-                G[w] = {m: F[w][m] + (k1[m] + k2[m] * 2.0 + k3[m] * 2.0 + k4[m]) * sixth for m in monos}
             if n in ends:
                 for w, ys in Y.items():
                     d = dot(ys, [node[w[-1] - 1] for node in nodes[2 * start:2 * n + 1]])

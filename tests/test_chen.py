@@ -550,7 +550,7 @@ def test_a_first_letter_is_simpsons_sum_of_the_samples():
             nodes.append([c * v for c in form.eval(seg.point(t))])
         for k in range(steps):
             w0, w_half, w1 = nodes[2 * k : 2 * k + 3]
-            total = [f + (b1 + b2 * 2.0 + b2 * 2.0 + b4) * sixth for f, b1, b2, b4 in zip(total, w0, w_half, w1)]
+            total = [f + (b1 + b2 * 4.0 + b4) * sixth for f, b1, b2, b4 in zip(total, w0, w_half, w1)]
     F = transport([form], path, 1, QuadratureConfig(steps, 1e-8))
     assert F.coeff((1,)) == form.layout.element(total)
 
@@ -636,6 +636,7 @@ def test_two_transports_over_one_segment_sample_each_form_once():
 
 
 def test_a_form_with_a_full_store_streams_and_samples_again(monkeypatch):
+    monkeypatch.setattr(chen, "BLOCK", 64)  # four blocks a leg
     steps = 200
     cfg = QuadratureConfig(steps, 1e-8)
     nodes = len(cfg.nodes)
@@ -671,8 +672,9 @@ SEGMENTS = [LineSegment(-2 - 1j, 2 - 0.5j), ArcSegment(0.25, 2.5, 0.3, 5.0)]
 @pytest.mark.parametrize("steps", [1, 31, 64])
 @pytest.mark.parametrize("seg", SEGMENTS, ids=["line", "arc"])
 @pytest.mark.parametrize("sig_text,f_text", BLOCK_CASES, ids=["poles", "carrier", "polynomial", "float"])
-def test_block_samples_are_the_per_node_samples(sig_text, f_text, seg, steps):
+def test_block_samples_are_the_per_node_samples(monkeypatch, sig_text, f_text, seg, steps):
     # bit for bit: the stepper's first letter reads these as Simpson's rule does
+    monkeypatch.setattr(chen, "BLOCK", 16)  # up to four blocks a leg
     form = DlogForm(parse_ratfunc(f_text, parse_signature(sig_text)))
     layout = DenseLayout(form.signature, form.layout.monomials)
     ts = [k * (0.5 / steps) for k in range(2 * steps + 1)]
@@ -683,7 +685,8 @@ def test_block_samples_are_the_per_node_samples(sig_text, f_text, seg, steps):
     assert [list(w) for w in nodes] == expected and sign == 1
 
 
-def test_an_unkept_leg_samples_at_most_one_block_ahead():
+def test_an_unkept_leg_samples_at_most_one_block_ahead(monkeypatch):
+    monkeypatch.setattr(chen, "BLOCK", 64)  # four blocks a leg
     form = _CountedPole(TRIV, 0.5)
     ts = [k / 400 for k in range(401)]
     [(blocks, _)] = chen._legs([form], DenseLayout(TRIV), [LineSegment(-1j, 1 - 1j)], ts)
@@ -750,6 +753,7 @@ ORACLE_FORMS = {
 def test_the_block_stepper_is_the_node_by_node_stepper(monkeypatch, algebra, steps, keep):
     # bit for bit, across block edges and on a lasso's replayed return leg;
     # the lasso starts at 0, where the third form's values are 0 and nowhere else
+    monkeypatch.setattr(chen, "BLOCK", 64)  # up to three blocks a leg
     sig_text, make = ORACLE_FORMS[algebra]
     sig = parse_signature(sig_text)
     a = sum((sig.gen(g) for g in sig.generators), sig.scalar(parse_scalar("1/5")))

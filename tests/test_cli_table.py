@@ -131,6 +131,37 @@ def test_a_short_truncation_names_the_trunc_that_suffices(argv):
     assert run_main(argv[:-1] + [f"--trunc={needed.group(1)}"])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv,needed",
+    [
+        (["factorize", "--f=x^2", "--trunc=2"], 3),
+        (["symbol", "--f=x^2+x^3", "--g=x", "--trunc=2"], 3),
+        (["tame", "--f=x", "--g=x^2+x^3", "--trunc=2"], 3),
+        # the first unit term is x, at --trunc 2, but factorizing needs more
+        (["factorize", EPS2, "--f=eps+x", "--trunc=1"], 4),
+    ],
+)
+def test_a_truncation_below_every_unit_term_names_the_trunc_that_suffices(argv, needed):
+    code, out, err = run_main(argv)
+    assert_one_error_line(code, err)
+    assert out == "" and f"--trunc at least {needed}" in err and "not a unit" not in err, err
+    assert run_main(argv[:-1] + [f"--trunc={needed}"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factorize", EPS2, "--f=eps", "--trunc=2"],
+        ["symbol", EPS2, "--f=eps", "--g=x", "--trunc=2"],
+        ["symbol", EPS2, "--f=x", "--g=eps*x^-1+eps*x", "--trunc=2"],
+    ],
+)
+def test_a_nilpotent_series_is_not_a_unit_at_any_truncation(argv):
+    code, out, err = run_main(argv)
+    assert_one_error_line(code, err)
+    assert out == "" and "not a unit of A((x))" in err and "--trunc" not in err, err
+
+
 def test_a_series_inverted_below_x0_keeps_its_leading_one():
     # 1/(x-eps) known below x^3 is inverted with its m-adic correction known below x^0 only
     argv = ["symbol", EPS2, "--f=1/(x-eps)", "--g=1-x"]

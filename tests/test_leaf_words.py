@@ -60,6 +60,7 @@ def test_a_two_letter_leaf_takes_no_column_product(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(DenseLayout, name, counted(name))
+    monkeypatch.setattr(chen, "BLOCK", 64)
     sig = parse_signature("gens=eps;degree=2;scalars=exact")
     forms = [DlogForm(parse_ratfunc("(x-1/2+eps)*(x+2)^-1", sig)), DlogForm(parse_ratfunc("(x+1/3*i-eps)", sig))]
     steps = 100  # two blocks a segment, the second one short
@@ -74,6 +75,7 @@ def test_a_two_letter_leaf_takes_no_column_product(monkeypatch):
 def test_the_block_stepper_is_rk4_step_by_step_to_rounding(monkeypatch, algebra, steps, keep):
     # the leaves (1, 3), (2, 2) and (1, 2, 1) take one dot per block; the
     # per-step RK4 sums the same increments in another order
+    monkeypatch.setattr(chen, "BLOCK", 64)  # up to three blocks a leg
     sig_text, make = ORACLE_FORMS[algebra]
     sig = parse_signature(sig_text)
     a = sum((sig.gen(g) for g in sig.generators), sig.scalar(parse_scalar("1/5")))
