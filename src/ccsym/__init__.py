@@ -40,7 +40,7 @@ from .errors import (
     SignatureMismatch,
 )
 from .forms import BinomialLogForm, DlogForm, Dz, SimplePole
-from .laurent import CanonicalFactorization, LaurentSeries, factorize, reconstruct
+from .laurent import CanonicalFactorization, LaurentSeries, factorize
 from .parsing import parse_element, parse_ratfunc, parse_scalar, parse_series
 from .paths import Path, circle, commutator, concat, lasso, parse_path, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support

@@ -20,18 +20,21 @@ takes complex division to stay in range.
 `AlgebraElement.dot`, a sum of products normalised once, is the one
 product behind element, series and polynomial products.  The numeric
 engine holds elements as dense columns instead (`forms.DenseLayout`).
+A monomial of degree d < N is keyed by the int d B^g + sum e_i B^i, B = N
+(Kronecker substitution): below degree N the key of a product is the sum
+of the keys, and from degree N on that sum lies at or past `limit`.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .errors import InputError, NotAUnit, NotNilpotent, SignatureMismatch
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, as_exact, as_float, geometric, power
@@ -54,6 +57,7 @@ class AlgebraSignature:
     generators: tuple
     truncation_degree: int
     backend: Backend = Backend.EXACT
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # tuple <-> packed key
 
     def __post_init__(self):
         if self.truncation_degree < 1:
@@ -70,6 +74,23 @@ class AlgebraSignature:
 
     def empty_monomial(self) -> Monomial:
         return (0,) * self.ngens
+
+    @cached_property
+    def limit(self) -> int:  # N B^g, B = N: the packed keys of degree >= N lie at or past it
+        return self.truncation_degree ** (self.ngens + 1)
+
+    def pack(self, mono: Monomial) -> int:
+        """The key d B^g + sum e_i B^i of a monomial of degree d < N, B = N, by Horner's rule."""
+        if (key := self._codes.get(mono)) is None:
+            key = self._codes[mono] = reduce(lambda k, e: k * self.truncation_degree + e, reversed(mono), sum(mono))
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        """The exponent tuple of a packed key: its digits below B^g."""
+        if (mono := self._codes.get(key)) is None:
+            b = self.truncation_degree
+            mono = self._codes[key] = tuple(key // b ** i % b for i in range(self.ngens))
+        return mono
 
     def coerce_scalar(self, value):
         if self.backend is Backend.EXACT:
@@ -160,26 +181,26 @@ def parse_signature(text: str) -> AlgebraSignature:
 class AlgebraElement:
     """An element of a truncated nilpotent polynomial algebra.
 
-    The arithmetic runs on `num`, {monomial: (re, im)} numerator pairs
+    The arithmetic runs on `num`, {packed key: (re, im)} numerator pairs
     over the denominator `den`, with no zero pair: Gaussian integers in
     lowest terms over a positive `den` on the exact backend, floats over
-    `den` = 1 on the float backend.  `coeffs`, the {monomial: scalar} map
-    (total degree < N) in the backend's scalars, is derived on first use;
-    `reduce()` reads the empty monomial's pair alone.
+    `den` = 1 on the float backend; `reduce()` reads key 0 alone.
+    `coeffs`, the {exponent tuple: scalar} map (total degree < N) in the
+    backend's scalars, is derived on first use.
     All arithmetic is value-semantic: operands are never mutated.
     """
 
     __slots__ = ("signature", "num", "den", "_coeffs")
 
     def __init__(self, signature: AlgebraSignature, coeffs: dict):
-        self.signature = signature
+        self.signature, pack = signature, signature.pack
         if signature.backend is _FLOAT:
-            self.num, self.den, self._coeffs = {m: (c.real, c.imag) for m, c in coeffs.items() if c}, 1, None
+            self.num, self.den, self._coeffs = {pack(m): (c.real, c.imag) for m, c in coeffs.items() if c}, 1, None
             return
         self._coeffs = coeffs
         # over the lcm of the scalars' denominators no prime divides every numerator
         self.den = den = lcm(*(c.d for c in coeffs.values()))
-        self.num = {m: (c.p * (den // c.d), c.q * (den // c.d)) for m, c in coeffs.items()}
+        self.num = {pack(m): (c.p * (den // c.d), c.q * (den // c.d)) for m, c in coeffs.items()}
 
     @classmethod
     def _normal(cls, signature: AlgebraSignature, num: dict, den: int) -> "AlgebraElement":
@@ -201,22 +222,22 @@ class AlgebraElement:
     def coeffs(self) -> dict:
         """{monomial: scalar}; not to be mutated."""
         if self._coeffs is None:
-            d, make = self.den, GaussianRational._make
+            d, make, unpack = self.den, GaussianRational._make, self.signature.unpack
             exact = self.signature.backend is not _FLOAT
-            self._coeffs = {m: make(re, im, d) if exact else complex(re, im) for m, (re, im) in self.num.items()}
+            self._coeffs = {unpack(m): make(re, im, d) if exact else complex(re, im) for m, (re, im) in self.num.items()}
         return self._coeffs
 
     # -- structure ---------------------------------------------------------
 
     def reduce(self):
         """Coefficient of the empty monomial (the residue in C)."""
-        c = self.num.get(self.signature.empty_monomial())
+        c = self.num.get(0)
         if c is None:
             return self.signature.scalar_zero()
         return complex(*c) if self.signature.backend is _FLOAT else GaussianRational._make(*c, self.den)
 
     def is_unit(self) -> bool:
-        return self.signature.empty_monomial() in self.num
+        return 0 in self.num
 
     def is_zero(self) -> bool:
         return not self.num
@@ -267,14 +288,13 @@ class AlgebraElement:
         """The sum of c1 * c2 over the (c1, c2) pairs, the one product of
         ccsym: each pair's convolution scaled from c1.den * c2.den to the
         lcm of those, summed on the numerators and normalised once."""
-        n, den, out = signature.truncation_degree, lcm(*(c1.den * c2.den for c1, c2 in pairs)), {}
+        limit, den, out = signature.limit, lcm(*(c1.den * c2.den for c1, c2 in pairs)), {}
         for c1, c2 in pairs:
             k = den // (c1.den * c2.den)  # 1 on the float backend, where a * k is a exactly
             for m1, (a, b) in c1.num.items():
-                d1, a, b = sum(m1), a * k, b * k
+                a, b = a * k, b * k
                 for m2, (c, d) in c2.num.items():
-                    if d1 + sum(m2) < n:
-                        mono = tuple(map(add, m1, m2))
+                    if (mono := m1 + m2) < limit:
                         s = out.get(mono, (0, 0))
                         # one rounding per product part, as complex multiplication
                         re, im = s[0] + (a * c - b * d), s[1] + (a * d + b * c)
@@ -309,15 +329,14 @@ class AlgebraElement:
 
     def inverse(self) -> "AlgebraElement":
         """Multiplicative inverse via a geometric series on the nilpotent part."""
-        sig, e = self.signature, self.signature.empty_monomial()
-        c = self.num.get(e)
+        sig, c = self.signature, self.num.get(0)
         if not c:
             raise NotAUnit("cannot invert an element of the maximal ideal")
         p, q = c
         if sig.backend is _FLOAT:  # complex division keeps a float reciprocal in range
             c_inv = sig.scalar(1 / complex(p, q))
         else:  # c = (p + q i) / den, so 1/c = den (p - q i) / (p^2 + q^2)
-            c_inv = AlgebraElement._normal(sig, {e: (self.den * p, -self.den * q)}, p * p + q * q)
+            c_inv = AlgebraElement._normal(sig, {0: (self.den * p, -self.den * q)}, p * p + q * q)
         if len(self.num) == 1:  # a scalar: no nilpotent part to correct
             return c_inv
         one = sig.one()

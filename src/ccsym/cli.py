@@ -20,7 +20,7 @@ from .chen import QuadratureConfig, iterated_integral, line_integral
 from .errors import CcsymError, InputError, InsufficientTruncation
 from .forms import DlogForm
 from .laurent import factorize
-from .parsing import parse_element, parse_ratfunc, parse_scalar, parse_series
+from .parsing import _reduction_lead, parse_element, parse_ratfunc, parse_scalar, parse_series
 from .paths import parse_path
 from .ratfunc import SpherePoint
 from .symbol import cc_symbol_series, least_trunc, tame_symbol
@@ -237,16 +237,17 @@ def run(argv) -> int:
 
 def _series(text: str, sig, trunc: int):
     """The series known below x^trunc.  When that cuts off every unit term, the error names
-    the least --trunc that keeps one, searched by doubling up to the --trunc cap; a series
-    with no unit term below the cap, such as a nilpotent one, is left for its valuation
-    to refuse."""
+    the least --trunc that keeps one, searched by doubling up to the --trunc cap, or the
+    cap when the first lies past it; a nilpotent series is left for its valuation to refuse."""
     series = parse_series(text, sig, trunc)
-    top, t = CAPS["--trunc"][1], trunc
-    while t < top and not any(c.is_unit() for c in series.coeffs.values()):
+    top, t, kept = CAPS["--trunc"][1], trunc, any(c.is_unit() for c in series.coeffs.values())
+    while t < top and not kept:
         t = min(2 * t, top)
         if units := [e for e, c in parse_series(text, sig, t).coeffs.items() if c.is_unit()]:
             raise InsufficientTruncation(
                 f"truncation order {trunc} cuts off every unit term of {text}; it needs --trunc at least {min(units) + 1}")
+    if not kept and (first := _reduction_lead(text, sig)) is not None:
+        raise InputError(f"no --trunc up to its cap {top} keeps a unit term of {text}: the first is at x^{first}")
     return series
 
 

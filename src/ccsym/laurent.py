@@ -212,23 +212,6 @@ class LaurentSeries:
 
     # -- comparison / display --------------------------------------------------
 
-    def agrees_with(self, other: "LaurentSeries", upto=None) -> bool:
-        """Equality of coefficients on all exponents below `upto`
-        (default: the smaller truncation order)."""
-        self._check(other)
-        bound = min(self.trunc, other.trunc)
-        if upto is not None:
-            bound = min(bound, upto)
-        exps = set(self.coeffs) | set(other.coeffs)
-        for e in exps:
-            if e >= bound:
-                continue
-            if self.coeffs.get(e, self.signature.zero()) != other.coeffs.get(
-                e, self.signature.zero()
-            ):
-                return False
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -318,14 +301,6 @@ class CanonicalFactorization:
         return f"{head}*{tail}" if tail else head
 
 
-def _neg_product(sig: AlgebraSignature, factors: dict) -> LaurentSeries:
-    """The Laurent polynomial prod_j (1 - a_j x^j) over the j < 0 factors."""
-    out = LaurentSeries.one(sig)
-    for j in sorted(factors):
-        out = out * LaurentSeries(sig, {0: sig.one(), j: -factors[j]})
-    return out
-
-
 def _logs(f: LaurentSeries, nu: int):
     """(h'/h, l, a0) for h = x^-nu f = p (1 - u), p the part of h from x^0
     on: l = log(1 - u) is a finite sum, its exponents < 0 are log f_-,
@@ -339,8 +314,8 @@ def _logs(f: LaurentSeries, nu: int):
         return p.derivative() * p_inv, LaurentSeries.zero(sig, h.trunc), p.coeff(0)
     rest = p - h
     u = rest * p_inv  # log(1 - u) = -sum of u^k / k
-    # u's coefficients lie in m^order, as those of p - h do, so u^k = 0 once k order >= N
-    order = min((sum(m) for c in rest.coeffs.values() for m in c.num), default=sig.truncation_degree)
+    # u's coefficients lie in m^order, as p - h's do, so u^k = 0 once k order >= N: the degree digit of the least key
+    order = min((m for c in rest.coeffs.values() for m in c.num), default=sig.limit) * sig.truncation_degree // sig.limit
     log, term = -u, u
     for k in range(2, -(-sig.truncation_degree // order)):
         term = term * u
@@ -397,7 +372,9 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
     nu, sig = f.valuation(), f.signature
     top = (sig.truncation_degree - 1) * (nu - f.lower_bound)
     neg = _ghost_inverse(_logs(LaurentSeries(sig, f.coeffs, nu + top), nu)[0], -1, top) if top else {}
-    f_minus = _neg_product(sig, neg)
+    f_minus = LaurentSeries.one(sig)
+    for j in sorted(neg):  # the Laurent polynomial prod (1 - a_j x^j) over j < 0
+        f_minus = f_minus * LaurentSeries(sig, {0: sig.one(), j: -neg[j]})
     r = f.shift(-nu) * f_minus.inverse()
     trunc_order = nu + r.trunc + min(f_minus.lower_bound, 0)
     if trunc_order <= nu:
@@ -407,18 +384,3 @@ def factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
     pos = _ghost_inverse(r.derivative() * r.inverse(), 1, r.trunc - 1)
     return CanonicalFactorization(sig, nu, r.coeff(0), neg, pos, trunc_order)
 
-
-def reconstruct(fac: CanonicalFactorization) -> LaurentSeries:
-    """Expand the product decomposition back into a series."""
-    sig = fac.signature
-    T = fac.trunc_order
-    neg_poly = _neg_product(sig, fac.neg_factors)
-    lam = min(neg_poly.lower_bound, 0)
-    rel_cap = T - fac.nu - lam
-    out = LaurentSeries.one(sig)
-    for j in sorted(fac.pos_factors):
-        if j >= rel_cap:
-            continue
-        out = (out * LaurentSeries(sig, {0: sig.one(), j: -fac.pos_factors[j]})).truncate(rel_cap)
-    out = (out * neg_poly).truncate(T - fac.nu)
-    return out.scale(fac.a0).shift(fac.nu)

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend
-from .errors import InputError
+from .errors import CcsymError, InputError
 from .laurent import INF, LaurentSeries
 from .ratfunc import RationalFunctionA, poly_add, poly_mul, poly_reduction, poly_trim
 from .scalars import GR_I, GaussianRational, gaussian, power
@@ -341,14 +341,30 @@ def parse_element(text: str, sig: AlgebraSignature) -> AlgebraElement:
     return _in_scalars_of(sig, eval_element(parse_expression(text), sig.to_exact(), text))
 
 
-def eval_series(node, sig: AlgebraSignature, trunc, text: str = "") -> LaurentSeries:
-    """Evaluate as a Laurent series in x; inverses are taken at `trunc`."""
-    return _lift(_evaluate(node, sig, 2, text, trunc), sig, 2)
-
-
 def parse_series(text: str, sig: AlgebraSignature, trunc=INF) -> LaurentSeries:
-    series = eval_series(parse_expression(text), sig.to_exact(), trunc, text)
-    return _in_scalars_of(sig, series.truncate(trunc))
+    """The Laurent series in x of `text`, its inverses taken at `trunc`."""
+    exact = sig.to_exact()
+    return _in_scalars_of(sig, _lift(_evaluate(parse_expression(text), exact, 2, text, trunc), exact, 2).truncate(trunc))
+
+
+def _reduction_lead(text: str, sig: AlgebraSignature):
+    """The exponent of the first term of the series of `text` mod m, read over C,
+    where the generators are 0, with each leaf, quotient and power cut after its
+    first term; None when that reduction is 0 or leading terms cancel."""
+    red = AlgebraSignature(sig.generators, 1)
+
+    def lead(value):
+        s = _lift(value, red, 2)
+        return s.truncate(s.lower_bound + 1)
+
+    def leaf(node):
+        return lead(LaurentSeries.monomial(red, 1) if node == ("name", "x") else eval_element(node, red, text))
+
+    try:  # a quotient by cancelled leading terms has no inverse
+        s = lead(_fold(parse_expression(text), leaf, lambda a, b: a * lead(b).inverse(), lambda b, n: lead(b) ** n))
+    except CcsymError:
+        return None
+    return min(s.coeffs, default=None)
 
 
 # -- factored rational function evaluation -----------------------------------------

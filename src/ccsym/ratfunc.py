@@ -267,8 +267,10 @@ class RationalFunctionA:
 
     def __pow__(self, n: int) -> "RationalFunctionA":
         """(num/den)^n = sum_{k<=K} C(n,k) d^k den^(K-k) / den^K with
-        d = num - den and K = min(n, N-1), exact because d^N = 0."""
+        d = num - den and K = min(n, N-1), exact because d^N = 0; f^1 is f."""
         sig = self.signature
+        if n == 1:
+            return self
         if n <= 0:
             return self.inverse() ** -n if n else RationalFunctionA.constant(sig, 1)
         d = poly_add(self.pert_num, [-c for c in self.pert_den], sig)

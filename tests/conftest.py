@@ -237,6 +237,30 @@ def oracle_factorize(f: LaurentSeries, trunc=None) -> CanonicalFactorization:
     return CanonicalFactorization(sig, nu, a0, neg, pos, t_eff + lam)
 
 
+def agrees_with(f: LaurentSeries, g: LaurentSeries, upto=math.inf) -> bool:
+    """Equality of the coefficients of two series over one signature at every
+    exponent below `upto` and both truncation orders."""
+    assert f.signature == g.signature
+    bound = min(f.trunc, g.trunc, upto)
+    return all(f.coeffs.get(e) == g.coeffs.get(e) for e in set(f.coeffs) | set(g.coeffs) if e < bound)
+
+
+def reconstruct(fac: CanonicalFactorization) -> LaurentSeries:
+    """Expand a canonical factorization a0 x^nu prod (1 - a_j x^j) back into
+    a series, known below its `trunc_order`."""
+    sig, T = fac.signature, fac.trunc_order
+    neg_poly = LaurentSeries.one(sig)
+    for j in sorted(fac.neg_factors):
+        neg_poly = neg_poly * LaurentSeries(sig, {0: sig.one(), j: -fac.neg_factors[j]})
+    rel_cap = T - fac.nu - min(neg_poly.lower_bound, 0)
+    out = LaurentSeries.one(sig)
+    for j in sorted(fac.pos_factors):
+        if j < rel_cap:
+            out = (out * LaurentSeries(sig, {0: sig.one(), j: -fac.pos_factors[j]})).truncate(rel_cap)
+    out = (out * neg_poly).truncate(T - fac.nu)
+    return out.scale(fac.a0).shift(fac.nu)
+
+
 # -- input evaluators that make every literal a series or a function ----------------
 
 _ORACLE_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccsym.algebra import (
     AlgebraElement,
@@ -446,3 +447,60 @@ def test_float_arithmetic_agrees_with_the_widened_exact(sig):
         nil = random_element(rng, sig, unit=False)
         close(exp(nil), exp(nil.widen()))
         close(log1m(nil), log1m(nil.widen()))
+
+
+# -- packed monomial keys ------------------------------------------------------
+
+PACKED_SIGS = [
+    parse_signature("gens=;degree=1"),
+    parse_signature("gens=eps;degree=64"),
+    parse_signature("gens=eps,delta;degree=22"),  # 253 monomials
+    parse_signature("gens=a,b,c,d,e,f,g,h;degree=2"),
+]
+PACKING = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+
+def monomials(sig):
+    """A monomial of degree < N: the exponents count a list of generator indices."""
+    if not sig.ngens:
+        return st.just(())
+    indices = st.lists(st.integers(0, sig.ngens - 1), max_size=sig.truncation_degree - 1)
+    return indices.map(lambda ix: tuple(ix.count(i) for i in range(sig.ngens)))
+
+
+@st.composite
+def packed_case(draw):
+    sig = draw(st.sampled_from(PACKED_SIGS))
+    return sig, draw(monomials(sig)), draw(monomials(sig))
+
+
+@PACKING
+@given(packed_case())
+def test_packed_keys_round_trip_and_add_as_monomials_multiply(case):
+    sig, m1, m2 = case
+    k1, k2 = sig.pack(m1), sig.pack(m2)
+    assert sig.unpack(k1) == m1 and sig.unpack(k2) == m2
+    assert list(sig.element({m1: 3}).num) == [k1] and sig.element({m1: 3}).coeffs == {m1: gaussian(3)}
+    assert (k1 == 0) == (m1 == sig.empty_monomial())
+    product = tuple(map(sum, zip(m1, m2)))
+    assert (k1 + k2 < sig.limit) == (sum(product) < sig.truncation_degree)
+    if k1 + k2 < sig.limit:
+        assert sig.unpack(k1 + k2) == product
+
+
+def small_elements(sig, backend: str):
+    """An element of a few terms with small Gaussian-integer coefficients, which
+    float products and sums keep exact."""
+    sig = sig if backend == "exact" else sig.to_float()
+    coeff = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda c: complex(*c) if backend == "float" else gaussian(*c))
+    return st.dictionaries(monomials(sig), coeff, max_size=6).map(sig.element)
+
+
+@PACKING
+@given(st.data())
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_packed_products_match_the_dense_oracle(backend, data):
+    sig = data.draw(st.sampled_from(PACKED_SIGS))
+    a, b = data.draw(small_elements(sig, backend)), data.draw(small_elements(sig, backend))
+    zero = gaussian(0) if backend == "exact" else 0j
+    assert (a * b).coeffs == oracle_alg_mul(a.coeffs, b.coeffs, sig.truncation_degree, zero)

@@ -18,6 +18,8 @@ from ccsym.checks import CHECKS
 from ccsym.cli import CAPS, TARGETS, build_parser, check_caps, main, verify_flags
 from ccsym.parsing import parse_series
 
+from conftest import agrees_with
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -162,6 +164,22 @@ def test_a_nilpotent_series_is_not_a_unit_at_any_truncation(argv):
     assert out == "" and "not a unit of A((x))" in err and "--trunc" not in err, err
 
 
+@pytest.mark.parametrize(
+    "argv,first",
+    [
+        (["symbol", "--f=x^300", "--g=x", "--trunc=2"], 300),
+        (["factorize", "--f=x^300", "--trunc=2"], 300),
+        (["tame", EPS2, "--f=x", "--g=x^299*(1-x)^-1+eps*x", "--trunc=256"], 299),
+        (["symbol", EPS2, "--f=x^257/(x^2+x)^1", "--g=x", "--trunc=3"], 256),
+    ],
+)
+def test_a_first_unit_term_past_the_trunc_cap_names_the_cap(argv, first):
+    code, out, err = run_main(argv)
+    assert_one_error_line(code, err)
+    assert out == "" and "not a unit" not in err, err
+    assert f"cap {CAPS['--trunc'][1]}" in err and f"x^{first}" in err, err
+
+
 def test_a_series_inverted_below_x0_keeps_its_leading_one():
     # 1/(x-eps) known below x^3 is inverted with its m-adic correction known below x^0 only
     argv = ["symbol", EPS2, "--f=1/(x-eps)", "--g=1-x"]
@@ -192,7 +210,7 @@ def test_factorize_of_a_deep_negative_factor_names_its_trunc_and_rebuilds_the_se
     sig = parse_signature(algebra.split("=", 1)[1])
     series = parse_series(f.split("=", 1)[1], sig, 28)
     assert trunc_order > series.valuation()
-    assert parse_series(out.strip(), sig, trunc_order).agrees_with(series, upto=trunc_order)
+    assert agrees_with(parse_series(out.strip(), sig, trunc_order), series, upto=trunc_order)
 
 
 # -- no silently dropped input ----------------------------------------------------

@@ -290,6 +290,19 @@ def test_powers_match_the_product_oracle(sig, text):
         assert len(fast.pert_den) - 1 <= K * max(len(f.pert_num) - 1, len(f.pert_den) - 1)
 
 
+@pytest.mark.parametrize("text", ["(x-1/3+eps)", "(x+eps*x^2)*(x-1+i)^-1", "2*(x-1/2)^3", "(1+eps/(x-2))"])
+def test_a_first_power_is_the_function_itself(text, monkeypatch):
+    f = parse_ratfunc(text, SIG2)
+    # the binomial sum at n = 1 gives num = d + den over den, with d = num - den
+    d = ratfunc.poly_add(f.pert_num, [-c for c in f.pert_den], SIG2)
+    assert f ** 1 is f and f == RF(SIG2, f.base_factors, f.scale, ratfunc.poly_add(d, f.pert_den, SIG2), f.pert_den)
+    inverse = f.inverse()
+    calls = []
+    mul = ratfunc.poly_mul
+    monkeypatch.setattr(ratfunc, "poly_mul", lambda *args: calls.append(args) or mul(*args))
+    assert f ** -1 == inverse and not calls
+
+
 def test_one_entry_per_root():
     f = parse_ratfunc("(x-1/3)^-4096", SIG2)
     assert f.base_factors == ((gaussian(Fraction(1, 3)), -4096),)

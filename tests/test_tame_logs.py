@@ -23,7 +23,7 @@ def full_logs(f: LaurentSeries, nu: int):
     p = LaurentSeries(sig, {e: c for e, c in h.coeffs.items() if e >= 0}, h.trunc)
     p_inv = p.inverse()
     u = (p - h) * p_inv
-    order = min((sum(m) for c in (h - p).coeffs.values() for m in c.num), default=sig.truncation_degree)
+    order = min((sum(m) for c in (h - p).coeffs.values() for m in c.coeffs), default=sig.truncation_degree)
     log, term = -u, u
     for k in range(2, -(-sig.truncation_degree // order)):
         term = term * u
@@ -83,3 +83,21 @@ def test_a_tame_side_next_to_a_wild_one_takes_no_product_with_u(monkeypatch):
     value, short = symbol._residue_symbol(f, 0, g, 0)
     assert max(short) <= 0 and value is not None
     assert not any(not a.coeffs or not b.coeffs for a, b in products)
+
+
+@pytest.mark.parametrize("sig_text", ["gens=eps;degree=3", "gens=eps,delta;degree=3", "gens=eps;degree=5"])
+def test_the_full_logs_give_what_logs_gives_on_a_wild_series(sig_text):
+    # a series with terms below its valuation, so that h - p is not empty
+    sig, checked = parse_signature(sig_text), 0
+    for seed in range(40):
+        f = random_invertible_series(random.Random(seed), sig, 8)
+        try:
+            nu = f.valuation()
+        except NotInvertible:
+            continue
+        if f.lower_bound >= nu or nu >= f.trunc:
+            continue
+        (d, log, a0), (d_full, log_full, a0_full) = _logs(f, nu), full_logs(f, nu)
+        assert d == d_full and log == log_full and a0 == a0_full
+        checked += 1
+    assert checked >= 10
