@@ -237,8 +237,8 @@ def run(argv) -> int:
 
 def _series(text: str, sig, trunc: int):
     """The series known below x^trunc.  When that cuts off every unit term, the error names
-    the least --trunc that keeps one, searched by doubling up to the --trunc cap, or the
-    cap when the first lies past it; a nilpotent series is left for its valuation to refuse."""
+    the least --trunc that keeps one, found by doubling up to the --trunc cap, else the cap
+    and the first unit term; a nilpotent series is left for its valuation to refuse."""
     series = parse_series(text, sig, trunc)
     top, t, kept = CAPS["--trunc"][1], trunc, any(c.is_unit() for c in series.coeffs.values())
     while t < top and not kept:
