@@ -45,12 +45,7 @@ from .parsing import parse_element, parse_ratfunc, parse_scalar, parse_series
 from .paths import Path, circle, commutator, concat, lasso, parse_path, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support
 from .reports import CheckReport
-from .symbol import (
-    cc_symbol,
-    cc_symbol_series,
-    local_symbols,
-    tame_symbol,
-)
+from .symbol import cc_symbol_series, local_symbols, tame_symbol
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

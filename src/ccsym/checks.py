@@ -192,6 +192,7 @@ def main_theorem_check(
         raise InputError(f"{s} is not a zero or pole of f or g")
     others = [t for t in support if t != s]
     sigma = _isolating_loop(s, as_float(base), float(radius), others)
+    symbol = local_symbols(f, g, [s], trunc)[0]  # exact, so a short trunc fails before the transport
 
     form_f, form_g = DlogForm(f), DlogForm(g)
     ii = iterated_integral([form_f, form_g], sigma, cfg)
@@ -200,7 +201,6 @@ def main_theorem_check(
     base_exact = as_exact(base) if not isinstance(base, complex) else base
     g_p = g.eval(base_exact) ** f.order_at(s)
     f_p = f.eval(base_exact) ** g.order_at(s)
-    symbol = local_symbols(f, g, [s], trunc)[0]
     if isinstance(base_exact, complex):  # f and g are float elements there
         symbol = symbol.widen()
     rhs = (symbol * g_p * f_p.inverse()).widen()

@@ -3,7 +3,10 @@
 Subcommands: symbol, tame, factorize, integrate, and verify with the
 check families lemma, main-theorem, weil, bilinear, commutator and
 identities.  Exit status: 0 on success/pass, 1 when a check fails,
-2 on bad input.
+2 on bad input.  A --trunc too short for symbol, tame, factorize, weil
+or main-theorem is bad input, and the error names the least --trunc
+that works, found by `symbol.least_trunc` on the command's own
+computation.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import sys
 from . import checks
 from .algebra import element_to_json, parse_signature
 from .chen import QuadratureConfig, iterated_integral, line_integral
-from .errors import CcsymError, InputError, InsufficientTruncation
+from .errors import CcsymError, InputError, InsufficientTruncation, NotInvertible
 from .forms import DlogForm
-from .laurent import factorize
+from .laurent import LaurentSeries, factorize
 from .parsing import _reduction_lead, parse_element, parse_ratfunc, parse_scalar, parse_series
 from .paths import parse_path
 from .ratfunc import SpherePoint
-from .symbol import cc_symbol_series, least_trunc, tame_symbol
+from .symbol import TRUNC_CAP, cc_symbol_series, least_trunc, tame_symbol
 
 DEFAULT_ALGEBRA = "gens=;degree=1;scalars=exact"
 
@@ -36,7 +39,7 @@ COMMON = {
 }
 
 # inclusive resource caps, checked before any work
-CAPS = {"--steps": (1, 65536), "--trunc": (1, 256), "--r": (1, 64), "--algebra degree": (1, 64),
+CAPS = {"--steps": (1, 65536), "--trunc": (1, TRUNC_CAP), "--r": (1, 64), "--algebra degree": (1, 64),
         "--algebra monomials": (1, 256), **dict.fromkeys(("--n", "--j", "--k"), (-64, 64))}
 
 TARGETS = {
@@ -185,32 +188,27 @@ def run(argv) -> int:
     # the series commands compute over Q(i); a float algebra widens what they print
     exact = sig.to_exact()
     floating = exact is not sig
-    if args.command in ("symbol", "tame"):
-        f = _series(args.f, exact, args.trunc)
-        g = _series(args.g, exact, args.trunc)
+    if args.command in ("symbol", "tame", "factorize"):
+        texts = (args.f,) if args.command == "factorize" else (args.f, args.g)
+        compute = {"symbol": cc_symbol_series, "tame": tame_symbol, "factorize": factorize}[args.command]
+        value = least_trunc(lambda t: compute(*(_series(text, exact, t) for text in texts)), args.trunc, args.command)
         if args.command == "tame":
-            value = tame_symbol(f, g)
             print(complex(value) if floating else value)
-        else:
-            value = cc_symbol_series(f, g, args.trunc)
-            value = value.widen() if floating else value
+            return 0
+        value = value.widen() if floating else value
+        if args.command == "symbol":
             print(json.dumps(element_to_json(value)) if args.json else value)
-        return 0
-
-    if args.command == "factorize":
-        fac = _factorize(args.f, exact, args.trunc)
-        fac = fac.widen() if floating else fac
-        if args.json:
+        elif args.json:
             payload = {
-                "nu": fac.nu,
-                "a0": element_to_json(fac.a0),
-                "neg_factors": {str(j): element_to_json(a) for j, a in sorted(fac.neg_factors.items())},
-                "pos_factors": {str(j): element_to_json(a) for j, a in sorted(fac.pos_factors.items())},
-                "trunc_order": fac.trunc_order if fac.trunc_order != float("inf") else "inf",
+                "nu": value.nu,
+                "a0": element_to_json(value.a0),
+                "neg_factors": {str(j): element_to_json(a) for j, a in sorted(value.neg_factors.items())},
+                "pos_factors": {str(j): element_to_json(a) for j, a in sorted(value.pos_factors.items())},
+                "trunc_order": value.trunc_order if value.trunc_order != float("inf") else "inf",
             }
             print(json.dumps(payload, indent=2))
         else:
-            print(fac)
+            print(value)
         return 0
 
     if args.command == "integrate":
@@ -236,34 +234,21 @@ def run(argv) -> int:
 
 
 def _series(text: str, sig, trunc: int):
-    """The series known below x^trunc.  When that cuts off every unit term, the error names
-    the least --trunc that keeps one, found by doubling up to the --trunc cap, else the cap
-    and the first unit term; a nilpotent series is left for its valuation to refuse."""
-    series = parse_series(text, sig, trunc)
-    top, t, kept = CAPS["--trunc"][1], trunc, any(c.is_unit() for c in series.coeffs.values())
-    while t < top and not kept:
-        t = min(2 * t, top)
-        if units := [e for e, c in parse_series(text, sig, t).coeffs.items() if c.is_unit()]:
-            raise InsufficientTruncation(
-                f"truncation order {trunc} cuts off every unit term of {text}; it needs --trunc at least {min(units) + 1}")
-    if not kept and (first := _reduction_lead(text, sig)) is not None:
-        raise InputError(f"no --trunc up to its cap {top} keeps a unit term of {text}: the first is at x^{first}")
-    return series
-
-
-def _factorize(text: str, sig, trunc: int):
-    """The factorization of the series known below x^trunc; when that is too short, the error
-    names the least --trunc that suffices, searched by doubling the step from trunc."""
-    def attempt(t):
-        try:
-            return factorize(_series(text, sig, t))
-        except InsufficientTruncation:
-            return None
-
-    if (fac := attempt(trunc)) is None:
-        need = least_trunc(lambda t: t - trunc if attempt(t) is None else 0, trunc, trunc + 1, "factorize needs")
-        raise InsufficientTruncation(f"truncation order {trunc} too small to factorize; it needs --trunc at least {need}")
-    return fac
+    """The series of `text` known below x^trunc.  It is too short when that cut keeps no
+    unit term, or cuts a divisor below its own, unless the first unit term lies at or past
+    the --trunc cap.  That term is where `_reduction_lead` puts it or, when leading terms
+    cancel there, the valuation of the series at the cap, which refuses a nilpotent one."""
+    try:
+        series = parse_series(text, sig, trunc)
+    except NotInvertible:  # a divisor cut below its unit terms, or one with none
+        series = LaurentSeries.zero(sig, trunc)
+    if any(c.is_unit() for c in series.coeffs.values()):
+        return series
+    if (first := _reduction_lead(text, sig)) is None:
+        first = (series if trunc >= TRUNC_CAP else _series(text, sig, TRUNC_CAP)).valuation()
+    if first >= TRUNC_CAP:
+        raise InputError(f"no --trunc up to its cap {TRUNC_CAP} keeps a unit term of {text}: the first is at x^{first}")
+    raise InsufficientTruncation(f"truncation order {trunc} cuts off every unit term of {text}")
 
 
 def main(argv=None) -> int:

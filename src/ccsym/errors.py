@@ -22,7 +22,12 @@ class NotInvertible(CcsymError):
 
 
 class InsufficientTruncation(CcsymError):
-    """The truncation window is too short to determine the requested data."""
+    """The truncation window is too short to determine the requested data;
+    `missing`, when not 0, is the fewest orders it falls short by."""
+
+    def __init__(self, message: str, missing: int = 0):
+        super().__init__(message)
+        self.missing = missing
 
 
 class PathError(CcsymError):

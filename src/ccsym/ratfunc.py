@@ -393,7 +393,7 @@ class RationalFunctionA:
         if trunc <= nu:
             raise InsufficientTruncation(
                 f"the expansion at {s} starts at x^{nu}, at or above the truncation "
-                f"x^{trunc}; expand with truncation (--trunc) at least {nu + 1}"
+                f"x^{trunc}; expand with truncation at least {nu + 1}"
             )
         slack = 2 * self.pole_order(s)
         for _ in range(5):

@@ -10,7 +10,7 @@ g = b0 x^mu g_- g_+ of two invertible series, the symbol is the unit
 Both double products are finite: the negative-index factors are
 nilpotent, so any factor with j/d >= N (truncation degree) equals 1.
 The subscript gcd is read as an exponent; exact bimultiplicativity and
-the reciprocity suite pin that reading down.  `cc_symbol` evaluates it.
+the reciprocity suite pin that reading down.
 
 Over a Q-algebra the same unit has a residue form (Contou-Carrere,
 C. R. Acad. Sci. Paris 318, 1994; Anderson and Pablos Romo, Comm.
@@ -28,68 +28,25 @@ reads f only below x^(nu + w) for a window w that grows until both
 negative halves, and log f_+ up to the depth of dlog g_- (and the same
 with f and g swapped), are determined; so `cc_symbol_series` and
 `local_symbols` invert and expand only that window, with no
-factorization.  `cc_symbol`, the double product, is the oracle the
-tests hold the residue form to, over factorizations peeled with no
-logarithms.
+factorization.  The tests hold the residue form to the double product,
+over factorizations peeled with no logarithms.
+
+Every series here is cut at a truncation order, the CLI's --trunc.  When
+it is too small, `least_trunc` runs the computation at higher orders and
+names the least that suffices; the CLI's series commands and
+`local_symbols` all name their --trunc through it.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 from .algebra import AlgebraElement, exp
 from .errors import InputError, InsufficientTruncation, SignatureMismatch
-from .laurent import CanonicalFactorization, LaurentSeries, _logs
-
-
-def _require_complete(fac: CanonicalFactorization, partner_neg_depth: int, who: str):
-    n = fac.signature.truncation_degree
-    needed = fac.nu + n * partner_neg_depth
-    if fac.trunc_order < needed:
-        raise InsufficientTruncation(
-            f"{who}: positive factors known below x^{fac.trunc_order - fac.nu} "
-            f"but the double product needs them below x^{n * partner_neg_depth}; "
-            f"re-expand with truncation >= {needed}"
-        )
-
-
-def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> AlgebraElement:
-    """Evaluate the symbol from two canonical factorizations."""
-    if fac_f.signature != fac_g.signature:
-        raise SignatureMismatch("factorizations over different signatures")
-    sig = fac_f.signature
-
-    f_neg_depth = max((-j for j in fac_f.neg_factors), default=0)
-    g_neg_depth = max((-j for j in fac_g.neg_factors), default=0)
-    _require_complete(fac_f, g_neg_depth, "f")
-    _require_complete(fac_g, f_neg_depth, "g")
-
-    one = sig.one()
-
-    def double_product(pos: dict, neg: dict) -> AlgebraElement:
-        out = one
-        for k_neg, b in neg.items():
-            k = -k_neg
-            for j, a in pos.items():
-                d = math.gcd(j, k)
-                b_pow = b ** (j // d)
-                if b_pow.is_zero():
-                    continue
-                factor = one - (a ** (k // d)) * b_pow
-                out = out * factor ** d
-        return out
-
-    numerator = (fac_f.a0 ** fac_g.nu) * double_product(fac_f.pos_factors, fac_g.neg_factors)
-    denominator = (fac_g.a0 ** fac_f.nu) * double_product(fac_g.pos_factors, fac_f.neg_factors)
-    value = numerator * denominator.inverse()
-    if (fac_f.nu * fac_g.nu) % 2:
-        value = -value
-    return value
-
+from .laurent import LaurentSeries, _logs
 
 _WINDOW = 4  # the first window, in orders above the valuation, unless the symbol is tame there
-_SEARCH = 256  # how far past the truncation a search for the one needed goes
+TRUNC_CAP = 256  # the largest --trunc, and so the largest truncation order a search names
 
 
 def _residue(d: LaurentSeries, log: LaurentSeries) -> AlgebraElement:
@@ -140,37 +97,52 @@ def _windowed(args, start=_WINDOW):
         ts = capped
 
 
-def cc_symbol_series(f: LaurentSeries, g: LaurentSeries, trunc=None) -> AlgebraElement:
+def cc_symbol_series(f: LaurentSeries, g: LaurentSeries) -> AlgebraElement:
     """The symbol of two series by the residue form, from the windows of
     their coefficients that it reads.  When f and g are known too short,
-    the error names the orders missing and, for series expanded with
-    truncation order `trunc` (the CLI's --trunc), trunc raised by them."""
+    the error's `missing` is the orders they fall short by."""
     if f.signature != g.signature:
         raise SignatureMismatch("series over different signatures")
     value, missing = _windowed([(s.truncate, s.valuation(), s.trunc) for s in (f, g)])
     if missing:
         raise InsufficientTruncation(
             f"series known below x^{f.trunc} and x^{g.trunc} are too short for the symbol; "
-            f"it needs {missing} more order{'s' if missing > 1 else ''}"
-            + ("" if trunc is None else f" (--trunc {trunc + missing})")
-        )
+            f"it needs {missing} more order{'s' if missing > 1 else ''}", missing)
     return value
 
 
-def least_trunc(short, lo: int, hi: int, what: str) -> int:
-    """The least truncation order above lo at which short(t), the orders t
-    falls short by, is 0, given that it is not at lo or below hi: search
-    upwards from hi by what short reports, then bisect.  `what` names who
-    needs it in the error past the search."""
-    cap = lo + _SEARCH
-    while (missing := short(hi)):
-        if hi > cap:
-            raise InsufficientTruncation(f"{what} --trunc above {hi}")
-        lo, hi = hi, hi + missing
-    while hi - lo > 1:  # success only grows with the truncation order
+def least_trunc(run, trunc: int, what: str):
+    """run(trunc); when that raises InsufficientTruncation, an error naming the
+    least t with trunc < t <= TRUNC_CAP at which run(t) raises none.  The
+    search steps up by the orders each failure reports `missing`, or by a step
+    that doubles while failures report none; at the first t that succeeds it
+    tries t - 1, and bisects below only if that succeeds too, as success only
+    grows with t.  This is the one place that works out which --trunc to name."""
+    def short(t):  # what run(t) reports missing, None when it succeeds
+        try:
+            run(t)
+        except InsufficientTruncation as exc:
+            return exc.missing
+        return None
+
+    try:
+        return run(trunc)
+    except InsufficientTruncation as exc:
+        missing = exc.missing
+    lo = hi = trunc
+    step = 1
+    while missing is not None:  # hi falls short
+        if hi >= TRUNC_CAP:
+            raise InsufficientTruncation(
+                f"truncation order {trunc} too small for {what}; no --trunc up to its cap {TRUNC_CAP} suffices")
+        lo, hi = hi, min(hi + (missing or step), TRUNC_CAP)
+        step *= 1 if missing else 2
+        missing = short(hi)
+    mid = hi - 1  # below a shortfall reported exactly, t - 1 falls short
+    while hi - lo > 1:
+        lo, hi = (mid, hi) if short(mid) is not None else (lo, mid)
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if short(mid) else (lo, mid)
-    return hi
+    raise InsufficientTruncation(f"truncation order {trunc} too small for {what}; it needs --trunc at least {hi}")
 
 
 def local_symbols(f, g, points, trunc: int) -> list:
@@ -181,29 +153,26 @@ def local_symbols(f, g, points, trunc: int) -> list:
     the symbol is the tame (-1)^(nu mu) a0^mu b0^-nu of the two lead
     coefficients, with no `_logs`: the windows start at w = 1.  If trunc
     is too small at some point, the error names the least --trunc that
-    suffices at all of them."""
-    values, need = [], 0
-    for s in points:
-        expansions = [(partial(r.expand_at, s), r.order_at(s)) for r in (f, g)]
-        start = _WINDOW if f.pole_order(s) or g.pole_order(s) else 1
-        value, short = _windowed([(expand, nu, trunc) for expand, nu in expansions], start)
-        values.append(value)
-        if short:
-            lo = max(trunc, *(nu for _, nu in expansions))
-            need = max(need, least_trunc(lambda t: _windowed([(e, nu, t) for e, nu in expansions], start)[1],
-                                         lo, max(trunc + short, lo + 1), "the local symbols need"))
-    if need:
-        raise InsufficientTruncation(
-            f"truncation order {trunc} too small for the local symbols; they need --trunc at least {need}"
-        )
-    return values
+    suffices at all of them (`least_trunc`)."""
+    def at(t):
+        values, missing = [], 0
+        for s in points:
+            start = _WINDOW if f.pole_order(s) or g.pole_order(s) else 1
+            value, short = _windowed([(partial(r.expand_at, s), r.order_at(s), t) for r in (f, g)], start)
+            values.append(value)
+            missing = max(missing, short)
+        if missing:
+            raise InsufficientTruncation(f"the local symbols need {missing} more orders", missing)
+        return values
+
+    return least_trunc(at, trunc, "the local symbols")
 
 
 def tame_symbol(f: LaurentSeries, g: LaurentSeries):
     """(-1)^(nu_f nu_g) * [f^nu_g / g^nu_f](0) over the trivial algebra.
 
     This is the classical discrete-valuation pairing; it must agree with
-    cc_symbol when the truncation degree is 1.  Returns a bare scalar.
+    the symbol when the truncation degree is 1.  Returns a bare scalar.
     """
     sig = f.signature
     if sig.truncation_degree != 1:

@@ -9,7 +9,8 @@ over A, cumulative trapezoid quadrature on the ordered simplex instead
 of word-series transport, an RK4 stepper that takes one node at a
 time on {monomial: scalar} maps instead of blocks of columns, a
 factorization that peels one factor at a time off the series instead of
-inverting the ghost map on its logarithmic derivative, and input
+inverting the ghost map on its logarithmic derivative, the symbol as the
+double product over two factorizations instead of its residue form, and input
 evaluators that make every literal a series, or every factor a function,
 instead of folding literals as scalars.
 """
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from ccsym import chen, parsing
 from ccsym.algebra import AlgebraElement, AlgebraSignature
-from ccsym.errors import InputError, InsufficientTruncation, NotInvertible
+from ccsym.errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from ccsym.laurent import CanonicalFactorization, LaurentSeries
 from ccsym.ratfunc import RationalFunctionA
 from ccsym.scalars import GR_I, GaussianRational, gaussian, geometric, power
@@ -259,6 +260,52 @@ def reconstruct(fac: CanonicalFactorization) -> LaurentSeries:
             out = (out * LaurentSeries(sig, {0: sig.one(), j: -fac.pos_factors[j]})).truncate(rel_cap)
     out = (out * neg_poly).truncate(T - fac.nu)
     return out.scale(fac.a0).shift(fac.nu)
+
+
+def _require_complete(fac: CanonicalFactorization, partner_neg_depth: int, who: str):
+    n = fac.signature.truncation_degree
+    needed = fac.nu + n * partner_neg_depth
+    if fac.trunc_order < needed:
+        raise InsufficientTruncation(
+            f"{who}: positive factors known below x^{fac.trunc_order - fac.nu} "
+            f"but the double product needs them below x^{n * partner_neg_depth}; "
+            f"re-expand with truncation >= {needed}"
+        )
+
+
+def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> AlgebraElement:
+    """The symbol from two canonical factorizations, by the double product of
+    the `ccsym.symbol` docstring: the reference for its residue form."""
+    if fac_f.signature != fac_g.signature:
+        raise SignatureMismatch("factorizations over different signatures")
+    sig = fac_f.signature
+
+    f_neg_depth = max((-j for j in fac_f.neg_factors), default=0)
+    g_neg_depth = max((-j for j in fac_g.neg_factors), default=0)
+    _require_complete(fac_f, g_neg_depth, "f")
+    _require_complete(fac_g, f_neg_depth, "g")
+
+    one = sig.one()
+
+    def double_product(pos: dict, neg: dict) -> AlgebraElement:
+        out = one
+        for k_neg, b in neg.items():
+            k = -k_neg
+            for j, a in pos.items():
+                d = math.gcd(j, k)
+                b_pow = b ** (j // d)
+                if b_pow.is_zero():
+                    continue
+                factor = one - (a ** (k // d)) * b_pow
+                out = out * factor ** d
+        return out
+
+    numerator = (fac_f.a0 ** fac_g.nu) * double_product(fac_f.pos_factors, fac_g.neg_factors)
+    denominator = (fac_g.a0 ** fac_f.nu) * double_product(fac_g.pos_factors, fac_f.neg_factors)
+    value = numerator * denominator.inverse()
+    if (fac_f.nu * fac_g.nu) % 2:
+        value = -value
+    return value
 
 
 # -- input evaluators that make every literal a series or a function ----------------

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ccsym.algebra import deviation, parse_signature
+from ccsym import chen
 from ccsym.chen import QuadratureConfig, line_integral, transport
 from ccsym.checks import (
     bilinear_reciprocity_check,
@@ -14,7 +15,7 @@ from ccsym.checks import (
     main_theorem_check,
     weil_reciprocity_check,
 )
-from ccsym.errors import InputError
+from ccsym.errors import InputError, InsufficientTruncation
 from ccsym.forms import DlogForm, SimplePole
 from ccsym.parsing import parse_element, parse_ratfunc
 from ccsym.paths import lasso
@@ -158,6 +159,17 @@ def test_main_theorem_rejects_off_support_point():
         main_theorem_check(
             f, f, SpherePoint.finite(7), gaussian(-1, 0), 0.25, CFG, trunc=10
         )
+
+
+def test_main_theorem_with_a_short_trunc_fails_before_the_transport(monkeypatch):
+    # the exact local symbol comes first: a search for the --trunc to name runs no transport
+    sig = parse_signature("gens=eps;degree=3;scalars=exact")
+    f, g = parse_ratfunc("(x-1+eps)^3*(x-2)^-1", sig), parse_ratfunc("(x+eps)^-2*(x-1)", sig)
+    monkeypatch.setattr(chen, "transport", lambda *args: pytest.fail("transported"))
+    with pytest.raises(InsufficientTruncation, match="it needs --trunc at least 8"):
+        main_theorem_check(f, g, SpherePoint.finite(1), gaussian(1, 1), 0.25, CFG, trunc=3)
+    with pytest.raises(pytest.fail.Exception, match="transported"):  # at the named one, it transports
+        main_theorem_check(f, g, SpherePoint.finite(1), gaussian(1, 1), 0.25, CFG, trunc=8)
 
 
 def test_main_theorem_takes_a_complex_base():

@@ -5,6 +5,7 @@ drawn from the table."""
 import contextlib
 import io
 import json
+import random
 import re
 import shlex
 import time
@@ -13,12 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ccsym.algebra import parse_signature
+from ccsym.algebra import AlgebraSignature, parse_signature
 from ccsym.checks import CHECKS
 from ccsym.cli import CAPS, TARGETS, build_parser, check_caps, main, verify_flags
+from ccsym.laurent import LaurentSeries
 from ccsym.parsing import parse_series
 
-from conftest import agrees_with
+from conftest import agrees_with, random_invertible_series
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -141,6 +143,10 @@ def test_a_short_truncation_names_the_trunc_that_suffices(argv):
         (["tame", "--f=x", "--g=x^2+x^3", "--trunc=2"], 3),
         # the first unit term is x, at --trunc 2, but factorizing needs more
         (["factorize", EPS2, "--f=eps+x", "--trunc=1"], 4),
+        # x^2 + eps cut below x^2 is eps, which has no inverse
+        (["symbol", EPS2, "--f=1/(x^2+eps)", "--g=1-x", "--trunc=2"], 6),
+        # the leading terms cancel, so the first unit term x is read from the series at the cap
+        (["symbol", "--f=1/(1-x)-1", "--g=x", "--trunc=1"], 2),
     ],
 )
 def test_a_truncation_below_every_unit_term_names_the_trunc_that_suffices(argv, needed):
@@ -211,6 +217,72 @@ def test_factorize_of_a_deep_negative_factor_names_its_trunc_and_rebuilds_the_se
     series = parse_series(f.split("=", 1)[1], sig, 28)
     assert trunc_order > series.valuation()
     assert agrees_with(parse_series(out.strip(), sig, trunc_order), series, upto=trunc_order)
+
+
+# -- every --trunc an error names is the least that works ----------------------------
+
+
+def least_trunc_named(argv, given):
+    """The --trunc that argv names at --trunc `given`, or None when it names
+    none; a named N lies above `given` and within the cap, the command runs
+    at N, and at N - 1, when that is above `given`, it names N again."""
+    code, _, err = run_main(argv + [f"--trunc={given}"])
+    if not (named := re.search(r"--trunc at least (-?\d+)", err)):
+        return None
+    need = int(named.group(1))
+    assert_one_error_line(code, err)
+    assert given < need <= CAPS["--trunc"][1], err
+    code, _, err = run_main(argv + [f"--trunc={need}"])
+    assert code == 0, err
+    if need - 1 > given:
+        code, _, err = run_main(argv + [f"--trunc={need - 1}"])
+        assert code == 2 and f"--trunc at least {need}" in err, err
+    return need
+
+
+# an inverse or an x^-k factor lowers how far these series are known, and the
+# unit-term and symbol stages each fall short at some --trunc in 1..11
+PROBE_F = ["1/(x^2+eps)", "(1-eps*x^-1)", "(1+eps*x^-2)*(1-x)^-1", "1/(x^3+eps*x)", "(x+eps)^-2",
+           "1/(x^2+eps*x+eps^2)", "(1-eps*x^-3)^-1*(2+x)", "x^5+eps", "1/(x^4+eps)"]
+
+
+@pytest.mark.parametrize("argv", [["symbol", EPS3, f"--f={f}", f"--g={g}"] for f in PROBE_F
+                                  for g in ("1-x", "(x-eps)^-1")] + [["factorize", EPS3, f"--f={f}"] for f in PROBE_F])
+def test_every_trunc_named_on_the_probe_grid_is_the_least_that_works(argv):
+    named = [least_trunc_named(argv, given) for given in range(1, 12)]
+    assert any(named)
+
+
+@st.composite
+def short_series_argv(draw):
+    """(argv without --trunc, a small --trunc) of `symbol`, `tame` or `factorize`
+    on products of divisors 1/(x^k + c eps^j), x^-k and random series: units all."""
+    command = draw(st.sampled_from(["symbol", "tame", "factorize"]))
+    sig = AlgebraSignature(("eps",), 1 if command == "tame" else draw(st.integers(2, 3)))
+
+    def factor():
+        kind = draw(st.sampled_from(["divisor", "pole", "series"]))
+        if kind == "divisor":
+            c = draw(st.sampled_from(["+", "-2*", "+1/2*", "+i*"]))
+            return f"1/(x^{draw(st.integers(1, 4))}{c}eps^{draw(st.integers(1, 2))})"
+        if kind == "pole":
+            return f"x^-{draw(st.integers(1, 3))}"
+        series = random_invertible_series(random.Random(draw(st.integers(0, 2**32))), sig, 12)
+        return str(LaurentSeries(sig, series.coeffs))
+
+    def text():
+        return "*".join(f"({factor()})" for _ in range(draw(st.integers(1, 2))))
+
+    argv = [command, f"--algebra=gens=eps;degree={sig.truncation_degree}", f"--f={text()}"]
+    return argv + ([] if command == "factorize" else [f"--g={text()}"]), draw(st.integers(1, 6))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(short_series_argv())
+def test_a_unit_series_command_runs_or_names_the_least_trunc_that_works(case):
+    argv, given = case
+    code, _, err = run_main(argv + [f"--trunc={given}"])
+    assert code == 0 or least_trunc_named(argv, given), err
 
 
 # -- no silently dropped input ----------------------------------------------------

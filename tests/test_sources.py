@@ -8,6 +8,7 @@ peak about 280 KB higher, which showed as a 0.2 MB rise of the
 benchmark's `peak_rss_mb` on every workload.
 """
 
+import ast
 import pathlib
 import tokenize
 
@@ -28,3 +29,22 @@ def test_every_module_stays_below_the_parser_token_buffer():
     assert "parsing.py" in counts
     over = {name: n for name, n in counts.items() if n >= TOKEN_BUFFER}
     assert not over, f"modules at or past {TOKEN_BUFFER} parser tokens (split or trim them): {over}"
+
+
+def test_only_the_truncation_search_and_the_cli_put_trunc_in_an_error():
+    """`symbol.least_trunc` alone works out which --trunc an error names; cli.py
+    also states the flag's cap.  No other raise in the package names the flag."""
+    package = pathlib.Path(ccsym.__file__).parent
+    raisers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> the innermost function around it
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and any(
+                    isinstance(leaf, ast.Constant) and "--trunc" in str(leaf.value) for leaf in ast.walk(node.exc)):
+                raisers.add((path.name, owner.get(node)))
+    assert ("symbol.py", "least_trunc") in raisers
+    assert {(name, fn) for name, fn in raisers if name != "cli.py"} == {("symbol.py", "least_trunc")}

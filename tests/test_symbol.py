@@ -12,14 +12,9 @@ from ccsym.laurent import LaurentSeries, _logs, factorize
 from ccsym.parsing import parse_ratfunc
 from ccsym.ratfunc import RationalFunctionA as RF, rf_support
 from ccsym.scalars import gaussian
-from ccsym.symbol import (
-    cc_symbol,
-    cc_symbol_series,
-    local_symbols,
-    tame_symbol,
-)
+from ccsym.symbol import cc_symbol_series, local_symbols, tame_symbol
 
-from conftest import oracle_factorize, random_element, random_invertible_series
+from conftest import cc_symbol, oracle_factorize, random_element, random_invertible_series
 
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
 SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
