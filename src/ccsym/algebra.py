@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain, repeat
@@ -50,27 +49,35 @@ class Backend(enum.Enum):
 _FLOAT = Backend.FLOAT  # read per operation: cheaper than Backend.FLOAT
 
 
-@dataclass(frozen=True)
+_SIGNATURES = {}  # (generators, degree, backend) -> the one signature built for it
+
+
 class AlgebraSignature:
-    """Generators, truncation degree and scalar backend of the algebra."""
+    """Generators, truncation degree and scalar backend of the algebra.
 
-    generators: tuple
-    truncation_degree: int
-    backend: Backend = Backend.EXACT
-    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # tuple <-> packed key
+    A signature is validated and built once, so equal signatures are one
+    object, and it shares `_codes`, tuple <-> packed key, with its twin
+    on the other backend."""
 
-    def __post_init__(self):
-        if self.truncation_degree < 1:
+    def __new__(cls, generators: tuple, truncation_degree: int, backend: Backend = Backend.EXACT):
+        generators = tuple(generators)
+        key = generators, truncation_degree, backend
+        if (sig := _SIGNATURES.get(key)) is not None:
+            return sig
+        if truncation_degree < 1:
             raise InputError("truncation degree must be >= 1")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise InputError("generator names must be distinct")
-        for name in self.generators:
+        for name in generators:
             if not name.isidentifier():
                 raise InputError(f"bad generator name {name!r}")
-
-    @property
-    def ngens(self) -> int:
-        return len(self.generators)
+            if name == "x":
+                raise InputError("x is the variable of series and functions, not a generator name")
+        sig = _SIGNATURES[key] = object.__new__(cls)
+        sig.generators, sig.truncation_degree, sig.backend, sig.ngens = *key, len(generators)
+        twin = _SIGNATURES.get((generators, truncation_degree, Backend.FLOAT if backend is Backend.EXACT else Backend.EXACT))
+        sig._codes = {} if twin is None else twin._codes
+        return sig
 
     def empty_monomial(self) -> Monomial:
         return (0,) * self.ngens
@@ -143,8 +150,7 @@ class AlgebraSignature:
         return AlgebraSignature(self.generators, self.truncation_degree, Backend.FLOAT)
 
     def to_exact(self) -> "AlgebraSignature":
-        """The exact signature of these generators and degree; self when exact, for `_check`'s `is`."""
-        return self if self.backend is Backend.EXACT else AlgebraSignature(self.generators, self.truncation_degree)
+        return AlgebraSignature(self.generators, self.truncation_degree)
 
     def __str__(self) -> str:
         gens = ",".join(self.generators)
@@ -160,8 +166,10 @@ def parse_signature(text: str) -> AlgebraSignature:
             continue
         if "=" not in part:
             raise InputError(f"bad signature field {part!r}")
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key, _, value = (s.strip() for s in part.partition("="))
+        if key in fields:
+            raise InputError(f"signature field {key!r} is given more than once")
+        fields[key] = value
     unknown = set(fields) - {"gens", "degree", "scalars"}
     if unknown:
         raise InputError(f"unknown signature fields {sorted(unknown)}")
@@ -255,7 +263,7 @@ class AlgebraElement:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "AlgebraElement"):
-        if self.signature is not other.signature and self.signature != other.signature:
+        if self.signature is not other.signature:
             raise SignatureMismatch(
                 f"operands over different signatures: {self.signature} vs {other.signature}"
             )

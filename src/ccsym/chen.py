@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations, product, repeat
 from operator import add, mul
@@ -65,16 +64,13 @@ from .paths import Path
 from .reports import CheckReport, make_report
 
 
-@dataclass(frozen=True)
 class QuadratureConfig:
-    steps_per_segment: int = 256
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.steps_per_segment < 1:
+    def __init__(self, steps_per_segment: int = 256, tolerance: float = 1e-8):
+        if steps_per_segment < 1:
             raise InputError("steps_per_segment must be >= 1")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if not (math.isfinite(tolerance) and tolerance > 0):
             raise InputError("tolerance must be a positive finite number")
+        self.steps_per_segment, self.tolerance = steps_per_segment, tolerance
 
     @cached_property
     def nodes(self) -> array:

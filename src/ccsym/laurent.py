@@ -21,7 +21,6 @@ the residue form in `symbol`), the positive ones from dlog (h / f_-).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend, exp
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
@@ -252,28 +251,26 @@ def format_coeff(c: AlgebraElement) -> str:
     return s
 
 
-@dataclass
 class CanonicalFactorization:
-    """The data (nu, a0, {a_j}) of the unique product decomposition."""
+    """The data (nu, a0, {a_j}) of the unique product decomposition: `neg_factors`
+    maps j < 0 to an element of m, `pos_factors` j > 0 to an element of A, and
+    the reconstruction matches the source below `trunc_order`."""
 
-    signature: AlgebraSignature
-    nu: int
-    a0: AlgebraElement
-    neg_factors: dict = field(default_factory=dict)  # j < 0 -> element of m
-    pos_factors: dict = field(default_factory=dict)  # j > 0 -> element of A
-    trunc_order: float = INF  # reconstruction matches the source below this
-
-    def __post_init__(self):
-        if not self.a0.is_unit():
+    def __init__(self, signature: AlgebraSignature, nu: int, a0: AlgebraElement,
+                 neg_factors: dict = None, pos_factors: dict = None, trunc_order: float = INF):
+        neg_factors, pos_factors = neg_factors or {}, pos_factors or {}
+        if not a0.is_unit():
             raise NotInvertible("leading coefficient a0 must be a unit")
-        for j, a in self.neg_factors.items():
+        for j, a in neg_factors.items():
             if j >= 0:
                 raise InputError(f"negative-factor index {j} must be < 0")
             if a.is_unit():
                 raise InputError(f"factor at {j} must lie in the maximal ideal")
-        for j in self.pos_factors:
+        for j in pos_factors:
             if j <= 0:
                 raise InputError(f"positive-factor index {j} must be > 0")
+        self.signature, self.nu, self.a0, self.trunc_order = signature, nu, a0, trunc_order
+        self.neg_factors, self.pos_factors = neg_factors, pos_factors
 
     def factor(self, j: int) -> AlgebraElement:
         src = self.neg_factors if j < 0 else self.pos_factors

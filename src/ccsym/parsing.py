@@ -11,7 +11,7 @@ literals with the same parser.  Precedence is ^ above unary minus above
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import CcsymError, InputError
@@ -34,8 +34,7 @@ MAX_POWER_BITS = 8192
 MAX_SUM_DEGREE = 64
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM NAME OP END
     text: str
     pos: int
@@ -370,18 +369,16 @@ def _reduction_lead(text: str, sig: AlgebraSignature):
 # -- factored rational function evaluation -----------------------------------------
 
 
-@dataclass(frozen=True)
 class _PolyFraction:
     """A fraction num/den of A-polynomials in x (lists, lowest degree first)."""
 
-    sig: AlgebraSignature
-    num: list
-    den: list
-    text: str
+    __slots__ = ("sig", "num", "den", "text")
 
-    def __post_init__(self):  # a backstop for the sums `_reduction_spans` cannot bound
-        if (degree := max(len(self.num), len(self.den)) - 1) > MAX_SUM_DEGREE:
-            raise _degree_error(degree, self.text, what="sum with a polynomial of x-degree")
+    def __init__(self, sig: AlgebraSignature, num: list, den: list, text: str):
+        # a backstop for the sums `_reduction_spans` cannot bound
+        if (degree := max(len(num), len(den)) - 1) > MAX_SUM_DEGREE:
+            raise _degree_error(degree, text, what="sum with a polynomial of x-degree")
+        self.sig, self.num, self.den, self.text = sig, num, den, text
 
     def __neg__(self):
         return _PolyFraction(self.sig, [-c for c in self.num], self.den, self.text)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
 
@@ -22,14 +21,26 @@ from .ratfunc import SpherePoint
 CHAIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LineSegment:
-    start: complex
-    end: complex
+class _Segment:
+    """A segment equals, and hashes as, a segment of its own class with the same fields."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", complex(self.start))
-        object.__setattr__(self, "end", complex(self.end))
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class LineSegment(_Segment):
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: complex, end: complex):
+        self.start, self.end = complex(start), complex(end)
 
     def point(self, t: float) -> complex:
         return self.start + t * (self.end - self.start)
@@ -55,23 +66,16 @@ class LineSegment:
         return abs(p - (self.start + t * d))
 
 
-@dataclass(frozen=True)
-class ArcSegment:
-    center: complex
-    radius: float
-    theta0: float
-    sweep: float  # signed; positive is counterclockwise
+class ArcSegment(_Segment):
+    __slots__ = ("center", "radius", "theta0", "sweep")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        r = self.radius
-        if isinstance(r, complex):
-            if r.imag != 0:
+    def __init__(self, center: complex, radius: float, theta0: float, sweep: float):  # sweep > 0 is counterclockwise
+        self.center = complex(center)
+        if isinstance(radius, complex):
+            if radius.imag != 0:
                 raise PathError("arc radius must be real")
-            r = r.real
-        object.__setattr__(self, "radius", float(r))
-        object.__setattr__(self, "theta0", float(self.theta0))
-        object.__setattr__(self, "sweep", float(self.sweep))
+            radius = radius.real
+        self.radius, self.theta0, self.sweep = float(radius), float(theta0), float(sweep)
 
     def point(self, t: float) -> complex:
         return self.center + self.radius * cmath.exp(1j * (self.theta0 + t * self.sweep))

@@ -25,9 +25,8 @@ sampling.  `dlog_eval` takes them at one point, and the sampler of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property
 from itertools import accumulate, repeat, zip_longest
 from math import comb
 from operator import add, mul, sub, truediv
@@ -40,9 +39,7 @@ from .laurent import LaurentSeries
 from .scalars import GaussianRational, as_exact, poly_eval
 
 
-@total_ordering
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(NamedTuple):
     """A point of P^1: a finite Gaussian-rational value or infinity."""
 
     value: GaussianRational | None  # None encodes infinity
@@ -59,13 +56,11 @@ class SpherePoint:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def _key(self):
-        if self.value is None:
-            return (1, Fraction(0), Fraction(0))
-        return (0, self.value.re, self.value.im)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
+    def __lt__(self, other):  # by (re, im), infinity last: the one comparison `sorted` makes
+        a, b = self.value, other.value
+        if a is None or b is None:
+            return a is not None and b is None
+        return (a.re, a.im) < (b.re, b.im)
 
     def __str__(self):
         return "inf" if self.value is None else str(self.value)
@@ -187,37 +182,30 @@ def _divide_out(red: list, root) -> tuple:
     return k, red
 
 
-@dataclass(frozen=True)
 class RationalFunctionA:
     """scale * prod (x - root)^mult * num(x)/den(x), num == den mod m.
 
     `base_factors` holds one (root, net multiplicity) per distinct root,
-    sorted as SpherePoints; a multiplicity of 0 is a pole carrier.  A
-    perturbation with num == den is stored as 1/1.  The signature is exact."""
+    sorted as SpherePoints; a multiplicity of 0 is a pole carrier.  The
+    perturbation `pert_num`/`pert_den` is two tuples of elements, degree-
+    indexed; num == den is stored as 1/1.  The signature is exact, and two
+    functions are equal when these fields are."""
 
-    signature: AlgebraSignature
-    base_factors: tuple = ()  # ((GaussianRational, int), ...)
-    scale: AlgebraElement = None
-    pert_num: tuple = None  # tuple of AlgebraElement, degree-indexed
-    pert_den: tuple = None
-
-    def __post_init__(self):
-        sig = self.signature
+    def __init__(self, signature: AlgebraSignature, base_factors: tuple = (), scale: AlgebraElement = None,
+                 pert_num: tuple = None, pert_den: tuple = None):
+        sig = signature
         if sig.backend is not Backend.EXACT:
             raise InputError("rational functions have exact coefficients; build them over the exact signature")
-        if self.scale is None:
-            object.__setattr__(self, "scale", sig.one())
-        if not self.scale.is_unit():
+        scale = sig.one() if scale is None else scale
+        if not scale.is_unit():
             raise NotInvertible("scale must be a unit of A")
         net = {}
-        for root, mult in self.base_factors:
+        for root, mult in base_factors:
             if not isinstance(root, GaussianRational):
                 raise InputError("base roots must be exact Gaussian rationals")
             net[root] = net.get(root, 0) + mult
-        merged = sorted(net.items(), key=lambda rm: SpherePoint(rm[0]))
-        object.__setattr__(self, "base_factors", tuple(merged))
-        num = list(self.pert_num) if self.pert_num else [sig.one()]
-        den = list(self.pert_den) if self.pert_den else [sig.one()]
+        num = list(pert_num) if pert_num else [sig.one()]
+        den = list(pert_den) if pert_den else [sig.one()]
         num, den = poly_trim(num), poly_trim(den)
         if not num or not den:
             raise InputError("perturbation polynomials must be nonzero")
@@ -227,8 +215,12 @@ class RationalFunctionA:
             raise InputError(
                 "perturbation numerator and denominator must have identical reductions"
             )
-        object.__setattr__(self, "pert_num", tuple(num))
-        object.__setattr__(self, "pert_den", tuple(den))
+        self.signature, self.scale, self.pert_num, self.pert_den = sig, scale, tuple(num), tuple(den)
+        self.base_factors = tuple(sorted(net.items(), key=lambda rm: SpherePoint(rm[0])))
+
+    def __eq__(self, other):
+        fields = ("signature", "base_factors", "scale", "pert_num", "pert_den")
+        return type(other) is RationalFunctionA and all(getattr(self, k) == getattr(other, k) for k in fields)
 
     # -- constructors --------------------------------------------------------
 

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     inputs: dict
     lhs: str
@@ -19,16 +18,8 @@ class CheckReport:
     runtime_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "inputs": self.inputs,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "deviation": self.deviation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "runtime_ms": self.runtime_ms,
-        }
+        """The fields in order, with `passed` written as "pass"."""
+        return {"pass" if name == "passed" else name: value for name, value in self._asdict().items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

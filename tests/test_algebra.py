@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccsym.algebra import (
     AlgebraElement,
+    AlgebraSignature,
     Backend,
     deviation,
     element_to_json,
@@ -43,6 +44,24 @@ def test_signature_validation():
         parse_signature("gens=eps;degree=2;scalars=quad")
     with pytest.raises(InputError):
         parse_signature("gens=eps;degree=2;bogus=1")
+
+
+def test_a_signature_is_built_once():
+    sig = AlgebraSignature(("eps", "delta"), 3)
+    assert AlgebraSignature(("eps", "delta"), 3) is sig is parse_signature("gens=eps,delta;degree=3")
+    assert AlgebraSignature(["eps", "delta"], 3, Backend.EXACT) is sig
+    wide = sig.to_float()
+    assert wide is not sig and wide is sig.to_float() and wide.to_exact() is sig and wide.to_float() is wide
+    assert sig.to_exact() is sig and hash(wide) != hash(sig)
+
+
+@pytest.mark.parametrize("gens", [("x",), ("eps", "x"), ("eps", "eps"), ("1eps",)], ids=str)
+def test_bad_generator_names_raise_on_every_build(gens):
+    for _ in range(3):
+        with pytest.raises(InputError):
+            AlgebraSignature(gens, 2)
+        with pytest.raises(InputError):
+            parse_signature(f"gens={','.join(gens)};degree=2;scalars=float")
 
 
 def test_mul_truncates_at_degree():

@@ -127,6 +127,29 @@ def test_input_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "algebra, message",
+    [
+        ("gens=x;degree=2", "x is the variable of series and functions, not a generator name"),
+        ("gens=eps,x;degree=3", "x is the variable of series and functions, not a generator name"),
+        ("gens=eps;degree=2;degree=3", "signature field 'degree' is given more than once"),
+        ("gens=eps;gens=delta", "signature field 'gens' is given more than once"),
+        ("scalars=exact; gens=eps ;scalars=float", "signature field 'scalars' is given more than once"),
+    ],
+    ids=["x", "x-second", "degree-twice", "gens-twice", "scalars-twice"],
+)
+def test_a_generator_named_x_or_a_repeated_signature_field_exits_2(capsys, algebra, message):
+    # --algebra "gens=x;degree=2" used to print 1: the series read x as the variable, never the generator
+    code, out, err = run_cli(capsys, "symbol", "--algebra", algebra, "--f", "1+x", "--g", "x")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_generator_named_i_is_kept(capsys):
+    # where i is a generator, an element or series reads i as it, as with eps in test_symbol_command
+    code, out, _ = run_cli(capsys, "symbol", "--algebra", "gens=i;degree=2", "--f", "(1-i*x^-1)", "--g", "(1-x)")
+    assert (code, out) == (0, "1+i\n")
+
+
 def test_check_failure_exit_code(capsys):
     # an impossible tolerance turns a passing check into exit code 1
     code, out, _ = run_cli(

@@ -1,4 +1,4 @@
-"""Limits on the package's source that show in every run's memory.
+"""Limits on the package's source that show in every run's memory and start-up.
 
 A fresh process compiles each module it imports when no bytecode is
 cached, as the benchmark runs do.  CPython's parser keeps a module's
@@ -9,7 +9,10 @@ benchmark's `peak_rss_mb` on every workload.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import tokenize
 
 import ccsym
@@ -48,3 +51,14 @@ def test_only_the_truncation_search_and_the_cli_put_trunc_in_an_error():
                 raisers.add((path.name, owner.get(node)))
     assert ("symbol.py", "least_trunc") in raisers
     assert {(name, fn) for name, fn in raisers if name != "cli.py"} == {("symbol.py", "least_trunc")}
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    """Every command pays its imports.  `dataclasses` imports `inspect`, about
+    6 ms of a cold start on a 2-vCPU machine, and `@dataclass` execs the
+    methods it generates when a module is imported."""
+    src = pathlib.Path(ccsym.__file__).parent.parent
+    code = "import sys, ccsym.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
