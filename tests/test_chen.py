@@ -58,7 +58,7 @@ def test_segments_are_equal_by_class_and_coerced_fields():
     assert line != LineSegment(0, 2) and line.reversed() == LineSegment(1, 0)
     arc = ArcSegment(0, 1, 0, math.pi)
     assert arc == ArcSegment(0j, 1.0, 0.0, math.pi) and hash(arc) == hash(ArcSegment(0j, 1.0, 0.0, math.pi))
-    # a degenerate arc and a line through the same fields are still different segments
+    # a line and an arc that are both the point 1 are still different segments
     assert LineSegment(1, 1) != ArcSegment(1, 0, 0, 0) and ArcSegment(1, 0, 0, 0) != LineSegment(1, 1)
     assert all(line != other for other in (arc, (0j, 1 + 0j), None))
 

@@ -59,6 +59,7 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     methods it generates when a module is imported."""
     src = pathlib.Path(ccsym.__file__).parent.parent
     code = "import sys, ccsym.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+    # -S: the environment's site hooks are not the package's imports
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
