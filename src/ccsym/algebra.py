@@ -64,15 +64,7 @@ class AlgebraSignature:
         key = generators, truncation_degree, backend
         if (sig := _SIGNATURES.get(key)) is not None:
             return sig
-        if truncation_degree < 1:
-            raise InputError("truncation degree must be >= 1")
-        if len(set(generators)) != len(generators):
-            raise InputError("generator names must be distinct")
-        for name in generators:
-            if not name.isidentifier():
-                raise InputError(f"bad generator name {name!r}")
-            if name == "x":
-                raise InputError("x is the variable of series and functions, not a generator name")
+        _check_fields(generators, truncation_degree)
         sig = _SIGNATURES[key] = object.__new__(cls)
         sig.generators, sig.truncation_degree, sig.backend, sig.ngens = *key, len(generators)
         twin = _SIGNATURES.get((generators, truncation_degree, Backend.FLOAT if backend is Backend.EXACT else Backend.EXACT))
@@ -157,8 +149,22 @@ class AlgebraSignature:
         return f"gens={gens};degree={self.truncation_degree};scalars={self.backend.value}"
 
 
-def parse_signature(text: str) -> AlgebraSignature:
-    """Parse the textual form `gens=eps,delta;degree=3;scalars=exact`."""
+def _check_fields(generators: tuple, truncation_degree: int):
+    if truncation_degree < 1:
+        raise InputError("truncation degree must be >= 1")
+    if len(set(generators)) != len(generators):
+        raise InputError("generator names must be distinct")
+    for name in generators:
+        if not name.isidentifier():
+            raise InputError(f"bad generator name {name!r}")
+        if name == "x":
+            raise InputError("x is the variable of series and functions, not a generator name")
+
+
+def parse_signature(text: str, check=None) -> AlgebraSignature:
+    """Parse the textual form `gens=eps,delta;degree=3;scalars=exact`.  `check`,
+    if given, sees the validated generators and degree before the signature
+    is built, so a signature it rejects is never kept in `_SIGNATURES`."""
     fields = {}
     for part in text.split(";"):
         part = part.strip()
@@ -183,6 +189,9 @@ def parse_signature(text: str) -> AlgebraSignature:
         backend = Backend(backend_name)
     except ValueError:
         raise InputError(f"scalars must be 'exact' or 'float', got {backend_name!r}") from None
+    _check_fields(gens, degree)
+    if check:
+        check(gens, degree)
     return AlgebraSignature(gens, degree, backend)
 
 

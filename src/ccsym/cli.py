@@ -139,13 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def check_caps(args, sig):
+def check_caps(args, generators, degree):
     """Reject an integer flag, or an algebra's degree or monomial count, outside its cap."""
     values = {f"--{name}": value for name, value in vars(args).items()}
-    values["--algebra degree"] = sig.truncation_degree
+    values["--algebra degree"] = degree
     # the degree is checked first; past its cap the count alone could take seconds
-    degree = min(sig.truncation_degree, CAPS["--algebra degree"][1])
-    values["--algebra monomials"] = math.comb(sig.ngens + degree - 1, sig.ngens)
+    degree = min(degree, CAPS["--algebra degree"][1])
+    values["--algebra monomials"] = math.comb(len(generators) + degree - 1, len(generators))
     for name, (lo, hi) in CAPS.items():
         if values.get(name) is not None and not lo <= values[name] <= hi:
             raise InputError(f"{name} must lie in {lo}..{hi}, got {values[name]}")
@@ -182,8 +182,7 @@ def _emit_reports(reports, as_json: bool) -> int:
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    sig = parse_signature(getattr(args, "algebra", DEFAULT_ALGEBRA))
-    check_caps(args, sig)
+    sig = parse_signature(getattr(args, "algebra", DEFAULT_ALGEBRA), functools.partial(check_caps, args))
 
     # the series commands compute over Q(i); a float algebra widens what they print
     exact = sig.to_exact()

@@ -104,9 +104,8 @@ class LaurentSeries:
         by the zero series is."""
         if a.is_zero():
             return LaurentSeries.zero(self.signature)
-        return LaurentSeries(
-            self.signature, {e: c * a for e, c in self.coeffs.items()}, self.trunc
-        )
+        one = self.signature.one()  # a coefficient 1 gives a itself, with no product
+        return LaurentSeries(self.signature, {e: a if c is one else c * a for e, c in self.coeffs.items()}, self.trunc)
 
     def widen(self) -> "LaurentSeries":
         if self.signature.backend is Backend.FLOAT:

@@ -1,6 +1,6 @@
 """Input grammar: scalar, element and series literals, factored rational functions.
 
-One tokenizer and one Pratt-style expression parser feed the evaluators:
+One tokenizer and one precedence-climbing parser feed the evaluators:
 one fold for exact scalars (points, radii, path parameters), algebra
 elements and Laurent series (the symbol pipeline), and factored
 rational functions (the sphere harness).  `paths.parse_path` reads path
@@ -11,13 +11,14 @@ literals with the same parser.  Precedence is ^ above unary minus above
 from __future__ import annotations
 
 import operator
+from math import gcd
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import CcsymError, InputError
 from .laurent import INF, LaurentSeries
-from .ratfunc import RationalFunctionA, poly_add, poly_mul, poly_reduction, poly_trim
-from .scalars import GR_I, GaussianRational, gaussian, power
+from .ratfunc import RationalFunctionA, poly_mul, poly_reduction
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, power
 
 # Bounds both the nesting the parser recurses through (parentheses, unary
 # minus, path constructors) and the depth of the tree the evaluators
@@ -29,51 +30,42 @@ MAX_DEPTH = 100
 # at most 4300 digits) and quick to compute.
 MAX_POWER_BITS = 8192
 # Bounds the x-degree a sum's numerator or denominator may reach, read off
-# its leaves before `_polyfrac` expands it and checked on every polynomial
-# it builds, since expanding costs about the square of the degree.
+# its leaves before the sum is expanded and checked on every polynomial
+# the expansion builds, since expanding costs about the square of the degree.
 MAX_SUM_DEGREE = 64
 
 
-class Token(NamedTuple):
-    kind: str  # NUM NAME OP END
-    text: str
-    pos: int
-
-
-def tokenize(text: str):
+def tokenize(text: str) -> list:
+    """(kind, text, position) tuples, kind NUM, NAME, OP or END: a number is
+    a run of ASCII digits, a name a letter or _ and the letters, digits
+    and _ after it."""
     tokens = []
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        j = i + 1
+        if ch in "+-*/^(),":
+            tokens.append(("OP", ch, i))
+        elif "0" <= ch <= "9":
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(Token("NUM", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            tokens.append(("NUM", text[i:j], i))
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("NAME", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(Token("OP", ch, i))
-            i += 1
-            continue
-        raise InputError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token("END", "", n))
+            tokens.append(("NAME", text[i:j], i))
+        elif not ch.isspace():
+            raise InputError(f"unexpected character {ch!r} at position {i}")
+        i = j
+    tokens.append(("END", "", n))
     return tokens
 
 
 # AST: ("num", int) ("name", str) ("neg", a) ("add"/"sub"/"mul"/"div", a, b)
 #      ("pow", a, int)
+
+_INFIX = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
 
 
 def _ast_depth(node) -> int:
@@ -85,6 +77,13 @@ def _ast_depth(node) -> int:
     return depth
 
 
+def _integer(text: str, pos: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts
+        raise InputError(f"number literal at position {pos} is too long") from None
+
+
 class ExpressionParser:
     def __init__(self, text: str):
         self.text = text
@@ -92,25 +91,21 @@ class ExpressionParser:
         self.idx = 0
         self.depth = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.idx]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.idx]
         self.idx += 1
         return tok
 
-    def expect(self, text: str) -> Token:
-        tok = self.advance()
-        if tok.text != text:
-            raise InputError(
-                f"expected {text!r} at position {tok.pos} in {self.text!r}, got {tok.text!r}"
-            )
-        return tok
+    def expect(self, text: str):
+        _, got, pos = self.advance()
+        if got != text:
+            raise InputError(f"expected {text!r} at position {pos} in {self.text!r}, got {got!r}")
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise InputError(f"{message} at position {tok.pos} in {self.text!r}")
+        raise InputError(f"{message} at position {self.peek()[2]} in {self.text!r}")
 
     def nested(self, parse):
         """parse() one nesting level deeper, within MAX_DEPTH."""
@@ -127,76 +122,46 @@ class ExpressionParser:
             self.fail(f"expression deeper than {MAX_DEPTH} levels")
         return node
 
-    def parse_sum(self):
-        node = self.parse_term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            rhs = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def parse_term(self):
+    def parse_sum(self, level=1):
+        """Operands joined left to right by the infix operators of `level`
+        or above: + and - are level 1, * and / level 2."""
         node = self.parse_unary()
-        while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            rhs = self.parse_unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
+        while (op := _INFIX.get(self.tokens[self.idx][1])) and op[1] >= level:
+            self.idx += 1
+            node = (op[0], node, self.parse_unary() if op[1] == 2 else self.parse_sum(2))
         return node
 
     def parse_unary(self):
-        if self.peek().text == "-":
-            self.advance()
+        """-u, or a number, a name or a parenthesized sum, then an optional
+        ^ with an integer literal, signed or not."""
+        kind, text, pos = self.advance()
+        if text == "-":
             return ("neg", self.nested(self.parse_unary))
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        if self.peek().text == "^":
-            self.advance()
-            return ("pow", base, self.parse_exponent())
-        return base
-
-    def parse_exponent(self) -> int:
-        sign = 1
-        if self.peek().text == "-":
-            self.advance()
-            sign = -1
-        tok = self.advance()
-        if tok.kind != "NUM":
-            raise InputError(
-                f"exponent must be an integer literal at position {tok.pos} in {self.text!r}"
-            )
-        return sign * self.integer(tok)
-
-    def integer(self, tok: Token) -> int:
-        try:
-            return int(tok.text)
-        except ValueError:  # more digits than Python converts
-            raise InputError(f"number literal at position {tok.pos} is too long") from None
-
-    def parse_atom(self):
-        tok = self.advance()
-        if tok.kind == "NUM":
-            return ("num", self.integer(tok))
-        if tok.kind == "NAME":
-            return ("name", tok.text)
-        if tok.text == "(":
+        if kind == "NUM":
+            node = ("num", _integer(text, pos))
+        elif kind == "NAME":
+            node = ("name", text)
+        elif text == "(":
             node = self.nested(self.parse_sum)
             self.expect(")")
+        else:
+            raise InputError(f"unexpected token {text!r} at position {pos} in {self.text!r}")
+        if self.peek()[1] != "^":
             return node
-        raise InputError(
-            f"unexpected token {tok.text!r} at position {tok.pos} in {self.text!r}"
-        )
-
-    def parse_full(self):
-        node = self.parse_expression()
-        if self.peek().kind != "END":
-            self.fail(f"trailing input {self.peek().text!r}")
-        return node
+        sign = -1 if self.tokens[self.idx + 1][1] == "-" else 1
+        self.idx += 1 + (sign < 0)
+        kind, text, pos = self.advance()
+        if kind != "NUM":
+            raise InputError(f"exponent must be an integer literal at position {pos} in {self.text!r}")
+        return ("pow", node, sign * _integer(text, pos))
 
 
 def parse_expression(text: str):
-    return ExpressionParser(text).parse_full()
+    parser = ExpressionParser(text)
+    node = parser.parse_expression()
+    if parser.peek()[0] != "END":
+        parser.fail(f"trailing input {parser.peek()[1]!r}")
+    return node
 
 
 # -- scalar, element and series evaluation ---------------------------------------
@@ -215,31 +180,45 @@ def _rank(value) -> int:
 _RANKS = {GaussianRational: 0, LaurentSeries: 2}  # anything else is an element
 
 
+def _scaled(a: AlgebraElement, c: GaussianRational) -> AlgebraElement:
+    """a * c for an exact scalar c, on a's numerators: no element is built for c."""
+    if not c:
+        return a.signature.zero()
+    p, q = c.p, c.q
+    return AlgebraElement._normal(a.signature, {m: (re * p - im * q, re * q + im * p) for m, (re, im) in a.num.items()},
+                                  a.den * c.d)
+
+
 def _lift(value, sig: AlgebraSignature, rank: int):
     """value as a value of the given rank or its own, whichever is higher."""
-    if _rank(value) < min(rank, 1):
-        value = sig.scalar(value)
-    return LaurentSeries(sig, {0: value}) if _rank(value) < rank else value
+    if (own := _rank(value)) < min(rank, 1):
+        value, own = _scaled(sig.one(), value), 1
+    return LaurentSeries(sig, {0: value}) if own < rank else value
 
 
-def _lifted(op, rank=2):
-    """op on two values, the one of higher rank on the left, whose type
-    takes the other lifted to its rank, or to `rank` if that is lower."""
-
-    def apply(a, b):
-        ra, rb = _rank(a), _rank(b)
-        if ra == rb:
-            return op(a, b)
-        if ra < rb:
-            a, b, ra = b, a, rb
-        return op(a, _lift(b, a.signature, min(ra, rank)))
-
-    return apply
+def _ranked(a, b):
+    """a, b and their ranks, the value of the higher rank first."""
+    ra, rb = _RANKS.get(type(a), 1), _RANKS.get(type(b), 1)
+    return (a, b, ra, rb) if ra >= rb else (b, a, rb, ra)
 
 
-# a series times a scalar or an element scales by it, with no series product
-_BINARY = {"add": _lifted(operator.add), "sub": lambda a, b: _BINARY["add"](a, -b),
-           "mul": _lifted(lambda a, b: a.scale(b) if _rank(b) < _rank(a) == 2 else a * b, 1)}
+def _add(a, b):
+    a, b, ra, rb = _ranked(a, b)
+    return a + (b if ra == rb else _lift(b, a.signature, ra))
+
+
+def _mul(a, b):
+    """a * b: an element times a scalar on its numerators, a series times
+    a scalar or an element by `scale`."""
+    a, b, ra, rb = _ranked(a, b)
+    if ra == rb:
+        return a * b
+    if b is GR_ONE:  # the denominator 1 of a sum's leaves
+        return a
+    return _scaled(a, b) if ra == 1 else a.scale(_lift(b, a.signature, 1))
+
+
+_BINARY = {"add": _add, "sub": lambda a, b: _add(a, -b), "mul": _mul}
 
 
 def _fold(node, leaf, div, pow_):
@@ -248,27 +227,27 @@ def _fold(node, leaf, div, pow_):
     kind = node[0]
     if kind in ("num", "name"):
         return leaf(node)
-    if kind == "neg":
-        return -_fold(node[1], leaf, div, pow_)
-    if kind == "pow":
-        return _power(_fold(node[1], leaf, div, pow_), node[2], pow_)
     a = _fold(node[1], leaf, div, pow_)
+    if kind == "neg":
+        return -a
+    if kind == "pow":
+        return _power(a, node[2], pow_)
     b = _fold(node[2], leaf, div, pow_)
     return div(a, b) if kind == "div" else _BINARY[kind](a, b)
 
 
 def _bit_length(value) -> int:
     """The largest bit length among the numerators and denominators of
-    the exact scalars of an evaluated value, zero parts skipped."""
-    if isinstance(value, GaussianRational):
-        return max((n.bit_length() for q in (value.re, value.im) if q for n in (q.numerator, q.denominator)),
+    the exact scalars of an evaluated value, zero parts skipped; those of
+    (p + q i)/d are p/d and q/d in lowest terms, one gcd each."""
+    if _rank(value) == 0:
+        d = value.d
+        return max((k.bit_length() for n in (value.p, value.q) if n for g in [gcd(n, d)] for k in (n // g, d // g)),
                    default=0)
     if isinstance(value, RationalFunctionA):
         parts = [r for r, _ in value.base_factors] + [value.scale, *value.pert_num, *value.pert_den]
-    elif isinstance(value, _PolyFraction):
-        parts = value.num + value.den
-    else:  # an AlgebraElement, or a LaurentSeries of them
-        parts = value.coeffs.values()
+    else:  # an AlgebraElement, a LaurentSeries of them, a _Fraction of those, or a _Span, which has none
+        parts = value[:2] if isinstance(value, _Fraction) else getattr(value, "coeffs", {}).values()
     return max(map(_bit_length, parts), default=0)
 
 
@@ -282,24 +261,31 @@ def _power(base, n: int, pow_):
     return pow_(base, n)
 
 
+def _leaves(sig: AlgebraSignature, top: int, text: str):
+    """The reader of num and name leaves up to rank `top`: an exact scalar
+    or i, a generator of sig (each built once), and x at rank 2."""
+    named = {g: sig.gen(g) for g in sig.generators} if top else {}
+    if top > 1:
+        named["x"] = LaurentSeries(sig, {1: sig.one()})
+    named.setdefault("i", GR_I)
+
+    def leaf(node):
+        if node[0] == "num":
+            return GaussianRational(node[1])
+        if (value := named.get(node[1])) is None:
+            raise InputError(f"unknown name {node[1]!r} in {text!r}" if top else f"cannot use {node[1]!r} in a scalar context")
+        return value
+
+    return leaf
+
+
 def _evaluate(node, sig, top: int, text: str, trunc=INF):
     """The value of an expression with values up to rank `top`: 0 for
     scalars, 1 for elements, 2 for series in x, whose inverses are taken
     at `trunc`.  A value of lower rank that is not a unit is lifted to
     `top` before it is inverted, so the error names that context."""
-    x = LaurentSeries.monomial(sig, 1) if top > 1 else None
-
-    def leaf(node):
-        name = node[1]
-        if node[0] == "num":
-            return gaussian(name)
-        if top > 1 and name == "x":
-            return x
-        if top and name in sig.generators:
-            return sig.gen(name)
-        if name == "i":
-            return GR_I
-        raise InputError(f"unknown name {name!r} in {text!r}" if top else f"cannot use {name!r} in a scalar context")
+    leaf = _leaves(sig, top, text)
+    x = leaf(("name", "x")) if top > 1 else None
 
     def invertible(value):
         """value, to be inverted: a unit scalar or element as it is, else lifted
@@ -313,9 +299,9 @@ def _evaluate(node, sig, top: int, text: str, trunc=INF):
 
     def pow_(base, n):
         base = invertible(base) if n < 0 else base
-        return LaurentSeries.monomial(sig, n) if top > 1 and base == x else base ** n
+        return LaurentSeries(sig, {n: sig.one()}) if base == x else base ** n
 
-    return _fold(node, leaf, lambda a, b: _BINARY["mul"](a, invertible(b).inverse()), pow_)
+    return _fold(node, leaf, lambda a, b: _mul(a, invertible(b).inverse()), pow_)
 
 
 def eval_scalar(node, text: str = "") -> GaussianRational:
@@ -326,24 +312,18 @@ def parse_scalar(text: str) -> GaussianRational:
     return eval_scalar(parse_expression(text), text)
 
 
-def eval_element(node, sig: AlgebraSignature, text: str = "") -> AlgebraElement:
-    """Evaluate an expression without x as an algebra element."""
-    return _lift(_evaluate(node, sig, 1, text), sig, 1)
-
-
-def _in_scalars_of(sig: AlgebraSignature, value):
-    """A value read over sig's exact signature, widened once if sig is a float one."""
+def parse_element(text: str, sig: AlgebraSignature) -> AlgebraElement:
+    """The element of `text` read over sig's exact signature, widened once for a float sig."""
+    exact = sig.to_exact()
+    value = _lift(_evaluate(parse_expression(text), exact, 1, text), exact, 1)
     return value if sig.backend is Backend.EXACT else value.widen()
 
 
-def parse_element(text: str, sig: AlgebraSignature) -> AlgebraElement:
-    return _in_scalars_of(sig, eval_element(parse_expression(text), sig.to_exact(), text))
-
-
 def parse_series(text: str, sig: AlgebraSignature, trunc=INF) -> LaurentSeries:
-    """The Laurent series in x of `text`, its inverses taken at `trunc`."""
+    """The Laurent series in x of `text`, its inverses taken at `trunc`, as `parse_element` reads it."""
     exact = sig.to_exact()
-    return _in_scalars_of(sig, _lift(_evaluate(parse_expression(text), exact, 2, text, trunc), exact, 2).truncate(trunc))
+    value = _lift(_evaluate(parse_expression(text), exact, 2, text, trunc), exact, 2).truncate(trunc)
+    return value if sig.backend is Backend.EXACT else value.widen()
 
 
 def _reduction_lead(text: str, sig: AlgebraSignature):
@@ -351,87 +331,96 @@ def _reduction_lead(text: str, sig: AlgebraSignature):
     where the generators are 0, with each leaf, quotient and power cut after its
     first term; None when that reduction is 0 or leading terms cancel."""
     red = AlgebraSignature(sig.generators, 1)
+    leaf = _leaves(red, 2, text)
 
     def lead(value):
         s = _lift(value, red, 2)
         return s.truncate(s.lower_bound + 1)
 
-    def leaf(node):
-        return lead(LaurentSeries.monomial(red, 1) if node == ("name", "x") else eval_element(node, red, text))
-
     try:  # a quotient by cancelled leading terms has no inverse
-        s = lead(_fold(parse_expression(text), leaf, lambda a, b: a * lead(b).inverse(), lambda b, n: lead(b) ** n))
+        s = lead(_fold(parse_expression(text), lambda node: lead(leaf(node)), lambda a, b: a * lead(b).inverse(),
+                       lambda b, n: lead(b) ** n))
     except CcsymError:
         return None
     return min(s.coeffs, default=None)
 
 
 # -- factored rational function evaluation -----------------------------------------
+#
+# A sum is read as one fraction num/den of polynomials in x (scalars,
+# elements or series), every sum and product of two fractions taken over
+# both denominators.  Before that fold, the same fold over `_Span`s
+# bounds the x-degrees of the reductions mod m of num and den.
 
 
-class _PolyFraction:
-    """A fraction num/den of A-polynomials in x (lists, lowest degree first)."""
-
-    __slots__ = ("sig", "num", "den", "text")
-
-    def __init__(self, sig: AlgebraSignature, num: list, den: list, text: str):
-        # a backstop for the sums `_reduction_spans` cannot bound
-        if (degree := max(len(num), len(den)) - 1) > MAX_SUM_DEGREE:
-            raise _degree_error(degree, text, what="sum with a polynomial of x-degree")
-        self.sig, self.num, self.den, self.text = sig, num, den, text
-
-    def __neg__(self):
-        return _PolyFraction(self.sig, [-c for c in self.num], self.den, self.text)
+class _Fraction(NamedTuple):
+    num: object
+    den: object
+    text: str
 
     def __add__(self, other):
-        sig = self.sig
-        total = poly_add(poly_mul(self.num, other.den, sig), poly_mul(other.num, self.den, sig), sig)
-        return _PolyFraction(sig, total, poly_mul(self.den, other.den, sig), self.text)
+        return self.make(_add(_mul(self.num, other.den), _mul(other.num, self.den)), _mul(self.den, other.den))
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __neg__(self):
+        return _Fraction(-self.num, self.den, self.text)
 
     def __mul__(self, other):
-        num = poly_mul(self.num, other.num, self.sig)
-        return _PolyFraction(self.sig, num, poly_mul(self.den, other.den, self.sig), self.text)
+        return self.make(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def inverse(self):
-        return _PolyFraction(self.sig, self.den, self.num, self.text)
+        return _Fraction(self.den, self.num, self.text)
+
+    def make(self, num, den):
+        # a backstop for the sums the `_Span` fold cannot bound
+        if (degree := max(max(p.coeffs, default=0) if _rank(p) == 2 else 0 for p in (num, den))) > MAX_SUM_DEGREE:
+            raise _degree_error(degree, self.text, what="sum with a polynomial of x-degree")
+        return _Fraction(num, den, self.text)
 
 
-def _polyfrac(node, sig: AlgebraSignature, text: str) -> _PolyFraction:
-    """Evaluate a subtree as a fraction of A-polynomials in x."""
+class _Span(NamedTuple):
+    """The x-degrees of the reductions mod m of a fraction's numerator and
+    denominator, -INF for 0, and whether both are exact: where the two
+    terms of a sum reach the same degree they may cancel, and the degrees
+    are only bounds."""
 
-    def leaf(node):
-        if node == ("name", "x"):
-            return _PolyFraction(sig, [sig.zero(), sig.one()], [sig.one()], text)
-        return _PolyFraction(sig, [eval_element(node, sig, text)], [sig.one()], text)
+    num: float
+    den: float = 0
+    exact: bool = True
 
-    def pow_(base, n):
-        return power(base, n, _PolyFraction(sig, [sig.one()], [sig.one()], text))
+    def __add__(self, other):
+        a, c = self.num + other.den, other.num + self.den
+        return _Span(max(a, c), self.den + other.den, self.exact and other.exact and a != c)
 
-    return _fold(node, leaf, lambda a, b: a * b.inverse(), pow_)
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        return _Span(self.num + other.num, self.den + other.den, self.exact and other.exact)
+
+    def inverse(self):
+        return _Span(self.den, self.num, self.exact)
 
 
-def _classify_poly(p: list, sig: AlgebraSignature, text: str) -> RationalFunctionA:
-    """Turn an A-polynomial into factored form.  The reduction must be a
-    constant, a monomial c*x^k, or affine c*(x-r); anything else needs
-    explicitly factored input."""
-    p = poly_trim(list(p))
+def _fraction(node, leaf, one):
+    """Fold a subtree into a `_Fraction` or a `_Span`, as `leaf` and `one` are."""
+    return _fold(node, leaf, lambda a, b: a * b.inverse(), lambda b, n: power(b, n, one))
+
+
+def _factored(value, sig: AlgebraSignature, text: str):
+    """(base factors, lead, p, r) of a polynomial p in x, as a list over A, whose
+    reduction mod m must be a constant or monomial c*x^k, or affine c*(x-r):
+    r is that reduction as a list over A.  Anything else needs explicitly
+    factored input."""
+    s = _lift(value, sig, 2)
+    p = [s.coeffs.get(k, sig.zero()) for k in range(max(s.coeffs, default=-1) + 1)]
     red = poly_reduction(p)
     if not red:
         raise InputError(f"nilpotent (non-invertible) factor in {text!r}")
-    support = [k for k, c in enumerate(red) if c]
-    c_lead = red[-1]
-    c_elt = sig.scalar(c_lead)
-    if len(support) == 1:
-        k = support[0]
-        base = ((gaussian(0), k),) if k else ()
-        return RationalFunctionA(sig, base, c_elt, p, [sig.zero()] * k + [c_elt])
-    if len(red) == 2:
-        root = -(red[0] / red[1])
-        return RationalFunctionA(sig, ((root, 1),), c_elt, p, [sig.scalar(-root) * c_lead, c_elt])
-    raise _degree_error(len(red) - 1, text)
+    k = [k for k, c in enumerate(red) if c]
+    if len(k) > 1 and len(red) > 2:
+        raise _degree_error(len(red) - 1, text)
+    base = ((-(red[0] / red[1]), 1),) if len(k) > 1 else ((GR_ZERO, k[0]),) if k[0] else ()
+    return base, red[-1], p, [_scaled(sig.one(), c) for c in red]
 
 
 def _degree_error(degree: int, text: str, known=True, what="factor with reduction of degree") -> InputError:
@@ -440,70 +429,55 @@ def _degree_error(degree: int, text: str, known=True, what="factor with reductio
                       "write the input as a product of (x - root)^m factors")
 
 
-def _reduction_spans(node, sig: AlgebraSignature, text: str):
-    """The highest x-degree of the reductions mod m of the numerator and
-    the denominator that `_polyfrac` builds, read off the leaves before any
-    product is formed, and whether both are exact: where the two terms of
-    a sum reach the same degree they may cancel, and the degrees are only
-    bounds.  A zero reduction has degree -INF."""
+def _sum(node, sig: AlgebraSignature, text: str) -> RationalFunctionA:
+    """A sum as the quotient of its factored numerator and denominator, built once."""
+    leaf = _leaves(sig, 2, text)
+    # a reduction above MAX_SUM_DEGREE is named and rejected before the
+    # powers that build it are expanded; `_factored` rejects lower ones
+    num, den, known = _fraction(node, lambda node: _Span(1 if (rank := _rank(v := leaf(node))) == 2 else 0 if rank == 0 and v else -INF),
+                                _Span(0))
+    if (high := num if num > MAX_SUM_DEGREE else den) > MAX_SUM_DEGREE:
+        raise _degree_error(high, text, known)
+    frac = _fraction(node, lambda node: _Fraction(leaf(node), GR_ONE, text), _Fraction(GR_ONE, GR_ONE, text))
+    base, lead, *top = _factored(frac.num, sig, text)
+    inverse, lead_den, *bottom = _factored(frac.den, sig, text)
+    # the perturbations p/r of both, 1/1 where p = r, the denominator's inverted
+    perts = [pert for pert in (top, bottom[::-1]) if pert[0] != pert[1]]
+    pert = perts[0] if len(perts) == 1 else [poly_mul(*pair, sig) for pair in zip(*perts)] if perts else ()
+    return RationalFunctionA(sig, base + tuple((r, -m) for r, m in inverse), sig.scalar(lead / lead_den), *pert)
+
+
+def eval_ratfunc(node, sig: AlgebraSignature, text: str = ""):
+    """The function of a subtree read factor by factor over the exact sig,
+    or, for a subtree with neither x nor a generator whose value is not 0,
+    that value as an exact scalar; a scalar factor joins a function's scale."""
     kind = node[0]
-    if node == ("name", "x"):
-        return 1, 0, True
-    if kind in ("num", "name"):
-        return (0 if eval_element(node, sig, text).is_unit() else -INF), 0, True
-    if kind == "neg":
-        return _reduction_spans(node[1], sig, text)
-    if kind == "pow":
-        num, den, exact = _reduction_spans(node[1], sig, text)
-        n = node[2]
-        if n < 0:
-            num, den, n = den, num, -n
-        return (num * n, den * n, exact) if n else (0, 0, True)
-    (a, b, exact_a), (c, d, exact_c) = (_reduction_spans(t, sig, text) for t in node[1:])
-    if kind == "div":
-        c, d = d, c
-    if kind in ("mul", "div"):
-        return a + c, b + d, exact_a and exact_c
-    return max(a + d, c + b), b + d, exact_a and exact_c and a + d != c + b  # num = a*d +- c*b
-
-
-def eval_ratfunc(node, sig: AlgebraSignature, text: str = "") -> RationalFunctionA:
-    """A subtree with neither x nor a generator is one constant, unless its
-    value is 0; the rest is read factor by factor, over the exact sig."""
-    if "i" not in sig.generators:  # a scalar reads i as the imaginary unit
+    if kind not in ("mul", "div") and "i" not in sig.generators:  # a scalar reads i as the imaginary unit
         try:
             c = eval_scalar(node, text)
         except InputError:  # x, a generator, a zero divisor or a power past the cap
             c = None
         if c:
-            return RationalFunctionA.constant(sig, c)
-    kind = node[0]
-    if kind == "mul":
-        return eval_ratfunc(node[1], sig, text) * eval_ratfunc(node[2], sig, text)
-    if kind == "div":
-        return eval_ratfunc(node[1], sig, text) * eval_ratfunc(node[2], sig, text).inverse()
-    if kind == "pow":
-        return _power(eval_ratfunc(node[1], sig, text), node[2], operator.pow)
-    if kind == "neg":
-        return RationalFunctionA.constant(sig, -1) * eval_ratfunc(node[1], sig, text)
-    if kind == "name" and node[1] == "x":
-        return RationalFunctionA.monic_linear(sig, 0)
+            return c
     if kind in ("num", "name"):
-        return RationalFunctionA.constant(sig, eval_element(node, sig, text))
+        return RationalFunctionA.monic_linear(sig, 0) if node[1] == "x" else RationalFunctionA.constant(sig, _evaluate(node, sig, 1, text))
     if kind in ("add", "sub"):
-        # a reduction above MAX_SUM_DEGREE is named and rejected before the
-        # powers that build it are expanded; `_classify_poly` rejects lower ones
-        num, den, known = _reduction_spans(node, sig, text)
-        too_high = [hi for hi in (num, den) if hi > MAX_SUM_DEGREE]
-        if too_high:
-            raise _degree_error(too_high[0], text, known)
-        frac = _polyfrac(node, sig, text)
-        return _classify_poly(frac.num, sig, text) * _classify_poly(frac.den, sig, text).inverse()
-    raise InputError(f"bad function expression in {text!r}")
+        return _sum(node, sig, text)
+    f = eval_ratfunc(node[1], sig, text)
+    if kind == "pow":
+        return _power(_function(sig, f), node[2], operator.pow)
+    g = GaussianRational(-1) if kind == "neg" else eval_ratfunc(node[2], sig, text)
+    g = g.inverse() if kind == "div" else g
+    return f * g if _rank(f) == _rank(g) == 0 else _function(sig, f) * _function(sig, g)
+
+
+def _function(sig: AlgebraSignature, value) -> RationalFunctionA:
+    return RationalFunctionA.constant(sig, value) if _rank(value) == 0 else value
 
 
 def parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
     """The function over sig's exact signature, whichever sig's scalars are."""
-    f = eval_ratfunc(parse_expression(text), sig.to_exact(), text)
+    exact = sig.to_exact()
+    f = _function(exact, eval_ratfunc(parse_expression(text), exact, text))
     f.validate_poles()
     return f

@@ -266,12 +266,11 @@ class PathParser(ExpressionParser):
     rev(p), comm(p,q); parameters are scalar expressions."""
 
     def parse_path(self) -> Path:
-        tok = self.advance()
-        if tok.kind != "NAME":
+        kind, name, pos = self.advance()
+        if kind != "NAME":
             raise InputError(
-                f"expected a path constructor at position {tok.pos} in {self.text!r}"
+                f"expected a path constructor at position {pos} in {self.text!r}"
             )
-        name = tok.text
         self.expect("(")
         if name == "circle":
             args = self.scalar_args(2, 3)
@@ -286,7 +285,7 @@ class PathParser(ExpressionParser):
             return segment(complex(args[0]), complex(args[1]))
         if name == "concat":
             paths = [self.nested(self.parse_path)]
-            while self.peek().text == ",":
+            while self.peek()[1] == ",":
                 self.advance()
                 paths.append(self.nested(self.parse_path))
             self.expect(")")
@@ -305,7 +304,7 @@ class PathParser(ExpressionParser):
 
     def scalar_args(self, at_least: int, at_most: int):
         args = [eval_scalar(self.parse_expression(), self.text)]
-        while self.peek().text == ",":
+        while self.peek()[1] == ",":
             self.advance()
             args.append(eval_scalar(self.parse_expression(), self.text))
         self.expect(")")
@@ -319,7 +318,7 @@ class PathParser(ExpressionParser):
 def parse_path(text: str) -> Path:
     parser = PathParser(text)
     path = parser.parse_path()
-    tok = parser.peek()
-    if tok.kind != "END":
-        raise InputError(f"trailing input {tok.text!r} at position {tok.pos} in {text!r}")
+    kind, rest, pos = parser.peek()
+    if kind != "END":
+        raise InputError(f"trailing input {rest!r} at position {pos} in {text!r}")
     return path

@@ -28,7 +28,7 @@ from ccsym import chen, parsing
 from ccsym.algebra import AlgebraElement, AlgebraSignature
 from ccsym.errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from ccsym.laurent import CanonicalFactorization, LaurentSeries
-from ccsym.ratfunc import RationalFunctionA
+from ccsym.ratfunc import RationalFunctionA, poly_add, poly_mul, poly_reduction, poly_trim
 from ccsym.scalars import GR_I, GaussianRational, gaussian, geometric, power
 
 # -- Q(i) as pairs of Fractions -----------------------------------------------
@@ -313,16 +313,42 @@ def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> A
 _ORACLE_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
+def _oracle_bit_length(value) -> int:
+    """The largest bit length among the numerators and denominators of the
+    exact scalars of a value, zero parts skipped, read from its `Fraction`s."""
+    if isinstance(value, GaussianRational):
+        return max((n.bit_length() for q in (value.re, value.im) if q for n in (q.numerator, q.denominator)),
+                   default=0)
+    if isinstance(value, RationalFunctionA):
+        parts = [r for r, _ in value.base_factors] + [value.scale, *value.pert_num, *value.pert_den]
+    elif isinstance(value, OraclePolyFraction):
+        parts = value.num + value.den
+    else:  # an AlgebraElement, or a LaurentSeries of them
+        parts = value.coeffs.values()
+    return max(map(_oracle_bit_length, parts), default=0)
+
+
+def _oracle_power(base, n: int, pow_):
+    """pow_(base, n), unless the exponent times the base's bit length passes
+    `parsing.MAX_POWER_BITS`: the cap every reader applies to a power."""
+    if abs(n) * _oracle_bit_length(base) > parsing.MAX_POWER_BITS:
+        raise InputError(
+            f"power too large: the exponent times the bit length of the base's "
+            f"numbers exceeds {parsing.MAX_POWER_BITS} bits"
+        )
+    return pow_(base, n)
+
+
 def _oracle_fold(node, leaf, div, pow_):
     """Evaluate an AST on the values `leaf` gives its num/name nodes, all
-    of one type, with the power cap of `parsing._power`."""
+    of one type, with the power cap of `_oracle_power`."""
     kind = node[0]
     if kind in ("num", "name"):
         return leaf(node)
     if kind == "neg":
         return -_oracle_fold(node[1], leaf, div, pow_)
     if kind == "pow":
-        return parsing._power(_oracle_fold(node[1], leaf, div, pow_), node[2], pow_)
+        return _oracle_power(_oracle_fold(node[1], leaf, div, pow_), node[2], pow_)
     a, b = (_oracle_fold(child, leaf, div, pow_) for child in node[1:])
     return div(a, b) if kind == "div" else _ORACLE_BINARY[kind](a, b)
 
@@ -363,11 +389,99 @@ def oracle_parse_series(text: str, sig: AlgebraSignature, trunc=math.inf) -> Lau
     return series.truncate(trunc)
 
 
+class OraclePolyFraction:
+    """A fraction num/den of A-polynomials in x (lists, lowest degree first),
+    every sum and product expanded over both denominators."""
+
+    def __init__(self, sig: AlgebraSignature, num: list, den: list, text: str):
+        if (degree := max(len(num), len(den)) - 1) > parsing.MAX_SUM_DEGREE:
+            raise _oracle_degree_error(degree, text, what="sum with a polynomial of x-degree")
+        self.sig, self.num, self.den, self.text = sig, num, den, text
+
+    def __neg__(self):
+        return OraclePolyFraction(self.sig, [-c for c in self.num], self.den, self.text)
+
+    def __add__(self, other):
+        sig = self.sig
+        total = poly_add(poly_mul(self.num, other.den, sig), poly_mul(other.num, self.den, sig), sig)
+        return OraclePolyFraction(sig, total, poly_mul(self.den, other.den, sig), self.text)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        num = poly_mul(self.num, other.num, self.sig)
+        return OraclePolyFraction(self.sig, num, poly_mul(self.den, other.den, self.sig), self.text)
+
+    def inverse(self):
+        return OraclePolyFraction(self.sig, self.den, self.num, self.text)
+
+
+def _oracle_degree_error(degree: int, text: str, known=True, what="factor with reduction of degree") -> InputError:
+    cap = f" (a sum may reach degree {parsing.MAX_SUM_DEGREE})" if degree > parsing.MAX_SUM_DEGREE else ""
+    return InputError(f"{what} {'' if known else 'up to '}{degree} in {text!r}{cap}; "
+                      "write the input as a product of (x - root)^m factors")
+
+
+def _oracle_spans(node, sig: AlgebraSignature, text: str):
+    """The highest x-degree of the reductions mod m of the numerator and the
+    denominator of a sum, read off its leaves, and whether both are exact
+    (where two terms reach the same degree they may cancel).  A zero
+    reduction has degree -inf."""
+    kind = node[0]
+    if node == ("name", "x"):
+        return 1, 0, True
+    if kind in ("num", "name"):
+        return (0 if _oracle_leaf(node, sig, text).is_unit() else -math.inf), 0, True
+    if kind == "neg":
+        return _oracle_spans(node[1], sig, text)
+    if kind == "pow":
+        num, den, exact = _oracle_spans(node[1], sig, text)
+        n = node[2]
+        if n < 0:
+            num, den, n = den, num, -n
+        return (num * n, den * n, exact) if n else (0, 0, True)
+    (a, b, exact_a), (c, d, exact_c) = (_oracle_spans(t, sig, text) for t in node[1:])
+    if kind == "div":
+        c, d = d, c
+    if kind in ("mul", "div"):
+        return a + c, b + d, exact_a and exact_c
+    return max(a + d, c + b), b + d, exact_a and exact_c and a + d != c + b  # num = a*d +- c*b
+
+
+def _oracle_classify(p: list, sig: AlgebraSignature, text: str) -> RationalFunctionA:
+    """An A-polynomial in factored form: its reduction must be a constant,
+    c*x^k or c*(x-r)."""
+    p = poly_trim(list(p))
+    red = poly_reduction(p)
+    if not red:
+        raise InputError(f"nilpotent (non-invertible) factor in {text!r}")
+    support = [k for k, c in enumerate(red) if c]
+    c_lead = red[-1]
+    c_elt = sig.scalar(c_lead)
+    if len(support) == 1:
+        k = support[0]
+        base = ((gaussian(0), k),) if k else ()
+        return RationalFunctionA(sig, base, c_elt, p, [sig.zero()] * k + [c_elt])
+    if len(red) == 2:
+        root = -(red[0] / red[1])
+        return RationalFunctionA(sig, ((root, 1),), c_elt, p, [sig.scalar(-root) * c_lead, c_elt])
+    raise _oracle_degree_error(len(red) - 1, text)
+
+
 def oracle_parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
     """A function read factor by factor over sig's exact signature, each
-    literal a constant function and each sum expanded and factored by the
-    sum path of `parsing`."""
+    literal a constant function and each sum expanded over both
+    denominators at every + and *, then factored."""
     sig = sig.to_exact()
+
+    def leaf(node):
+        if node == ("name", "x"):
+            return OraclePolyFraction(sig, [sig.zero(), sig.one()], [sig.one()], text)
+        return OraclePolyFraction(sig, [_oracle_leaf(node, sig, text)], [sig.one()], text)
+
+    def frac_pow(base, n):
+        return power(base, n, OraclePolyFraction(sig, [sig.one()], [sig.one()], text))
 
     def read(node):
         kind = node[0]
@@ -376,19 +490,19 @@ def oracle_parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
         if kind == "div":
             return read(node[1]) * read(node[2]).inverse()
         if kind == "pow":
-            return parsing._power(read(node[1]), node[2], operator.pow)
+            return _oracle_power(read(node[1]), node[2], operator.pow)
         if kind == "neg":
             return RationalFunctionA.constant(sig, -1) * read(node[1])
         if node == ("name", "x"):
             return RationalFunctionA.monic_linear(sig, 0)
         if kind in ("num", "name"):
             return RationalFunctionA.constant(sig, _oracle_leaf(node, sig, text))
-        num, den, known = parsing._reduction_spans(node, sig, text)
+        num, den, known = _oracle_spans(node, sig, text)
         too_high = [hi for hi in (num, den) if hi > parsing.MAX_SUM_DEGREE]
         if too_high:
-            raise parsing._degree_error(too_high[0], text, known)
-        frac = parsing._polyfrac(node, sig, text)
-        return parsing._classify_poly(frac.num, sig, text) * parsing._classify_poly(frac.den, sig, text).inverse()
+            raise _oracle_degree_error(too_high[0], text, known)
+        frac = _oracle_fold(node, leaf, lambda a, b: a * b.inverse(), frac_pow)
+        return _oracle_classify(frac.num, sig, text) * _oracle_classify(frac.den, sig, text).inverse()
 
     f = read(parsing.parse_expression(text))
     f.validate_poles()

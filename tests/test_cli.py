@@ -144,6 +144,17 @@ def test_a_generator_named_x_or_a_repeated_signature_field_exits_2(capsys, algeb
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [("1²", "unexpected character '²' at position 1"), ("x^٣", "unexpected character '٣' at position 2")],
+    ids=["superscript-two", "arabic-indic-three"],
+)
+def test_number_literals_take_ascii_digits_only(capsys, f, message):
+    # str.isdigit counts both as digits: 1² then failed in int() as "too long", and x^٣ read as x^3
+    code, out, err = run_cli(capsys, "symbol", "--f", f, "--g", "x", "--trunc", "4")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_a_generator_named_i_is_kept(capsys):
     # where i is a generator, an element or series reads i as it, as with eps in test_symbol_command
     code, out, _ = run_cli(capsys, "symbol", "--algebra", "gens=i;degree=2", "--f", "(1-i*x^-1)", "--g", "(1-x)")

@@ -3,6 +3,7 @@ check does not take, the README examples, and a property test over argv
 drawn from the table."""
 
 import contextlib
+import functools
 import io
 import json
 import random
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ccsym import algebra
 from ccsym.algebra import AlgebraSignature, parse_signature
 from ccsym.checks import CHECKS
 from ccsym.cli import CAPS, TARGETS, build_parser, check_caps, main, verify_flags
@@ -68,7 +70,7 @@ def test_caps_are_inclusive_and_checked_before_any_work(flag):
     lo, hi = CAPS[flag]
     for value in (lo, hi):
         args = build_parser().parse_args(cap_argv(flag, value))
-        check_caps(args, parse_signature(getattr(args, "algebra", "")))
+        parse_signature(getattr(args, "algebra", ""), functools.partial(check_caps, args))
     for value in (lo - 1, hi + 1):
         code, out, err = run_main(cap_argv(flag, value))
         assert_one_error_line(code, err)
@@ -101,6 +103,18 @@ def test_a_degree_past_its_cap_is_rejected_before_the_monomials_are_counted():
     assert time.perf_counter() - started < 5
     assert_one_error_line(code, err)
     assert out == "" and "--algebra degree must lie in 1..64" in err
+
+
+def test_a_command_the_caps_reject_keeps_no_signature():
+    # the caps see the parsed generators and degree before the signature is
+    # built, so a rejected algebra leaves nothing in the process-wide table
+    before = len(algebra._SIGNATURES)
+    gens = ",".join(f"g{i}" for i in range(300))
+    for flag in (f"--algebra=gens={gens};degree=70", "--algebra=gens=a,b,c,d;degree=64"):
+        code, out, err = run_main(["symbol", "--f=x", "--g=x", flag])
+        assert_one_error_line(code, err)
+        assert out == "" and "must lie in" in err
+    assert len(algebra._SIGNATURES) == before
 
 
 def test_trunc_zero_names_the_flag():
@@ -375,7 +389,7 @@ def test_readme_examples_parse_against_the_table():
     assert sum(c.startswith("ccsym verify ") for c in commands) >= len(TARGETS)
     for command in commands:
         args = build_parser().parse_args(shlex.split(command)[1:])
-        check_caps(args, parse_signature(getattr(args, "algebra", "")))
+        parse_signature(getattr(args, "algebra", ""), functools.partial(check_caps, args))
         if args.command == "verify":
             check, values = verify_flags(args)
             assert set(values) == set(check.params)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ccsym.algebra import parse_signature
+from ccsym.algebra import AlgebraElement, parse_signature
 from ccsym.errors import InputError, NotInvertible
 from ccsym.laurent import INF, LaurentSeries, factorize
 from ccsym.parsing import (
@@ -15,7 +15,7 @@ from ccsym.parsing import (
     parse_series,
 )
 from ccsym.paths import ArcSegment, LineSegment, parse_path
-from ccsym.ratfunc import SpherePoint, rf_support
+from ccsym.ratfunc import RationalFunctionA, SpherePoint, rf_support
 from ccsym.scalars import gaussian
 
 from conftest import (
@@ -351,3 +351,37 @@ def test_float_literals_are_rounded_once_from_their_exact_value():
     assert parse_ratfunc("7/10*x", fsig).scale == SIG2.scalar(Fraction(7, 10))
     exact = parse_series("7/10*eps*x+(1/3-i)", SIG2)
     assert parse_series("7/10*eps*x+(1/3-i)", fsig) == exact.widen()
+
+
+def test_reading_bench_shaped_literals_takes_a_pinned_amount_of_work(monkeypatch):
+    # counted, not timed, so the figures repeat exactly: the element products
+    # and the functions built while reading 20 `verify weil` functions and 5
+    # series per algebra.  The reader before these figures took 646, 850, 46
+    # and 240 products and built 240 functions per 20
+    counts = {"dot": 0, "functions": 0}
+    dot, init = AlgebraElement.dot.__func__, RationalFunctionA.__init__
+
+    def counted_dot(cls, *args):
+        counts["dot"] += 1
+        return dot(cls, *args)
+
+    def counted_init(self, *args, **kwargs):
+        counts["functions"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraElement, "dot", classmethod(counted_dot))
+    monkeypatch.setattr(RationalFunctionA, "__init__", counted_init)
+    work = {}
+    for sig, gens, degree in ALGEBRAS[:2]:
+        rng = random.Random(f"work {degree}")
+        counts.update(dot=0, functions=0)
+        for k in range(10):
+            for text in bench_weil_texts(rng, gens, k % 2):
+                parse_ratfunc(text, sig)
+        work["weil", degree] = dict(counts)
+        counts.update(dot=0, functions=0)
+        for _ in range(5):
+            parse_series(bench_series_text(rng, gens, degree), sig, 12)
+        work["series", degree] = counts["dot"]
+    assert work == {("weil", 2): {"dot": 95, "functions": 120}, ("series", 2): 0,
+                    ("weil", 3): {"dot": 145, "functions": 120}, ("series", 3): 60}
