@@ -38,7 +38,8 @@ MAX_SUM_DEGREE = 64
 def tokenize(text: str) -> list:
     """(kind, text, position) tuples, kind NUM, NAME, OP or END: a number is
     a run of ASCII digits, a name a letter or _ and the letters, digits
-    and _ after it."""
+    and _ after it.  Plain tuples: building a NamedTuple per token took
+    about as long as the scan itself."""
     tokens = []
     i = 0
     n = len(text)
@@ -149,7 +150,7 @@ class ExpressionParser:
         if self.peek()[1] != "^":
             return node
         sign = -1 if self.tokens[self.idx + 1][1] == "-" else 1
-        self.idx += 1 + (sign < 0)
+        self.idx += 1 + (sign < 0)  # past the ^ and its sign
         kind, text, pos = self.advance()
         if kind != "NUM":
             raise InputError(f"exponent must be an integer literal at position {pos} in {self.text!r}")
@@ -177,7 +178,7 @@ def _rank(value) -> int:
     return _RANKS.get(type(value), 1)
 
 
-_RANKS = {GaussianRational: 0, LaurentSeries: 2}  # anything else is an element
+_RANKS = {GaussianRational: 0, LaurentSeries: 2}  # anything else is an element, or a sum path's _Fraction or _Span
 
 
 def _scaled(a: AlgebraElement, c: GaussianRational) -> AlgebraElement:
@@ -213,7 +214,7 @@ def _mul(a, b):
     a, b, ra, rb = _ranked(a, b)
     if ra == rb:
         return a * b
-    if b is GR_ONE:  # the denominator 1 of a sum's leaves
+    if b is GR_ONE:  # the denominator 1 of a sum's leaves, or a power 0 of a scalar: no product
         return a
     return _scaled(a, b) if ra == 1 else a.scale(_lift(b, a.signature, 1))
 
