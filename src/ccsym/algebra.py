@@ -150,6 +150,7 @@ class AlgebraSignature:
 
 
 def _check_fields(generators: tuple, truncation_degree: int):
+    """Raise InputError for fields no signature may have."""
     if truncation_degree < 1:
         raise InputError("truncation degree must be >= 1")
     if len(set(generators)) != len(generators):

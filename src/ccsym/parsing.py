@@ -355,6 +355,8 @@ def _reduction_lead(text: str, sig: AlgebraSignature):
 
 
 class _Fraction(NamedTuple):
+    """num/den, each a scalar, an element or a series in x; `text` names the sum in errors."""
+
     num: object
     den: object
     text: str
@@ -417,10 +419,10 @@ def _factored(value, sig: AlgebraSignature, text: str):
     red = poly_reduction(p)
     if not red:
         raise InputError(f"nilpotent (non-invertible) factor in {text!r}")
-    k = [k for k, c in enumerate(red) if c]
-    if len(k) > 1 and len(red) > 2:
+    support = [k for k, c in enumerate(red) if c]
+    if len(support) > 1 and len(red) > 2:
         raise _degree_error(len(red) - 1, text)
-    base = ((-(red[0] / red[1]), 1),) if len(k) > 1 else ((GR_ZERO, k[0]),) if k[0] else ()
+    base = ((-(red[0] / red[1]), 1),) if len(support) > 1 else ((GR_ZERO, support[0]),) if support[0] else ()
     return base, red[-1], p, [_scaled(sig.one(), c) for c in red]
 
 
@@ -434,7 +436,8 @@ def _sum(node, sig: AlgebraSignature, text: str) -> RationalFunctionA:
     """A sum as the quotient of its factored numerator and denominator, built once."""
     leaf = _leaves(sig, 2, text)
     # a reduction above MAX_SUM_DEGREE is named and rejected before the
-    # powers that build it are expanded; `_factored` rejects lower ones
+    # powers that build it are expanded; `_factored` rejects lower ones.
+    # x reduces to degree 1, a nonzero scalar to 0 and a generator to 0 mod m
     num, den, known = _fraction(node, lambda node: _Span(1 if (rank := _rank(v := leaf(node))) == 2 else 0 if rank == 0 and v else -INF),
                                 _Span(0))
     if (high := num if num > MAX_SUM_DEGREE else den) > MAX_SUM_DEGREE:
@@ -442,7 +445,8 @@ def _sum(node, sig: AlgebraSignature, text: str) -> RationalFunctionA:
     frac = _fraction(node, lambda node: _Fraction(leaf(node), GR_ONE, text), _Fraction(GR_ONE, GR_ONE, text))
     base, lead, *top = _factored(frac.num, sig, text)
     inverse, lead_den, *bottom = _factored(frac.den, sig, text)
-    # the perturbations p/r of both, 1/1 where p = r, the denominator's inverted
+    # the perturbations p/r of both, the denominator's inverted, multiplied as
+    # `RationalFunctionA.__mul__` does: one that is 1/1 (p = r) leaves the other as it is
     perts = [pert for pert in (top, bottom[::-1]) if pert[0] != pert[1]]
     pert = perts[0] if len(perts) == 1 else [poly_mul(*pair, sig) for pair in zip(*perts)] if perts else ()
     return RationalFunctionA(sig, base + tuple((r, -m) for r, m in inverse), sig.scalar(lead / lead_den), *pert)
@@ -467,7 +471,7 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = ""):
     f = eval_ratfunc(node[1], sig, text)
     if kind == "pow":
         return _power(_function(sig, f), node[2], operator.pow)
-    g = GaussianRational(-1) if kind == "neg" else eval_ratfunc(node[2], sig, text)
+    g = GaussianRational(-1) if kind == "neg" else eval_ratfunc(node[2], sig, text)  # -f is f times -1
     g = g.inverse() if kind == "div" else g
     return f * g if _rank(f) == _rank(g) == 0 else _function(sig, f) * _function(sig, g)
 

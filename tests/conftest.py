@@ -12,7 +12,10 @@ factorization that peels one factor at a time off the series instead of
 inverting the ghost map on its logarithmic derivative, the symbol as the
 double product over two factorizations instead of its residue form, and input
 evaluators that make every literal a series, or every factor a function,
-instead of folding literals as scalars.
+instead of folding literals as scalars; a sum in a function is expanded
+as lists of elements over both denominators at every + and *, and its
+degree read off its leaves by a recursion of its own, where the reader
+folds polynomials of mixed rank and skips products by 1.
 """
 
 from __future__ import annotations
