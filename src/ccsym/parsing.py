@@ -438,8 +438,9 @@ def _sum(node, sig: AlgebraSignature, text: str) -> RationalFunctionA:
     # a reduction above MAX_SUM_DEGREE is named and rejected before the
     # powers that build it are expanded; `_factored` rejects lower ones.
     # x reduces to degree 1, a nonzero scalar to 0 and a generator to 0 mod m
-    num, den, known = _fraction(node, lambda node: _Span(1 if (rank := _rank(v := leaf(node))) == 2 else 0 if rank == 0 and v else -INF),
-                                _Span(0))
+    num, den, known = _fraction(
+        node, lambda node: _Span(1 if (rank := _rank(v := leaf(node))) == 2 else 0 if rank == 0 and v else -INF),
+        _Span(0))
     if (high := num if num > MAX_SUM_DEGREE else den) > MAX_SUM_DEGREE:
         raise _degree_error(high, text, known)
     frac = _fraction(node, lambda node: _Fraction(leaf(node), GR_ONE, text), _Fraction(GR_ONE, GR_ONE, text))
@@ -465,7 +466,8 @@ def eval_ratfunc(node, sig: AlgebraSignature, text: str = ""):
         if c:
             return c
     if kind in ("num", "name"):
-        return RationalFunctionA.monic_linear(sig, 0) if node[1] == "x" else RationalFunctionA.constant(sig, _evaluate(node, sig, 1, text))
+        return (RationalFunctionA.monic_linear(sig, 0) if node[1] == "x"
+                else RationalFunctionA.constant(sig, _evaluate(node, sig, 1, text)))
     if kind in ("add", "sub"):
         return _sum(node, sig, text)
     f = eval_ratfunc(node[1], sig, text)
