@@ -24,7 +24,6 @@ from .checks import (
     bilinear_reciprocity_check,
     commutator_quadratic_check,
     identity_suite,
-    lemma_check,
     main_theorem_check,
     weil_reciprocity_check,
 )
@@ -39,7 +38,7 @@ from .errors import (
     PoleOnPath,
     SignatureMismatch,
 )
-from .forms import BinomialLogForm, DlogForm, Dz, SimplePole
+from .forms import BinomialLogForm, DlogForm, SimplePole
 from .laurent import CanonicalFactorization, LaurentSeries, factorize
 from .parsing import parse_element, parse_ratfunc, parse_scalar, parse_series
 from .paths import Path, circle, commutator, concat, lasso, parse_path, segment

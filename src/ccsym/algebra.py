@@ -295,9 +295,6 @@ class AlgebraElement:
     def __sub__(self, other):
         return self + (-self._as_element(other))
 
-    def __rsub__(self, other):
-        return self._as_element(other) - self
-
     def __neg__(self):
         return AlgebraElement._normal(self.signature, {m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
@@ -326,9 +323,6 @@ class AlgebraElement:
         other = self._as_element(other)
         self._check(other)
         return AlgebraElement.dot(self.signature, [(self, other)])
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __truediv__(self, other):
         return self * self._as_element(other).inverse()

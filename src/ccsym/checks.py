@@ -17,7 +17,7 @@ from .algebra import AlgebraElement, AlgebraSignature, Backend, deviation, exp a
 from .chen import QuadratureConfig, chen_identity_check, iterated_integral, line_integral, transport
 from .errors import InputError
 from .forms import BinomialLogForm, DlogForm, SimplePole
-from .paths import ArcSegment, Path, _isolating_loop, _ray_loop, _shell_loops, circle, commutator, lasso, segment
+from .paths import ArcSegment, Path, _isolating_loop, _shell_loops, circle, commutator, lasso, segment
 from .ratfunc import RationalFunctionA, SpherePoint, rf_support
 from .reports import CheckReport, make_report
 from .symbol import local_symbols
@@ -47,7 +47,7 @@ CHECKS = {
     "3.3": Check("lemma", "lemma_3_3", (_F, Param("center", "scalar", "0"), _RADIUS)),
     "3.4": Check("lemma", "lemma_3_4", (Param("n", "int"), _A, _RADIUS)),
     "3.5": Check("lemma", "lemma_3_5", (Param("j", "int"), Param("k", "int"), _A, Param("b", "element"), _RADIUS)),
-    "3.6": Check("lemma", "lemma_3_6", (_F, Param("base", "complex"), Param("point", "complex", None, "endpoint"))),
+    "3.6": Check("lemma", "lemma_3_6", (_F, Param("base", "scalar"), Param("point", "scalar", None, "endpoint"))),
     "main-theorem": Check("main-theorem", "main_theorem_check", (
         _F, _G, Param("point", "point", None, "s"), Param("base", "scalar"), Param("radius", "radius", "1/4"),
     ), ("algebra", "trunc", "steps", "tol")),
@@ -156,21 +156,12 @@ def lemma_3_5(cfg: QuadratureConfig, j: int, k: int, a, b, radius=1.0, signature
 
 
 def lemma_3_6(cfg: QuadratureConfig, f: RationalFunctionA, base, endpoint) -> CheckReport:
-    """exp(int df/f) along the segment from `base` to `endpoint` is
-    f(endpoint)/f(base), free of the 2 pi i ambiguity of the logarithm."""
+    """exp(int df/f) along the segment between two exact points, `base` and
+    `endpoint`, is f(endpoint)/f(base), free of the 2 pi i ambiguity of the logarithm."""
     started = time.perf_counter()
-    p, q = complex(base), complex(endpoint)
-    lhs = alg_exp(line_integral(DlogForm(f), segment(p, q), cfg))
-    rhs = f.eval(q).widen() * f.eval(p).widen().inverse()
-    return _lemma_report("3.6", cfg, started, dict(f=str(f), base=str(p), endpoint=str(q)), lhs, rhs)
-
-
-def lemma_check(check_id: str, cfg: QuadratureConfig, **params) -> CheckReport:
-    """Run one of the named local-integral checks (ids 3.2 to 3.6)."""
-    check = CHECKS.get(check_id)
-    if check is None or check.target != "lemma":
-        raise InputError(f"unknown lemma id {check_id!r}; expected 3.2 .. 3.6")
-    return globals()[check.function](cfg, **params)
+    lhs = alg_exp(line_integral(DlogForm(f), segment(base, endpoint), cfg))
+    rhs = (f.eval(endpoint) * f.eval(base).inverse()).widen()
+    return _lemma_report("3.6", cfg, started, dict(f=str(f), base=str(base), endpoint=str(endpoint)), lhs, rhs)
 
 
 def main_theorem_check(
@@ -185,8 +176,6 @@ def main_theorem_check(
     """exp((1/2 pi i) int_sigma df/f o dg/g) against the local product
     formula with the g(P)^nu_f / f(P)^nu_g correction."""
     started = time.perf_counter()
-    f.validate_poles()
-    g.validate_poles()
     support = rf_support(f, g)
     if s not in support:
         raise InputError(f"{s} is not a zero or pole of f or g")
@@ -198,11 +187,8 @@ def main_theorem_check(
     ii = iterated_integral([form_f, form_g], sigma, cfg)
     lhs = alg_exp(ii * (1.0 / TWO_PI_I))
 
-    base_exact = as_exact(base) if not isinstance(base, complex) else base
-    g_p = g.eval(base_exact) ** f.order_at(s)
-    f_p = f.eval(base_exact) ** g.order_at(s)
-    if isinstance(base_exact, complex):  # f and g are float elements there
-        symbol = symbol.widen()
+    g_p = g.eval(base) ** f.order_at(s)
+    f_p = f.eval(base) ** g.order_at(s)
     rhs = (symbol * g_p * f_p.inverse()).widen()
 
     inputs = {
@@ -222,8 +208,6 @@ def main_theorem_check(
 def weil_reciprocity_check(f: RationalFunctionA, g: RationalFunctionA, trunc: int = 12) -> CheckReport:
     """Exact product of local symbols over the joint support; must be 1."""
     started = time.perf_counter()
-    f.validate_poles()
-    g.validate_poles()
     support = rf_support(f, g)
     product = one = f.signature.one()
     locals_ = {}
@@ -252,29 +236,12 @@ def bilinear_reciprocity_check(
     with w1 = df/f, w2 = dg/g and one loop per support point, infinity
     included as a clockwise outer circle."""
     started = time.perf_counter()
-    f.validate_poles()
-    g.validate_poles()
     support = rf_support(f, g)
-    base_c = as_float(base)
     finite = [s for s in support if not s.is_infinite]
-    has_inf = any(s.is_infinite for s in support)
-
-    loops, order, max_radius, theta = _shell_loops(finite, base_c)
-    ordered = [loops[i] for i in order]
-    if has_inf:
-        # the finite shells telescope to the outermost ring; a clockwise
-        # circle through the pole-free outer annulus is its inverse, so the
-        # composite loop system is null-homotopic
-        big = max(
-            3 * max((abs(complex(s.value)) for s in finite), default=1.0),
-            1.5 * max_radius,
-            2 * abs(base_c),
-            1.0,
-        )
-        ordered.append(_ray_loop(base_c, base_c, big, theta, clockwise=True))
+    loops = _shell_loops(finite, as_float(base), len(finite) < len(support))
 
     form_f, form_g = DlogForm(f), DlogForm(g)
-    transports = [transport([form_f, form_g], loop, 2, cfg, [(1,), (2,), (1, 2)]) for loop in ordered]
+    transports = [transport([form_f, form_g], loop, 2, cfg, [(1,), (2,), (1, 2)]) for loop in loops]
     sig = form_f.signature
     total = sig.zero()
     for F in transports:

@@ -93,12 +93,6 @@ class TruncatedWordSeries:
         self.max_len = max_len
         self.coeffs = coeffs
 
-    @classmethod
-    def identity(cls, signature, alphabet_size: int, max_len: int):
-        coeffs = {w: signature.zero() for w in _prefix_closure(None, alphabet_size, max_len)}
-        coeffs[()] = signature.one()
-        return cls(signature, alphabet_size, max_len, coeffs)
-
     def coeff(self, word) -> AlgebraElement:
         word = tuple(word)
         c = self.coeffs.get(word)

@@ -70,7 +70,6 @@ KINDS = {
     "int": lambda value, sig: value,  # argparse has converted it
     "radius": lambda text, sig: _radius(text),
     "scalar": lambda text, sig: parse_scalar(text),
-    "complex": lambda text, sig: complex(parse_scalar(text)),
     "point": lambda text, sig: _point_of(text),
     "element": lambda text, sig: parse_element(text, sig),
     "ratfunc": lambda text, sig: parse_ratfunc(text, sig),
@@ -191,12 +190,11 @@ def run(argv) -> int:
         texts = (args.f,) if args.command == "factorize" else (args.f, args.g)
         compute = {"symbol": cc_symbol_series, "tame": tame_symbol, "factorize": factorize}[args.command]
         value = least_trunc(lambda t: compute(*(_series(text, exact, t) for text in texts)), args.trunc, args.command)
-        if args.command == "tame":
-            print(complex(value) if floating else value)
-            return 0
+        if args.command == "tame":  # a scalar, printed as `symbol` prints its element
+            value = exact.scalar(value)
         value = value.widen() if floating else value
-        if args.command == "symbol":
-            print(json.dumps(element_to_json(value)) if args.json else value)
+        if args.command != "factorize":
+            print(json.dumps(element_to_json(value)) if getattr(args, "json", False) else value)
         elif args.json:
             payload = {
                 "nu": value.nu,

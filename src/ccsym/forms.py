@@ -12,7 +12,7 @@ A form is a handle with a declared pole set and one evaluator, its
 coefficient of dz at z, per node z with velocity v, as columns over the
 transport's `layout`, which holds the form's own.  `eval(z)` is that
 sampler on one node with velocity 1, a dense list over the form's own
-`layout`, and `value(z)` the same as an element.
+`layout`.
 """
 
 from __future__ import annotations
@@ -128,28 +128,8 @@ class DifferentialForm:
     def eval(self, z: complex) -> list:
         return [c[0] for c in self.sampler(self.layout)([z], [self.layout.one])]
 
-    def value(self, z: complex) -> AlgebraElement:
-        return self.layout.element(self.eval(z))
-
-    @staticmethod
-    def _scalar_sampler(layout: DenseLayout, column):
-        """`sample(zs, vs)` for a form valued in the scalars: `column(zs, vs)` at 1, zero elsewhere."""
-        return lambda zs, vs: [column(zs, vs)] + [[layout.zero] * len(zs)] * (len(layout.monomials) - 1)
-
     def __str__(self):
         return self.label
-
-
-class Dz(DifferentialForm):
-    def __init__(self, signature: AlgebraSignature):
-        self.signature = signature.to_float()
-        self.layout = DenseLayout(self.signature)
-        self.poles = ()
-        self.label = "dz"
-
-    def sampler(self, layout: DenseLayout):
-        one = layout.one
-        return self._scalar_sampler(layout, lambda zs, vs: [one * v for v in vs])
 
 
 class SimplePole(DifferentialForm):
@@ -163,8 +143,9 @@ class SimplePole(DifferentialForm):
         self.label = f"dz/(z-{self.c})" if self.c else "dz/z"
 
     def sampler(self, layout: DenseLayout):
-        c = self.c
-        return self._scalar_sampler(layout, lambda zs, vs: [1.0 / (z - c) * v for z, v in zip(zs, vs)])
+        """Scalar-valued: its column at the monomial 1, zero columns elsewhere."""
+        c, rest = self.c, len(layout.monomials) - 1
+        return lambda zs, vs: [[1.0 / (z - c) * v for z, v in zip(zs, vs)]] + [[layout.zero] * len(zs)] * rest
 
 
 class DlogForm(DifferentialForm):

@@ -129,17 +129,11 @@ class LaurentSeries:
             out[e] = c if s is None else s + c
         return LaurentSeries(self.signature, out, trunc)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return LaurentSeries(self.signature, {e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -155,9 +149,6 @@ class LaurentSeries:
                     pairs.setdefault(e1 + e2, []).append((c1, c2))
         sig = self.signature
         return LaurentSeries(sig, {e: AlgebraElement.dot(sig, group) for e, group in pairs.items()}, trunc)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def _coerce(self, value) -> "LaurentSeries":
         if isinstance(value, LaurentSeries):
@@ -218,9 +209,6 @@ class LaurentSeries:
             and self.trunc == other.trunc
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.signature, self.trunc, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         return f"LaurentSeries({self})"

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import CcsymError, InputError
 from .laurent import INF, LaurentSeries
-from .ratfunc import RationalFunctionA, poly_mul, poly_reduction
+from .ratfunc import RationalFunctionA, pert_product, poly_reduction
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, power
 
 # Bounds both the nesting the parser recurses through (parentheses, unary
@@ -446,10 +446,7 @@ def _sum(node, sig: AlgebraSignature, text: str) -> RationalFunctionA:
     frac = _fraction(node, lambda node: _Fraction(leaf(node), GR_ONE, text), _Fraction(GR_ONE, GR_ONE, text))
     base, lead, *top = _factored(frac.num, sig, text)
     inverse, lead_den, *bottom = _factored(frac.den, sig, text)
-    # the perturbations p/r of both, the denominator's inverted, multiplied as
-    # `RationalFunctionA.__mul__` does: one that is 1/1 (p = r) leaves the other as it is
-    perts = [pert for pert in (top, bottom[::-1]) if pert[0] != pert[1]]
-    pert = perts[0] if len(perts) == 1 else [poly_mul(*pair, sig) for pair in zip(*perts)] if perts else ()
+    pert = pert_product(top, bottom[::-1], sig)  # the perturbations p/r of both, the denominator's inverted
     return RationalFunctionA(sig, base + tuple((r, -m) for r, m in inverse), sig.scalar(lead / lead_den), *pert)
 
 

@@ -177,10 +177,7 @@ def lasso(base: complex, center: complex, radius: float) -> Path:
     approach = complex(base) - complex(center)
     if abs(approach) <= radius:
         raise PathError("lasso base point lies inside the loop circle")
-    theta = cmath.phase(approach)
-    foot = complex(center) + radius * cmath.exp(1j * theta)
-    go = segment(base, foot)
-    return concat(go, circle(center, radius, theta), go.reversed())
+    return _ray_loop(base, complex(center), radius, cmath.phase(approach))
 
 
 def _ray_loop(base: complex, center, radius: float, theta: float, clockwise=False) -> Path:
@@ -205,57 +202,57 @@ def _isolating_loop(s: SpherePoint, base: complex, radius: float, others) -> Pat
     return lasso(base, center, radius)
 
 
-def _shell_loops(points, base: complex):
-    """Nested-shell loop system: loops from `base`, one per finite point,
-    whose ordered product is homotopic to a single circle around all of
-    them.  Points must have distinct distances from the base."""
-    dists = [abs(complex(p.value) - base) for p in points]
-    order = sorted(range(len(points)), key=lambda i: dists[i])
-    sorted_d = [dists[i] for i in order]
-    for d1, d2 in zip(sorted_d, sorted_d[1:]):
+def _shell_loops(points, base: complex, infinity: bool) -> list:
+    """Nested-shell loop system: loops from `base`, one per finite point by
+    distance from the base, whose ordered product is homotopic to a single
+    circle around all of them, then, if `infinity`, a clockwise circle around
+    infinity.  Points must have distinct distances from the base."""
+    dists = sorted(abs(complex(p.value) - base) for p in points)
+    for d1, d2 in zip(dists, dists[1:]):
         if d2 - d1 < 1e-9:
             raise InputError(
                 "support points equidistant from the base point; "
                 "pick a different base for the loop construction"
             )
-    if sorted_d and sorted_d[0] < 1e-9:
+    if dists and dists[0] < 1e-9:
         raise InputError("base point lies on the support")
 
     # shell radii strictly between consecutive distance rings
     radii = []
-    for i, d in enumerate(sorted_d):
-        nxt = sorted_d[i + 1] if i + 1 < len(sorted_d) else d * 2 + 1
+    for i, d in enumerate(dists):
+        nxt = dists[i + 1] if i + 1 < len(dists) else d * 2 + 1
         radii.append(d + (nxt - d) / 2)
 
-    # a ray from the base that stays clear of every point
+    # a ray from the base that stays clear of every point: each one's distance to the ray exceeds `clear`
     clear = min(
-        [(d2 - d1) for d1, d2 in zip(sorted_d, sorted_d[1:])] + [sorted_d[0]]
-    ) / 4 if sorted_d else 1.0
-    theta = None
+        [(d2 - d1) for d1, d2 in zip(dists, dists[1:])] + [dists[0]]
+    ) / 4 if dists else 1.0
+    rels = [complex(p.value) - base for p in points]
     for k in range(256):
-        cand = 2 * math.pi * k / 256
-        ray = cmath.exp(1j * cand)
-        ok = True
-        for i, p in enumerate(points):
-            rel = complex(p.value) - base
-            t = (rel * ray.conjugate()).real
-            d_line = abs(rel - max(t, 0.0) * ray)
-            if d_line <= clear:
-                ok = False
-                break
-        if ok:
-            theta = cand
+        theta = 2 * math.pi * k / 256
+        ray = cmath.exp(1j * theta)
+        if all(abs(rel - max((rel * ray.conjugate()).real, 0.0) * ray) > clear for rel in rels):
             break
-    if theta is None:
+    else:
         raise InputError("no clear ray from the base point; support too crowded")
 
-    loops = [None] * len(points)
-    prev = None
-    for idx, i in enumerate(order):
-        outer = _ray_loop(base, base, radii[idx], theta)
-        loops[i] = outer if prev is None else concat(prev.reversed(), outer)
+    loops, prev = [], None
+    for radius in radii:
+        outer = _ray_loop(base, base, radius, theta)
+        loops.append(outer if prev is None else concat(prev.reversed(), outer))
         prev = outer
-    return loops, order, (radii[-1] if radii else 1.0), theta
+    if infinity:
+        # the finite shells telescope to the outermost ring; a clockwise
+        # circle through the pole-free outer annulus is its inverse, so the
+        # composite loop system is null-homotopic
+        big = max(
+            3 * max((abs(complex(p.value)) for p in points), default=1.0),
+            1.5 * (radii[-1] if radii else 1.0),
+            2 * abs(base),
+            1.0,
+        )
+        loops.append(_ray_loop(base, base, big, theta, clockwise=True))
+    return loops
 
 
 # -- path literals -------------------------------------------------------------------

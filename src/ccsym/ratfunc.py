@@ -17,7 +17,7 @@ raises the perturbation by a binomial sum that ends below the truncation
 degree N of A, so its degree does not grow with the exponent.
 
 Coefficients are exact: a function over a float signature is an input
-error.  f'/f, which every numeric check samples, is compiled once per
+error, and its values (`eval`) are taken at exact points only.  f'/f, which every numeric check samples, is compiled once per
 function as exact partial fractions and widened once (`float_dlog`) for
 sampling.  `dlog_eval` takes them at one point, and the sampler of
 `CompiledDlog` at a block of points, with the same arithmetic.
@@ -89,6 +89,16 @@ def poly_mul(p: list, q: list, sig: AlgebraSignature) -> list:
     return poly_trim([AlgebraElement.dot(sig, group) for group in groups])
 
 
+def pert_product(a, b, sig: AlgebraSignature) -> tuple:
+    """The perturbation (num, den) of a product of two functions with the
+    perturbations a and b: one that is 1/1 (num == den) leaves the other."""
+    if a[0] == a[1]:
+        return b
+    if b[0] == b[1]:
+        return a
+    return poly_mul(a[0], b[0], sig), poly_mul(a[1], b[1], sig)
+
+
 def poly_reduction(p: list) -> list:
     """Residue polynomial over Q(i)."""
     out = [c.reduce() for c in p]
@@ -155,11 +165,6 @@ class CompiledDlog(NamedTuple):
             return columns
 
         return sample
-
-
-def _is_exact(z) -> bool:
-    """Whether z is an exact point, as against a float or complex one."""
-    return isinstance(z, (GaussianRational, int, Fraction))
 
 
 def _scalar_poly_divide_linear(p: list, r):
@@ -245,13 +250,8 @@ class RationalFunctionA:
         if self.signature != other.signature:
             raise SignatureMismatch("rational functions over different signatures")
         sig = self.signature
-        if self.pert_num == self.pert_den:  # 1/1
-            num, den = other.pert_num, other.pert_den
-        elif other.pert_num == other.pert_den:
-            num, den = self.pert_num, self.pert_den
-        else:
-            num, den = poly_mul(self.pert_num, other.pert_num, sig), poly_mul(self.pert_den, other.pert_den, sig)
-        return RationalFunctionA(sig, self.base_factors + other.base_factors, self.scale * other.scale, num, den)
+        pert = pert_product((self.pert_num, self.pert_den), (other.pert_num, other.pert_den), sig)
+        return RationalFunctionA(sig, self.base_factors + other.base_factors, self.scale * other.scale, *pert)
 
     def inverse(self) -> "RationalFunctionA":
         base = tuple((r, -m) for r, m in self.base_factors)
@@ -316,22 +316,18 @@ class RationalFunctionA:
     # -- evaluation -------------------------------------------------------------
 
     def eval(self, z) -> AlgebraElement:
-        """Value at a point off the reduction's divisor: exact at an exact
-        point, in the widened coefficients at a float or complex one."""
-        exact = _is_exact(z)
-        sig = self.signature if exact else self.signature.to_float()
-        z, cast = (as_exact(z), lambda c: c) if exact else (complex(z), AlgebraElement.widen)
-        out = cast(self.scale)
+        """Exact value at an exact point off the reduction's divisor."""
+        sig, z = self.signature, as_exact(z)
+        out = self.scale
         for root, mult in self.base_factors:
             if mult == 0:
                 continue
-            diff = sig.scalar(z - sig.coerce_scalar(root))
-            if not diff.is_unit():
+            if z == root:
                 raise NotInvertible(f"evaluation at the zero/pole {root}")
-            out = out * diff ** mult
+            out = out * sig.scalar(z - root) ** mult
         z_elt = sig.scalar(z)
-        num_v = poly_eval(list(map(cast, self.pert_num)), z_elt, sig.zero())
-        den_v = poly_eval(list(map(cast, self.pert_den)), z_elt, sig.zero())
+        num_v = poly_eval(self.pert_num, z_elt, sig.zero())
+        den_v = poly_eval(self.pert_den, z_elt, sig.zero())
         if not den_v.is_unit():
             raise NotInvertible("evaluation at a pole of the perturbation")
         return out * num_v * den_v.inverse()
@@ -367,7 +363,8 @@ class RationalFunctionA:
     def dlog_eval(self, z) -> list:
         """Value of f'/f at z, dense over the layout of `compiled_dlog` at an exact point and
         of `float_dlog` at a float or complex one: the sampler on one node with velocity 1."""
-        compiled, z = (self.compiled_dlog, as_exact(z)) if _is_exact(z) else (self.float_dlog, complex(z))
+        exact = isinstance(z, (GaussianRational, int, Fraction))
+        compiled, z = (self.compiled_dlog, as_exact(z)) if exact else (self.float_dlog, complex(z))
         return [c[0] for c in compiled.sampler(compiled.layout.monomials)([z], [compiled.layout.one])]
 
     # -- local expansion ----------------------------------------------------------
@@ -432,7 +429,10 @@ class RationalFunctionA:
 
 
 def rf_support(f: RationalFunctionA, g: RationalFunctionA) -> list:
-    """Deduplicated zeros and poles of both functions, infinity last."""
+    """Deduplicated zeros and poles of both functions, infinity last; each
+    function's perturbation poles must sit over its declared roots."""
+    f.validate_poles()
+    g.validate_poles()
     if f.signature != g.signature:
         raise SignatureMismatch("rational functions over different signatures")
     points = {SpherePoint(r) for r in f.roots()} | {SpherePoint(r) for r in g.roots()}

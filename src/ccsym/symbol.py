@@ -169,18 +169,8 @@ def local_symbols(f, g, points, trunc: int) -> list:
 
 
 def tame_symbol(f: LaurentSeries, g: LaurentSeries):
-    """(-1)^(nu_f nu_g) * [f^nu_g / g^nu_f](0) over the trivial algebra.
-
-    This is the classical discrete-valuation pairing; it must agree with
-    the symbol when the truncation degree is 1.  Returns a bare scalar.
-    """
-    sig = f.signature
-    if sig.truncation_degree != 1:
+    """The symbol over C (the trivial algebra), as a bare scalar: there it
+    is the classical tame symbol (-1)^(nu_f nu_g) [f^nu_g / g^nu_f](0)."""
+    if f.signature.truncation_degree != 1:
         raise InputError("tame symbol is defined over the trivial algebra (degree=1)")
-    nu_f = f.valuation()
-    nu_g = g.valuation()
-    h = (f ** nu_g) * (g ** nu_f).inverse()
-    value = h.coeff(0).reduce()
-    if (nu_f * nu_g) % 2:
-        value = -value
-    return value
+    return cc_symbol_series(f, g).reduce()

@@ -311,6 +311,14 @@ def cc_symbol(fac_f: CanonicalFactorization, fac_g: CanonicalFactorization) -> A
     return value
 
 
+def oracle_tame(f: LaurentSeries, g: LaurentSeries):
+    """The classical tame symbol (-1)^(nu_f nu_g) [f^nu_g / g^nu_f](0) of two
+    series over C, as a bare scalar: the reference for `ccsym tame`."""
+    nu_f, nu_g = f.valuation(), g.valuation()
+    value = ((f ** nu_g) * (g ** nu_f).inverse()).coeff(0).reduce()
+    return -value if nu_f * nu_g % 2 else value
+
+
 # -- input evaluators that make every literal a series or a function ----------------
 
 _ORACLE_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
@@ -568,7 +576,7 @@ def oracle_iterated_2(form1, form2, path, grid: int = 8192) -> complex:
         local = s - idx
         z = segs[idx].point(local)
         v = segs[idx].velocity(local) * m
-        return complex(form.value(z).reduce()) * v
+        return complex(form.layout.element(form.eval(z)).reduce()) * v
 
     h = 1.0 / grid
     f1 = [pullback(form1, k * h) for k in range(grid + 1)]

@@ -13,7 +13,10 @@ from ccsym.chen import QuadratureConfig, transport
 from ccsym.checks import (
     bilinear_reciprocity_check,
     identity_suite,
-    lemma_check,
+    lemma_3_2,
+    lemma_3_3,
+    lemma_3_4,
+    lemma_3_5,
     main_theorem_check,
     weil_reciprocity_check,
 )
@@ -22,9 +25,9 @@ from ccsym.laurent import LaurentSeries, factorize
 from ccsym.paths import ArcSegment, Path
 from ccsym.ratfunc import RationalFunctionA as RF, SpherePoint
 from ccsym.scalars import gaussian
-from ccsym.symbol import cc_symbol_series, tame_symbol
+from ccsym.symbol import cc_symbol_series
 
-from conftest import agrees_with, random_element, reconstruct
+from conftest import agrees_with, oracle_tame, random_element, reconstruct
 
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
 SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
@@ -59,7 +62,7 @@ def test_criterion_1_winding_powers():
     started = time.perf_counter()
     worst = 0.0
     for r in (1, 2, 3):
-        rep = lemma_check("3.2", cfg, r=r, radius=0.5)
+        rep = lemma_3_2(cfg, r=r, radius=0.5)
         worst = max(worst, rep.deviation)
         assert rep.passed
     elapsed = time.perf_counter() - started
@@ -73,7 +76,7 @@ def test_criterion_1_winding_powers():
 def test_criterion_2_winding_of_dlog():
     cfg = QuadratureConfig(steps_per_segment=1024, tolerance=1e-8)
     f = RF.monic_linear(TRIV, 0) ** 2 * RF.monic_linear(TRIV, 3).inverse()
-    rep = lemma_check("3.3", cfg, f=f, center=0, radius=1.0)
+    rep = lemma_3_3(cfg, f=f, center=0, radius=1.0)
     _report(
         "criterion-2 lemma-3.3 x^2/(x-3)",
         rep.passed and rep.deviation <= 1e-8,
@@ -83,10 +86,10 @@ def test_criterion_2_winding_of_dlog():
 
 def test_criterion_3_binomial_log():
     cfg = QuadratureConfig(steps_per_segment=1024, tolerance=1e-7)
-    rep = lemma_check("3.4", cfg, n=-1, a=0.2, radius=0.5)
+    rep = lemma_3_4(cfg, n=-1, a=0.2, radius=0.5)
     ok_scalar = rep.passed and rep.deviation <= 1e-7
 
-    rep_nil = lemma_check("3.4", cfg, n=-1, a=EPS / 5, radius=0.5, signature=SIG2)
+    rep_nil = lemma_3_4(cfg, n=-1, a=EPS / 5, radius=0.5, signature=SIG2)
     # the nilpotent closed form: eps component is -2 pi i * (2/5)
     from ccsym.chen import iterated_integral
     from ccsym.forms import BinomialLogForm
@@ -110,9 +113,9 @@ def test_criterion_4_two_binomials():
     cfg8 = QuadratureConfig(steps_per_segment=1024, tolerance=1e-8)
     cfg7 = QuadratureConfig(steps_per_segment=1024, tolerance=1e-7)
     cfg6 = QuadratureConfig(steps_per_segment=1024, tolerance=1e-6)
-    rep_zero = lemma_check("3.5", cfg8, j=1, k=2, a=0.2, b=0.3, radius=1.0)
-    rep_mixed = lemma_check("3.5", cfg7, j=1, k=-1, a=0.2, b=0.3, radius=1.0)
-    rep_gcd2 = lemma_check("3.5", cfg6, j=2, k=-2, a=0.2, b=0.3, radius=1.0)
+    rep_zero = lemma_3_5(cfg8, j=1, k=2, a=0.2, b=0.3, radius=1.0)
+    rep_mixed = lemma_3_5(cfg7, j=1, k=-1, a=0.2, b=0.3, radius=1.0)
+    rep_gcd2 = lemma_3_5(cfg6, j=2, k=-2, a=0.2, b=0.3, radius=1.0)
     _report(
         "criterion-4 lemma-3.5 (1,2),(1,-1),(2,-2)",
         rep_zero.passed and rep_mixed.passed and rep_gcd2.passed,
@@ -227,7 +230,7 @@ def test_criterion_8_exact_property_suite():
 
     for _ in range(counts):
         f, g = _random_series(rng, TRIV), _random_series(rng, TRIV)
-        assert cc_symbol_series(f, g).reduce() == tame_symbol(f, g)
+        assert cc_symbol_series(f, g).reduce() == oracle_tame(f, g)
 
     for _ in range(counts):
         f = _random_series(rng, SIG2, trunc=14)

@@ -51,6 +51,16 @@ def test_tame_command(capsys):
     assert out.strip() == "-1"
 
 
+@pytest.mark.parametrize("scalars", ["exact", "float"])
+@pytest.mark.parametrize("f, g, value", [("x^2", "2*x^3", {"exact": "1/4", "float": "0.25"}),
+                                         ("(1+i)*x", "x^3", {"exact": "2-2*i", "float": "2-2*i"})])
+def test_tame_prints_its_value_as_symbol_does(capsys, scalars, f, g, value):
+    # over a float algebra tame printed Python's complex repr, (0.25+0j) and (2-2j)
+    flags = ["--f", f, "--g", g, "--algebra", f"gens=;degree=1;scalars={scalars}"]
+    expected = (0, f"{value[scalars]}\n", "")
+    assert run_cli(capsys, "tame", *flags) == run_cli(capsys, "symbol", *flags) == expected
+
+
 def test_factorize_command(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -58,10 +58,10 @@ def test_dlog_matches_finite_differences():
         * RF.monic_linear(SIG2, 1).inverse()
         * RF.monic_linear(SIG2, gaussian(0, 1))
     )
-    h = 1e-5
+    h = gaussian(Fraction(1, 10 ** 5))
     for _ in range(10):
-        z = complex(rng.uniform(2, 5), rng.uniform(1, 3))
-        numeric = (f.eval(z + h) - f.eval(z - h)) * (1 / (2 * h)) * f.eval(z).inverse()
+        z = gaussian(Fraction(rng.randint(200, 500), 100), Fraction(rng.randint(100, 300), 100))
+        numeric = (f.eval(z + h) - f.eval(z - h)) * (h + h).inverse() * f.eval(z).inverse()
         assert deviation(numeric, dlog_value(f, z)) < 1e-6
 
 
@@ -160,6 +160,11 @@ def test_validate_poles():
     )
     with pytest.raises(InputError):
         bad.validate_poles()
+    # the support of a pair, which every reciprocity check reads, checks f, then g, then their signatures
+    other = RF.monic_linear(parse_signature("gens=;degree=1;scalars=exact"), 1)
+    for f, g in [(bad, good), (good, bad), (bad, other), (other, bad)]:
+        with pytest.raises(InputError, match="poles away from the declared roots"):
+            rf_support(f, g)
 
 
 def test_perturbation_reduction_must_match():

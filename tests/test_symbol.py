@@ -14,7 +14,7 @@ from ccsym.ratfunc import RationalFunctionA as RF, rf_support
 from ccsym.scalars import gaussian
 from ccsym.symbol import cc_symbol_series, local_symbols, tame_symbol
 
-from conftest import cc_symbol, oracle_factorize, random_element, random_invertible_series
+from conftest import cc_symbol, oracle_factorize, oracle_tame, random_element, random_invertible_series
 
 TRIV = parse_signature("gens=;degree=1;scalars=exact")
 SIG2 = parse_signature("gens=eps;degree=2;scalars=exact")
@@ -168,7 +168,25 @@ def test_tame_specialization_randomized():
     for _ in range(40):
         f, g = _random_pair(rng, TRIV, 20)
         cc = cc_symbol_series(f, g)
-        assert cc.reduce() == tame_symbol(f, g)
+        assert cc.reduce() == oracle_tame(f, g)
+
+
+TAME_TEXTS = ["x", "2*x^3", "(1+i)*x^-1", "(1-x)^-1*x^-2", "3+x^4"]
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 6])
+def test_tame_command_gives_the_classical_tame_symbol(trunc, capsys):
+    # value, message and exit code of `ccsym tame` against [f^nu_g / g^nu_f](0), with the same --trunc search
+    for f_text in TAME_TEXTS:
+        for g_text in TAME_TEXTS:
+            try:
+                value = symbol.least_trunc(
+                    lambda t: oracle_tame(*(cli._series(text, TRIV, t) for text in (f_text, g_text))), trunc, "tame")
+                expected = (0, f"{value}\n", "")
+            except InsufficientTruncation as exc:
+                expected = (2, "", f"error: {exc}\n")
+            code = cli.main(["tame", f"--f={f_text}", f"--g={g_text}", f"--trunc={trunc}"])
+            assert (code, *capsys.readouterr()) == expected, (f_text, g_text)
 
 
 def test_truncation_stability():

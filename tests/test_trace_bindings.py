@@ -15,7 +15,7 @@ import inspect
 from ccsym import algebra, chen, laurent, symbol
 from ccsym.algebra import AlgebraElement, AlgebraSignature, Backend
 from ccsym.chen import QuadratureConfig
-from ccsym.forms import BinomialLogForm, DlogForm, Dz, SimplePole
+from ccsym.forms import BinomialLogForm, DlogForm, SimplePole
 from ccsym.paths import circle
 from ccsym.ratfunc import RationalFunctionA
 
@@ -46,10 +46,10 @@ def test_the_product_kernel_is_no_module_level_function():
 
 
 def test_the_forms_derive_from_the_base_chen_exposes_and_define_no_eval():
-    assert all(cls.__bases__ == (chen.DifferentialForm,) for cls in (Dz, SimplePole, DlogForm, BinomialLogForm))
+    assert all(cls.__bases__ == (chen.DifferentialForm,) for cls in (SimplePole, DlogForm, BinomialLogForm))
     pending, forms = list(chen.DifferentialForm.__subclasses__()), []
     while pending:
         forms.append(cls := pending.pop())
         pending.extend(cls.__subclasses__())
-    assert {Dz, SimplePole, DlogForm, BinomialLogForm} <= set(forms)
+    assert {SimplePole, DlogForm, BinomialLogForm} <= set(forms)
     assert [cls for cls in forms if "eval" in vars(cls)] == []
