@@ -55,7 +55,7 @@ def test_tame_command(capsys):
 @pytest.mark.parametrize("f, g, value", [("x^2", "2*x^3", {"exact": "1/4", "float": "0.25"}),
                                          ("(1+i)*x", "x^3", {"exact": "2-2*i", "float": "2-2*i"})])
 def test_tame_prints_its_value_as_symbol_does(capsys, scalars, f, g, value):
-    # over a float algebra tame printed Python's complex repr, (0.25+0j) and (2-2j)
+    # not Python's complex repr, (0.25+0j) or (2-2j), which ccsym cannot read back
     flags = ["--f", f, "--g", g, "--algebra", f"gens=;degree=1;scalars={scalars}"]
     expected = (0, f"{value[scalars]}\n", "")
     assert run_cli(capsys, "tame", *flags) == run_cli(capsys, "symbol", *flags) == expected
