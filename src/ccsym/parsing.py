@@ -482,6 +482,4 @@ def _function(sig: AlgebraSignature, value) -> RationalFunctionA:
 def parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
     """The function over sig's exact signature, whichever sig's scalars are."""
     exact = sig.to_exact()
-    f = _function(exact, eval_ratfunc(parse_expression(text), exact, text))
-    f.validate_poles()
-    return f
+    return _function(exact, eval_ratfunc(parse_expression(text), exact, text))

@@ -9,18 +9,22 @@ requires; root finding is out of scope by design.
 
 Poles of the perturbation must sit over declared base roots; a root of
 net multiplicity 0 stays in the divisor as the carrier of such poles
-(written (x-r)*(x-r)^-1).  A degree imbalance between num and den puts
-extra nilpotent data at infinity and forces infinity into the support.
+(written (x-r)*(x-r)^-1).  The constructor checks this, and that den
+is not 0 mod m, so every RationalFunctionA is valid; products, inverses
+and powers of valid functions pass it.  A degree imbalance between num
+and den puts extra nilpotent data at infinity and forces infinity into
+the support.
 
 Products merge the divisor.  A power multiplies the multiplicities and
 raises the perturbation by a binomial sum that ends below the truncation
 degree N of A, so its degree does not grow with the exponent.
 
 Coefficients are exact: a function over a float signature is an input
-error, and its values (`eval`) are taken at exact points only.  f'/f, which every numeric check samples, is compiled once per
-function as exact partial fractions and widened once (`float_dlog`) for
-sampling.  `dlog_eval` takes them at one point, and the sampler of
-`CompiledDlog` at a block of points, with the same arithmetic.
+error, and its values (`eval`) are taken at exact points only.  f'/f,
+which every numeric check samples, is compiled once per function as
+exact partial fractions and widened once (`float_dlog`) for sampling.
+`dlog_eval` takes them at one point, and the sampler of `CompiledDlog`
+at a block of points, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .algebra import AlgebraElement, AlgebraSignature, Backend
 from .errors import InputError, InsufficientTruncation, NotInvertible, SignatureMismatch
 from .forms import DenseLayout
 from .laurent import LaurentSeries
-from .scalars import GaussianRational, as_exact, poly_eval
+from .scalars import GR_ONE, GaussianRational, as_exact, poly_eval
 
 
 class SpherePoint(NamedTuple):
@@ -193,8 +197,9 @@ class RationalFunctionA:
     `base_factors` holds one (root, net multiplicity) per distinct root,
     sorted as SpherePoints; a multiplicity of 0 is a pole carrier.  The
     perturbation `pert_num`/`pert_den` is two tuples of elements, degree-
-    indexed; num == den is stored as 1/1.  The signature is exact, and two
-    functions are equal when these fields are."""
+    indexed; num == den is stored as 1/1, and `pert_reduction` is the
+    reduction of den over Q(i).  The signature is exact, and two functions
+    are equal when these fields are."""
 
     def __init__(self, signature: AlgebraSignature, base_factors: tuple = (), scale: AlgebraElement = None,
                  pert_num: tuple = None, pert_den: tuple = None):
@@ -209,18 +214,23 @@ class RationalFunctionA:
             if not isinstance(root, GaussianRational):
                 raise InputError("base roots must be exact Gaussian rationals")
             net[root] = net.get(root, 0) + mult
-        num = list(pert_num) if pert_num else [sig.one()]
-        den = list(pert_den) if pert_den else [sig.one()]
-        num, den = poly_trim(num), poly_trim(den)
-        if not num or not den:
-            raise InputError("perturbation polynomials must be nonzero")
-        if num == den:
+        num = poly_trim(list(pert_num or [sig.one()]))
+        den = poly_trim(list(pert_den or [sig.one()]))
+        if num == den and num:
             num = den = [sig.one()]
-        elif poly_reduction(num) != poly_reduction(den):
-            raise InputError(
-                "perturbation numerator and denominator must have identical reductions"
-            )
+            red = [GR_ONE]
+        elif not (red := poly_reduction(den)):
+            raise InputError("the perturbation's denominator must have a nonzero reduction")
+        elif poly_reduction(num) != red:
+            raise InputError("perturbation numerator and denominator must have identical reductions")
+        rest = red  # a pole of the perturbation is a root of red; each must be a declared root
+        for root in net:
+            rest = _divide_out(rest, root)[1]
+        if len(rest) > 1:
+            raise InputError("perturbation has poles away from the declared roots; "
+                             "add a cancelling (x-r)*(x-r)^-1 carrier pair for each")
         self.signature, self.scale, self.pert_num, self.pert_den = sig, scale, tuple(num), tuple(den)
+        self.pert_reduction = red
         self.base_factors = tuple(sorted(net.items(), key=lambda rm: SpherePoint(rm[0])))
 
     def __eq__(self, other):
@@ -283,8 +293,7 @@ class RationalFunctionA:
     @property
     def pert_excess(self) -> int:
         """Extra nilpotent degree at infinity from an unbalanced perturbation."""
-        red_deg = len(poly_reduction(self.pert_den)) - 1
-        return max(len(self.pert_num), len(self.pert_den)) - 1 - red_deg
+        return max(len(self.pert_num), len(self.pert_den)) - len(self.pert_reduction)
 
     def roots(self) -> list:
         return [root for root, _ in self.base_factors]
@@ -297,21 +306,10 @@ class RationalFunctionA:
     def pole_order(self, s: SpherePoint) -> int:
         """The order of the perturbation's pole at s: how often the reduction of
         its denominator vanishes there, or its excess degree at infinity."""
-        return self.pert_excess if s.is_infinite else _divide_out(poly_reduction(self.pert_den), s.value)[0]
+        return self.pert_excess if s.is_infinite else _divide_out(self.pert_reduction, s.value)[0]
 
     def involves_infinity(self) -> bool:
         return self.total_degree != 0 or self.pert_excess > 0
-
-    def validate_poles(self):
-        """Check that finite perturbation poles sit over declared roots."""
-        red = poly_reduction(self.pert_den)
-        for root in self.roots():
-            red = _divide_out(red, root)[1]
-        if len(red) > 1:
-            raise InputError(
-                "perturbation has poles away from the declared roots; "
-                "add a cancelling (x-r)*(x-r)^-1 carrier pair for each"
-            )
 
     # -- evaluation -------------------------------------------------------------
 
@@ -338,7 +336,6 @@ class RationalFunctionA:
         sum_j C_j (x - r)^-j, and the p_k of the polynomial part sum_k p_k x^k that an
         unbalanced perturbation puts at infinity.  They are read off h'/h for the local
         expansion h at each point."""
-        self.validate_poles()
         poles = tuple((root, root, terms) for root in self.roots() if (terms := self._dlog_terms(SpherePoint(root), 0)))
         polynomial = self._dlog_terms(SpherePoint.infinity(), 1) if self.pert_excess > 0 else ()
         return CompiledDlog.over(self.signature, poles, polynomial)
@@ -429,10 +426,7 @@ class RationalFunctionA:
 
 
 def rf_support(f: RationalFunctionA, g: RationalFunctionA) -> list:
-    """Deduplicated zeros and poles of both functions, infinity last; each
-    function's perturbation poles must sit over its declared roots."""
-    f.validate_poles()
-    g.validate_poles()
+    """Deduplicated zeros and poles of both functions, infinity last."""
     if f.signature != g.signature:
         raise SignatureMismatch("rational functions over different signatures")
     points = {SpherePoint(r) for r in f.roots()} | {SpherePoint(r) for r in g.roots()}

@@ -49,6 +49,8 @@ class GaussianRational:
         return Fraction(self.q, self.d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if type(other) is not GaussianRational:  # no mixed arithmetic, as in __eq__
+            return NotImplemented
         d, e = self.d, other.d
         if d == e:
             return GaussianRational._make(self.p + other.p, self.q + other.q, d)
@@ -61,11 +63,15 @@ class GaussianRational:
         return GaussianRational(-self.p, -self.q, self.d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        if type(other) is not GaussianRational:
+            return NotImplemented
         a, b, c, e = self.p, self.q, other.p, other.q
         return GaussianRational._make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
+        if type(other) is not GaussianRational:
+            return NotImplemented
         a, b, c, e, f = self.p, self.q, other.p, other.q, other.d
         n = c * c + e * e
         if n == 0:

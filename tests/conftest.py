@@ -515,9 +515,7 @@ def oracle_parse_ratfunc(text: str, sig: AlgebraSignature) -> RationalFunctionA:
         frac = _oracle_fold(node, leaf, lambda a, b: a * b.inverse(), frac_pow)
         return _oracle_classify(frac.num, sig, text) * _oracle_classify(frac.den, sig, text).inverse()
 
-    f = read(parsing.parse_expression(text))
-    f.validate_poles()
-    return f
+    return read(parsing.parse_expression(text))
 
 
 def _gaussian_text(re: Fraction, im: Fraction) -> str:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ccsym import parsing, ratfunc
 from ccsym.algebra import AlgebraElement, parse_signature
 from ccsym.errors import InputError, NotInvertible
 from ccsym.laurent import INF, LaurentSeries, factorize
@@ -125,7 +126,6 @@ def test_ratfunc_nilpotent_shift():
 
 def test_ratfunc_perturbation_group_gets_carriers():
     f = parse_ratfunc("(x-1)*(1+eps/(x-2))", SIG2)
-    f.validate_poles()
     # the perturbation pole at 2 carries a cancelling base pair
     nets = dict(f.base_factors)
     assert nets[gaussian(1)] == 1
@@ -354,12 +354,13 @@ def test_float_literals_are_rounded_once_from_their_exact_value():
 
 
 def test_reading_bench_shaped_literals_takes_a_pinned_amount_of_work(monkeypatch):
-    # counted, not timed, so the figures repeat exactly: the element products
-    # and the functions built while reading 20 `verify weil` functions and 5
-    # series per algebra.  The reader before these figures took 646, 850, 46
-    # and 240 products and built 240 functions per 20
-    counts = {"dot": 0, "functions": 0}
-    dot, init = AlgebraElement.dot.__func__, RationalFunctionA.__init__
+    # counted, not timed, so the figures repeat exactly: the element products,
+    # the functions built and the perturbation reductions taken while reading
+    # 20 `verify weil` functions and 5 series per algebra.  The reader before
+    # these figures took 646, 850, 46 and 240 products and built 240 functions
+    # per 20, and before the constructor checked the poles it took 200 reductions
+    counts = {"dot": 0, "functions": 0, "reductions": 0}
+    dot, init, reduction = AlgebraElement.dot.__func__, RationalFunctionA.__init__, ratfunc.poly_reduction
 
     def counted_dot(cls, *args):
         counts["dot"] += 1
@@ -369,19 +370,25 @@ def test_reading_bench_shaped_literals_takes_a_pinned_amount_of_work(monkeypatch
         counts["functions"] += 1
         init(self, *args, **kwargs)
 
+    def counted_reduction(p):
+        counts["reductions"] += 1
+        return reduction(p)
+
     monkeypatch.setattr(AlgebraElement, "dot", classmethod(counted_dot))
     monkeypatch.setattr(RationalFunctionA, "__init__", counted_init)
+    for module in (ratfunc, parsing):  # both import it by name
+        monkeypatch.setattr(module, "poly_reduction", counted_reduction)
     work = {}
     for sig, gens, degree in ALGEBRAS[:2]:
         rng = random.Random(f"work {degree}")
-        counts.update(dot=0, functions=0)
+        counts.update(dot=0, functions=0, reductions=0)
         for k in range(10):
             for text in bench_weil_texts(rng, gens, k % 2):
                 parse_ratfunc(text, sig)
         work["weil", degree] = dict(counts)
-        counts.update(dot=0, functions=0)
+        counts.update(dot=0, functions=0, reductions=0)
         for _ in range(5):
             parse_series(bench_series_text(rng, gens, degree), sig, 12)
         work["series", degree] = counts["dot"]
-    assert work == {("weil", 2): {"dot": 95, "functions": 120}, ("series", 2): 0,
-                    ("weil", 3): {"dot": 145, "functions": 120}, ("series", 3): 60}
+    assert work == {("weil", 2): {"dot": 95, "functions": 120, "reductions": 180}, ("series", 2): 0,
+                    ("weil", 3): {"dot": 145, "functions": 120, "reductions": 180}, ("series", 3): 60}

@@ -147,24 +147,47 @@ def test_unbalanced_perturbation_involves_infinity():
     assert [str(s) for s in rf_support(f, RF.constant(SIG2, 1))] == ["inf"]
 
 
-def test_validate_poles():
-    good = x_plus_eps()
-    good.validate_poles()
-    # perturbation pole at 5 with no carrier root
-    bad = RF(
-        SIG2,
-        (),
-        None,
-        (SIG2.scalar(-5) + EPS, SIG2.one()),
-        (SIG2.scalar(-5), SIG2.one()),
-    )
-    with pytest.raises(InputError):
-        bad.validate_poles()
-    # the support of a pair, which every reciprocity check reads, checks f, then g, then their signatures
-    other = RF.monic_linear(parse_signature("gens=;degree=1;scalars=exact"), 1)
-    for f, g in [(bad, good), (good, bad), (bad, other), (other, bad)]:
-        with pytest.raises(InputError, match="poles away from the declared roots"):
-            rf_support(f, g)
+def test_poles_away_from_the_declared_roots_are_refused_on_construction():
+    # (x - 5 + eps)/(x - 5) has its pole at 5 with no carrier root; with one it builds
+    pert = (SIG2.scalar(-5) + EPS, SIG2.one()), (SIG2.scalar(-5), SIG2.one())
+    with pytest.raises(InputError, match="poles away from the declared roots"):
+        RF(SIG2, (), None, *pert)
+    with pytest.raises(InputError, match="poles away from the declared roots"):
+        RF(SIG2, ((gaussian(4), 1),), None, *pert)
+    carried = RF(SIG2, ((gaussian(5), 1), (gaussian(5), -1)), None, *pert)
+    assert carried.base_factors == ((gaussian(5), 0),)
+    assert carried.pole_order(SpherePoint.finite(5)) == 1
+
+
+def test_a_perturbation_denominator_must_not_vanish_mod_m():
+    zero, one = SIG2.zero(), SIG2.one()
+    # 2 eps/eps and (1 + eps x)/(eps x) have nilpotent denominators, and 0/0 and 1/0 zero ones
+    for num, den in [((EPS * 2,), (EPS,)), ((one, EPS), (zero, EPS)), ((zero,), (zero,)), ((one,), (zero,))]:
+        with pytest.raises(InputError, match="nonzero reduction"):
+            RF(SIG2, (), None, num, den)
+
+
+@pytest.mark.parametrize("text, algebra", [
+    ("(x+eps)", "gens=eps;degree=2;scalars=exact"), ("(1-x)", "gens=eps;degree=2;scalars=exact"),
+    ("x", "gens=;degree=1;scalars=exact"), ("(1-x)", "gens=;degree=1;scalars=exact"),
+    ("(x)", "gens=;degree=1;scalars=exact"), ("(x-1)*(1+eps/(x-2))", "gens=eps;degree=2;scalars=exact"),
+    ("(1+eps*x)*(x-3+eps)^-2", "gens=eps;degree=3;scalars=exact"),
+])
+def test_a_built_function_reads_its_divisor_without_reducing_again(monkeypatch, text, algebra):
+    # the README's main-theorem, bilinear and weil functions, and two with perturbation poles
+    # (one at infinity): the constructor checked the poles, so nothing after it reduces
+    sig = parse_signature(algebra)
+    f, g = parse_ratfunc(text, sig), parse_ratfunc("(1-x)", sig)
+
+    def no_reduction(p):
+        raise AssertionError("reduced a perturbation again")
+
+    monkeypatch.setattr(ratfunc, "poly_reduction", no_reduction)
+    support = rf_support(f, g)
+    assert [f.pole_order(s) for s in support] and f.pert_excess >= 0
+    assert f.compiled_dlog.poles or f.compiled_dlog.polynomial
+    for s in support:
+        f.expand_at(s, f.order_at(s) + 3)
 
 
 def test_perturbation_reduction_must_match():

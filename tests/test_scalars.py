@@ -99,6 +99,17 @@ def test_gaussian_rational_edges():
         complex(gaussian(Fraction(10 ** 321, 3), 1))
 
 
+@pytest.mark.parametrize("other", [2, Fraction(1, 2), 0.5])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_gaussian_rational_arithmetic_refuses_other_number_types(op, other):
+    # as ==, every operator returns NotImplemented for a non-GaussianRational,
+    # so Python raises TypeError on either side rather than an internal error
+    with pytest.raises(TypeError):
+        op(gaussian(1), other)
+    with pytest.raises(TypeError):
+        op(other, gaussian(1))
+
+
 def test_exact_elements_build_and_read_back_without_fractions(monkeypatch):
     class NoFraction(Fraction):
         def __new__(cls, *args, **kwargs):
